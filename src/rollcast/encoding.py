@@ -85,10 +85,9 @@ def tokenize(field: GridField, cfg: TokenizerConfig, patch_weights: Tensor, patc
             f"patch_weights shape {patch_weights.shape} != ({pd}, {cfg.embed_dim})"
         )
     patches = Tensor(patchify(field.values, cfg.patch_size))
-    z = dc.matmul(patches, patch_weights)
-    if patch_bias is not None:
-        z = dc.add(z, dc.broadcast_to(patch_bias, z.shape))
-    return z
+    if patch_bias is None:
+        return dc.matmul(patches, patch_weights)
+    return dc.linear(patches, patch_weights, patch_bias)
 
 
 def add_positional(tokens: Tensor, table: PositionalTable) -> Tensor:
@@ -228,7 +227,7 @@ class TemporalEmbedding:
 
     def __call__(self, date_time_hours: int, travel_h: int, remaining_h: int, lead_h: int) -> Tensor:
         feats = Tensor(self.features(date_time_hours, travel_h, remaining_h, lead_h)[None, :])
-        return dc.add(dc.matmul(feats, self.weight), self.bias)
+        return dc.linear(feats, self.weight, self.bias)
 
     def params(self) -> dict:
         return {"temporal_embedding.weight": self.weight, "temporal_embedding.bias": self.bias}

@@ -119,8 +119,31 @@ def _linear_params(rng, d_in, d_out, prefix, zero=False, scale=None):
 
 
 def _linear(params, prefix, x: Tensor) -> Tensor:
-    out = dc.matmul(x, params[f"{prefix}.weight"])
-    return dc.add(out, dc.broadcast_to(params[f"{prefix}.bias"], out.shape))
+    return dc.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
+
+
+def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads: int) -> Tensor:
+    """Multi-head self-attention over (batch*length, D) tokens, all heads at once.
+
+    Queries, keys and values move to a (batch*heads, length, dh) layout, so
+    one batched matmul scores every head; keys land transposed in the same
+    permute. Projections are `{prefix}.wq/.wk/.wv/.wo`.
+    """
+    D = h.shape[1]
+    dh = D // num_heads
+
+    def heads(name, axes):
+        x = dc.reshape(_linear(params, f"{prefix}.{name}", h), (batch, length, num_heads, dh))
+        x = dc.permute(x, axes)
+        return dc.reshape(x, (batch * num_heads,) + x.shape[2:])
+
+    q = heads("wq", (0, 2, 1, 3))  # (B*H, L, dh)
+    kt = heads("wk", (0, 2, 3, 1))  # (B*H, dh, L)
+    v = heads("wv", (0, 2, 1, 3))
+    scores = dc.mul_scalar(dc.matmul(q, kt), 1.0 / np.sqrt(dh))
+    ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, length, dh))
+    cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * length, D))
+    return _linear(params, f"{prefix}.wo", cat)
 
 
 class ArchBlock:
@@ -142,21 +165,7 @@ class ArchBlock:
         return self._params
 
     def _attention(self, h: Tensor, batch: int, length: int) -> Tensor:
-        cfg = self.cfg
-        D = cfg.embed_dim
-        dh = D // cfg.num_heads
-        q = dc.reshape(_linear(self._params, f"{self.prefix}.attn.wq", h), (batch, length, D))
-        k = dc.reshape(_linear(self._params, f"{self.prefix}.attn.wk", h), (batch, length, D))
-        v = dc.reshape(_linear(self._params, f"{self.prefix}.attn.wv", h), (batch, length, D))
-        heads = []
-        for i in range(cfg.num_heads):
-            qh = dc.slice_axis(q, 2, i * dh, (i + 1) * dh)
-            kh = dc.slice_axis(k, 2, i * dh, (i + 1) * dh)
-            vh = dc.slice_axis(v, 2, i * dh, (i + 1) * dh)
-            scores = dc.mul_scalar(dc.matmul(qh, dc.transpose_last2(kh)), 1.0 / np.sqrt(dh))
-            heads.append(dc.matmul(dc.softmax(scores, axis=-1), vh))
-        cat = dc.reshape(dc.concat(heads, axis=2), (batch * length, D))
-        return _linear(self._params, f"{self.prefix}.attn.wo", cat)
+        return attention(self._params, f"{self.prefix}.attn", h, batch, length, self.cfg.num_heads)
 
     def _modulations(self, cond: Tensor):
         D = self.cfg.embed_dim
@@ -165,20 +174,14 @@ class ArchBlock:
 
     def forward(self, z: Tensor, cond: Tensor, delta: int, batch: int, length: int, collect_noise: bool = False):
         """(batch*length, D) tokens -> same shape; cond is the (1, D) interval embedding."""
-        n, D = z.shape
         scale1, shift1, gate1, scale2, shift2, gate2 = self._modulations(cond)
 
-        def affine(t, scale, shift):
-            scaled = dc.mul(t, dc.broadcast_to(dc.add_scalar(scale, 1.0), (n, D)))
-            return dc.add(scaled, dc.broadcast_to(shift, (n, D)))
+        h = dc.modulate(dc.layer_norm(z), scale1, shift1)
+        z = dc.gated_add(z, gate1, self._attention(h, batch, length))
 
-        h = affine(dc.layer_norm(z), scale1, shift1)
-        attn = self._attention(h, batch, length)
-        z = dc.add(z, dc.mul(dc.broadcast_to(gate1, (n, D)), attn))
-
-        h2 = affine(dc.layer_norm(z), scale2, shift2)
+        h2 = dc.modulate(dc.layer_norm(z), scale2, shift2)
         moe_out, decision = self.moe.forward(h2, delta)
-        z = dc.add(z, dc.mul(dc.broadcast_to(gate2, (n, D)), moe_out))
+        z = dc.gated_add(z, gate2, moe_out)
 
         noise = self.moe.noise_sums(h2) if collect_noise else None
         return z, decision, noise

@@ -4,6 +4,10 @@ Every token always passes through the shared expert; additionally the top-k
 private experts by perturbed gate score contribute, weighted by a softmax
 over the selected (unperturbed) gate values. The perturbation is a learned,
 interval-specific noise head, so routing can differ per forecast interval.
+Private experts run only on the rows routed to them (Switch/GShard-style
+dispatch): each gathers its tokens, and the weighted outputs of all experts
+are summed back into token order by one scatter; an expert no token selects
+does not run.
 
 Two auxiliary losses shape the noise heads: the first pushes the per-interval
 noise distributions apart (interval specialization, maximized), the second
@@ -93,12 +97,8 @@ def _ffn_params(rng, d_in: int, hidden: int, d_out: int, prefix: str) -> dict:
 
 
 def _ffn_forward(params: dict, prefix: str, z: Tensor) -> Tensor:
-    n = z.shape[0]
-    h = dc.matmul(z, params[f"{prefix}.w1"])
-    h = dc.add(h, dc.broadcast_to(params[f"{prefix}.b1"], h.shape))
-    h = dc.gelu(h)
-    out = dc.matmul(h, params[f"{prefix}.w2"])
-    return dc.add(out, dc.broadcast_to(params[f"{prefix}.b2"], (n, out.shape[1])))
+    h = dc.gelu(dc.linear(z, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return dc.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 class SharedPrivateMoE:
@@ -139,14 +139,23 @@ class SharedPrivateMoE:
         s = dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.gate"]))
         b = self._noise(z, delta)
         g_prime, selected = gate_decision(s, b, cfg.top_k)
-        dense_weights = dc.scatter_cols(g_prime, selected, cfg.num_private)
 
         out = _ffn_forward(self._params, f"{self.prefix}.shared", z)
-        for m in range(cfg.num_private):
-            col = dc.slice_axis(dense_weights, 1, m, m + 1)
-            contrib = dc.mul(dc.broadcast_to(col, (n, cfg.embed_dim)),
-                             _ffn_forward(self._params, f"{self.prefix}.private.{m}", z))
-            out = dc.add(out, contrib)
+        # (token, slot) assignments grouped by expert, in flat g_prime order
+        order = np.argsort(selected.ravel(), kind="stable")
+        tokens = order // cfg.top_k
+        counts = np.bincount(selected.ravel(), minlength=cfg.num_private)
+        outputs, start = [], 0
+        for m, count in enumerate(counts):
+            if count:
+                rows = tokens[start:start + count]
+                outputs.append(_ffn_forward(self._params, f"{self.prefix}.private.{m}",
+                                            dc.embedding_lookup(z, rows)))
+                start += count
+        weights = dc.embedding_lookup(dc.reshape(g_prime, (g_prime.size, 1)), order)
+        private = dc.concat(outputs, axis=0)
+        weighted = dc.mul(dc.broadcast_to(weights, private.shape), private)
+        out = dc.add(out, dc.scatter_add_rows(weighted, tokens, n))
 
         decision = MoEGateDecision(
             s=s.data.copy(), b_delta=b.data.copy(), selected=selected, g_prime=g_prime.data.copy()

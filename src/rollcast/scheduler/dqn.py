@@ -23,7 +23,7 @@ import numpy as np
 from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
-from ..model import ForecastModel, _linear, _linear_params
+from ..model import ForecastModel, _linear, _linear_params, attention
 from .env import ActionSet, EnvState, Transition
 
 
@@ -142,20 +142,7 @@ class QNetwork:
         return _linear(self._params, "q.head", dc.reshape(last, (B, D)))
 
     def _attention(self, h: Tensor, batch: int, length: int) -> Tensor:
-        D = self.embed_dim
-        dh = D // self.num_heads
-        q = dc.reshape(_linear(self._params, "q.attn.wq", h), (batch, length, D))
-        k = dc.reshape(_linear(self._params, "q.attn.wk", h), (batch, length, D))
-        v = dc.reshape(_linear(self._params, "q.attn.wv", h), (batch, length, D))
-        heads = []
-        for i in range(self.num_heads):
-            qh = dc.slice_axis(q, 2, i * dh, (i + 1) * dh)
-            kh = dc.slice_axis(k, 2, i * dh, (i + 1) * dh)
-            vh = dc.slice_axis(v, 2, i * dh, (i + 1) * dh)
-            scores = dc.mul_scalar(dc.matmul(qh, dc.transpose_last2(kh)), 1.0 / np.sqrt(dh))
-            heads.append(dc.matmul(dc.softmax(scores, axis=-1), vh))
-        cat = dc.reshape(dc.concat(heads, axis=2), (batch * length, D))
-        return _linear(self._params, "q.attn.wo", cat)
+        return attention(self._params, "q.attn", h, batch, length, self.num_heads)
 
     def q_values(self, state: EnvState) -> np.ndarray:
         """Plain (num_actions,) values for one state."""
@@ -238,12 +225,12 @@ def hindsight_transitions(transitions, k: int) -> list:
 class ReplayBuffer:
     """Episode store with uniform transition sampling.
 
-    Episodes are kept as (spec, actions, epoch added) so a refresh can replay
-    them through the current environment; refreshed transitions replace the
-    stale ones and episodes past max_age (or over capacity) are evicted,
-    oldest first. Each episode is stored as one n-step transition per step
-    (`n_step_transitions`) plus its relabelled segments of up to
-    hindsight_steps steps (`hindsight_transitions`).
+    Episodes are kept as (spec, actions, epoch added, folded transitions) so
+    a refresh can replay them through the current environment; refreshed
+    transitions replace the stale ones and episodes past max_age (or over
+    capacity) are evicted, oldest first. Each episode is stored as one
+    n-step transition per step (`n_step_transitions`) plus its relabelled
+    segments of up to hindsight_steps steps (`hindsight_transitions`).
     """
 
     def __init__(self, capacity: int, n_step: int = N_STEP, hindsight_steps: int = HINDSIGHT_STEPS):
@@ -252,7 +239,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self.n_step = n_step
         self.hindsight_steps = hindsight_steps
-        self.episodes: list = []  # dicts: spec, actions, epoch, size (transitions stored)
+        self.episodes: list = []  # dicts: spec, actions, epoch, folded (its stored transitions)
         self.transitions: list = []
 
     def __len__(self):
@@ -265,36 +252,38 @@ class ReplayBuffer:
 
     def add_episode(self, spec, actions, transitions, epoch: int):
         folded = self._fold(transitions)
-        self.episodes.append({"spec": spec, "actions": list(actions), "epoch": epoch, "size": len(folded)})
+        self.episodes.append({"spec": spec, "actions": list(actions), "epoch": epoch, "folded": folded})
         self.transitions.extend(folded)
         self._enforce_capacity()
 
     def _enforce_capacity(self):
         while self.episodes and len(self.transitions) > self.capacity:
             dropped = self.episodes.pop(0)
-            self.transitions = self.transitions[dropped["size"]:]
+            self.transitions = self.transitions[len(dropped["folded"]):]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list:
         idx = rng.integers(0, len(self.transitions), size=batch_size)
         return [self.transitions[i] for i in idx]
 
     def refresh(self, env, current_epoch: int, max_age: int):
-        """Replay stored episodes through the current environment.
+        """Replay stored episodes of earlier epochs through the current environment.
 
-        The fine-tuned forecaster changes the environment, so stored
-        rewards/next-states go stale; replaying the same action sequences
-        regenerates them consistently.
+        The fine-tuned forecaster changes the environment between epochs, so
+        stored rewards/next-states go stale; replaying the same action
+        sequences regenerates them consistently. Episodes added in
+        current_epoch were collected from the environment as it is now, so
+        they are kept as stored: a replay would repeat every forecast.
         """
         from .env import run_episode  # local import to avoid a cycle
 
         self.episodes = [e for e in self.episodes if current_epoch - e["epoch"] <= max_age]
         self.transitions = []
         for e in self.episodes:
-            actions = iter(e["actions"])
-            _, transitions, _ = run_episode(env, e["spec"], lambda s: next(actions))
-            folded = self._fold(transitions)
-            e["size"] = len(folded)
-            self.transitions.extend(folded)
+            if e["epoch"] < current_epoch:
+                actions = iter(e["actions"])
+                _, transitions, _ = run_episode(env, e["spec"], lambda s: next(actions))
+                e["folded"] = self._fold(transitions)
+            self.transitions.extend(e["folded"])
 
 
 # -- temporal-difference updates -------------------------------------------------------

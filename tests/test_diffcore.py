@@ -53,6 +53,54 @@ def test_shape_mismatch_names_both_shapes():
         dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_fused_ops_match_their_unfused_graphs():
+    rng = np.random.default_rng(12)
+    x, w = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 4)))
+    b, r1, r2 = (Tensor(rng.normal(size=(1, 4))) for _ in range(3))
+    y = Tensor(rng.normal(size=(5, 4)))
+    lin = dc.add(dc.matmul(x, w), dc.broadcast_to(b, (5, 4)))
+    np.testing.assert_array_equal(dc.linear(x, w, b).data, lin.data)
+    mod = dc.add(dc.mul(y, dc.broadcast_to(dc.add_scalar(r1, 1.0), (5, 4))), dc.broadcast_to(r2, (5, 4)))
+    np.testing.assert_array_equal(dc.modulate(y, r1, r2).data, mod.data)
+    gated = dc.add(lin, dc.mul(dc.broadcast_to(r1, (5, 4)), y))
+    np.testing.assert_array_equal(dc.gated_add(lin, r1, y).data, gated.data)
+    a = rng.normal(size=(2, 3, 4, 5))
+    np.testing.assert_array_equal(dc.permute(Tensor(a), (0, 2, 3, 1)).data, a.transpose(0, 2, 3, 1))
+    src = rng.normal(size=(4, 2))
+    expected = np.zeros((3, 2))
+    for i, r in enumerate([2, 0, 2, 1]):
+        expected[r] += src[i]
+    np.testing.assert_allclose(dc.scatter_add_rows(Tensor(src), [2, 0, 2, 1], 3).data, expected, atol=1e-15)
+
+
+def test_new_ops_enforce_their_shape_contracts():
+    z = lambda *shape: Tensor(np.zeros(shape))
+    with pytest.raises(dc.ShapeError, match="linear"):
+        dc.linear(z(3, 4), z(5, 2), z(1, 2))
+    with pytest.raises(dc.ShapeError, match="linear"):
+        dc.linear(z(3, 4), z(4, 2), z(3, 2))  # bias must be one (1, d_out) row
+    with pytest.raises(dc.ShapeError, match="linear"):
+        dc.linear(z(2, 3, 4), z(4, 2), z(1, 2))
+    with pytest.raises(dc.ShapeError, match="modulate"):
+        dc.modulate(z(3, 4), z(3, 4), z(1, 4))
+    with pytest.raises(dc.ShapeError, match="modulate"):
+        dc.modulate(z(3, 4), z(1, 4), z(1, 5))
+    with pytest.raises(dc.ShapeError, match="gated_add"):
+        dc.gated_add(z(3, 4), z(1, 4), z(3, 5))
+    with pytest.raises(dc.ShapeError, match="gated_add"):
+        dc.gated_add(z(3, 4), z(4,), z(3, 4))
+    with pytest.raises(dc.ShapeError, match="permute"):
+        dc.permute(z(2, 3, 4), (0, 1))
+    with pytest.raises(dc.ShapeError, match="permute"):
+        dc.permute(z(2, 3, 4), (0, 1, 1))
+    with pytest.raises(dc.ShapeError, match="scatter_add_rows"):
+        dc.scatter_add_rows(z(4, 2), [0, 1, 2], 3)
+    with pytest.raises(dc.ShapeError, match="scatter_add_rows"):
+        dc.scatter_add_rows(z(4,), [0, 1, 2, 0], 3)
+    with pytest.raises(IndexError):
+        dc.scatter_add_rows(z(2, 2), [0, 3], 3)
+
+
 # -- backward basics ------------------------------------------------------------
 
 
@@ -117,6 +165,10 @@ def _primitive_cases(rng):
     w34 = Tensor(rng.normal(size=(3, 4)))
     w35 = Tensor(rng.normal(size=(3, 5)))
     w233 = Tensor(rng.normal(size=(2, 3, 3)))
+    row5 = rand_tensor(rng, (1, 5))
+    row_b = rand_tensor(rng, (1, 4))
+    w423 = Tensor(rng.normal(size=(4, 2, 3)))
+    w32 = Tensor(rng.normal(size=(3, 2)))
 
     return {
         "add": ({"a": a, "b": b}, lambda: dc.tensor_sum(dc.mul(dc.add(a, b), w34))),
@@ -150,6 +202,23 @@ def _primitive_cases(rng):
         "gather_cols": ({"gate": gate}, lambda: dc.tensor_sum(dc.mul(dc.gather_cols(gate, idx), sel))),
         "scatter_cols": ({"sel": sel}, lambda: dc.tensor_sum(dc.mul(dc.scatter_cols(sel, idx, 5), gate))),
         "cross_entropy": ({"p": probs_p, "q": probs_q}, lambda: dc.cross_entropy(probs_p, probs_q)),
+        "linear": (
+            {"a": a, "m": m, "row5": row5},
+            lambda: dc.tensor_sum(dc.mul(dc.linear(a, m, row5), w35)),
+        ),
+        "modulate": (
+            {"a": a, "row": row, "row_b": row_b},
+            lambda: dc.tensor_sum(dc.mul(dc.modulate(a, row, row_b), w34)),
+        ),
+        "gated_add": (
+            {"a": a, "row": row, "b": b},
+            lambda: dc.tensor_sum(dc.mul(dc.gated_add(a, row, b), w34)),
+        ),
+        "permute": ({"x": bm1}, lambda: dc.tensor_sum(dc.mul(dc.permute(bm1, (2, 0, 1)), w423))),
+        "scatter_add_rows": (
+            {"sel": sel},
+            lambda: dc.tensor_sum(dc.mul(dc.scatter_add_rows(sel, [1, 0, 1, 2], 3), w32)),
+        ),
     }
 
 

@@ -97,6 +97,76 @@ def test_single_head_attention_matches_manual_computation():
     np.testing.assert_allclose(got.data, expected, atol=1e-12)
 
 
+def numpy_attention(params, prefix, h, batch, length, num_heads):
+    """Per-head loop in plain numpy: the oracle for model.attention."""
+    def lin(name, x):
+        return x @ params[f"{prefix}.{name}.weight"].data + params[f"{prefix}.{name}.bias"].data
+
+    D = h.shape[1]
+    dh = D // num_heads
+    q, k, v = (lin(n, h).reshape(batch, length, D) for n in ("wq", "wk", "wv"))
+    out = np.zeros((batch, length, D))
+    for b in range(batch):
+        for i in range(num_heads):
+            cols = slice(i * dh, (i + 1) * dh)
+            scores = q[b, :, cols] @ k[b, :, cols].T / np.sqrt(dh)
+            att = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[b, :, cols] = att / att.sum(axis=1, keepdims=True) @ v[b, :, cols]
+    return lin("wo", out.reshape(batch * length, D))
+
+
+def test_batched_attention_matches_per_head_oracle_and_gradients():
+    from rollcast.model import attention
+
+    model = tiny_model(seed=3, num_heads=4, embed_dim=8)
+    randomize_params(model, 4)
+    params = model.blocks[0].params()
+    rng = np.random.default_rng(5)
+    h = Tensor(rng.normal(size=(2 * 3, 8)), requires_grad=True)
+    got = attention(params, "block0.attn", h, batch=2, length=3, num_heads=4)
+    expected = numpy_attention(params, "block0.attn", h.data, 2, 3, 4)
+    np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12)
+
+    cot = Tensor(rng.normal(size=(6, 8)))
+    checked = {k: p for k, p in params.items() if ".attn." in k}
+    checked["h"] = h
+    report = dc.check_gradients(
+        lambda: dc.tensor_sum(dc.mul(attention(params, "block0.attn", h, 2, 3, 4), cot)),
+        checked,
+        tol=1e-6,
+    )
+    assert report.passed, str(report)
+
+
+def test_forecaster_and_q_network_share_one_attention(monkeypatch):
+    import rollcast.model as model_module
+    from rollcast.scheduler import dqn as dqn_module
+    from rollcast.scheduler import DQNConfig, EnvState
+
+    # the Q-network imports the forecaster's function itself, not a copy
+    assert dqn_module.attention is model_module.attention
+    calls = []
+    original = model_module.attention
+
+    def counting(params, prefix, *args):
+        calls.append(prefix)
+        return original(params, prefix, *args)
+
+    monkeypatch.setattr(model_module, "attention", counting)
+    monkeypatch.setattr(dqn_module, "attention", counting)
+
+    model = tiny_model(num_blocks=2)
+    x = np.random.default_rng(6).normal(size=TINY_SPEC.shape)
+    model.forward_tokens(x[None], 6)
+    assert calls == ["block0.attn", "block1.attn"]
+
+    calls.clear()
+    q_net = dqn_module.QNetwork(model, DQNConfig(), seed=0)
+    state = EnvState(GridField(TINY_SPEC, x, 0), date_time_hours=0, travel_h=0, remaining_h=12, lead_h=12)
+    q_net.q_values_batch([state])
+    assert calls == ["q.attn"]
+
+
 # -- forecast contracts ----------------------------------------------------------------
 
 

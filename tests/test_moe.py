@@ -118,6 +118,84 @@ def test_layer_gradient_passes_fd_with_stable_routing():
     assert report.passed, str(report)
 
 
+def dense_forward(moe, z, delta):
+    """The all-experts formula: every private expert runs on every token and
+    the unselected ones are weighted by zero. Oracle for the dispatched layer."""
+    from rollcast.moe import _ffn_forward
+
+    cfg, params, n = moe.cfg, moe.params(), z.shape[0]
+    s = dc.sigmoid(dc.matmul(z, params["moe.gate"]))
+    g_prime, selected = gate_decision(s, moe._noise(z, delta), cfg.top_k)
+    dense_weights = dc.scatter_cols(g_prime, selected, cfg.num_private)
+    out = _ffn_forward(params, "moe.shared", z)
+    for m in range(cfg.num_private):
+        col = dc.slice_axis(dense_weights, 1, m, m + 1)
+        expert = _ffn_forward(params, f"moe.private.{m}", z)
+        out = dc.add(out, dc.mul(dc.broadcast_to(col, (n, cfg.embed_dim)), expert))
+    return out
+
+
+def _grads(moe, z, cot, forward):
+    params = dict(moe.params(), z=z)
+    for p in params.values():
+        p.zero_grad()
+    out = forward(moe, z, 12)
+    dc.backward(dc.tensor_sum(dc.mul(out, cot)))
+    grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad for k, p in params.items()}
+    return out.data, grads
+
+
+@pytest.mark.parametrize("M,k", [(4, 2), (3, 3)])
+def test_dispatch_matches_dense_oracle(M, k):
+    cfg, moe = make_moe(M=M, k=k, D=8, seed=11)
+    rng = np.random.default_rng(12)
+    pool = rng.normal(size=(200, cfg.embed_dim))
+    with dc.no_grad():
+        _, dec = moe.forward(Tensor(pool), 12)
+    if k < M:
+        # a batch on which expert 0 receives no rows
+        rows = np.nonzero(~(dec.selected == 0).any(axis=1))[0][:6]
+    else:
+        rows = np.arange(6)
+    z = Tensor(pool[rows], requires_grad=True, name="z")
+    cot = Tensor(rng.normal(size=(len(rows), cfg.embed_dim)))
+    _, dec = moe.forward(z, 12)
+    usage = dec.usage_histogram(M)
+    assert (usage[0] == 0) if k < M else np.all(usage == len(rows))
+
+    out, grads = _grads(moe, z, cot, lambda m, x, d: m.forward(x, d)[0])
+    want_out, want = _grads(moe, z, cot, dense_forward)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    assert set(grads) == set(want)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+    if k < M:
+        assert not np.any(grads["moe.private.0.w1"])
+
+
+def test_each_private_expert_sees_exactly_its_routed_rows(monkeypatch):
+    import rollcast.moe as moe_module
+
+    cfg, moe = make_moe(M=4, k=2, D=8, seed=13)
+    z = Tensor(np.random.default_rng(14).normal(size=(40, cfg.embed_dim)))
+    seen = {}
+    original = moe_module._ffn_forward
+
+    def recording(params, prefix, x):
+        seen[prefix] = x.data.copy()
+        return original(params, prefix, x)
+
+    monkeypatch.setattr(moe_module, "_ffn_forward", recording)
+    _, dec = moe.forward(z, 6)
+    np.testing.assert_array_equal(seen.pop("moe.shared"), z.data)
+    for m in range(cfg.num_private):
+        routed = np.nonzero((dec.selected == m).any(axis=1))[0]
+        if routed.size:
+            np.testing.assert_array_equal(seen.pop(f"moe.private.{m}"), z.data[routed])
+    assert not seen  # no expert ran on rows it was not routed
+    assert sum(dec.usage_histogram(cfg.num_private)) == 40 * cfg.top_k
+
+
 # -- auxiliary losses ------------------------------------------------------------
 
 

@@ -230,7 +230,7 @@ def test_buffer_refresh_rebuilds_n_step_targets_from_replayed_rewards(model, dat
     saved = head.data.copy()
     try:
         head.data = head.data + 0.05
-        buf.refresh(env, current_epoch=0, max_age=3)
+        buf.refresh(env, current_epoch=1, max_age=3)
         seq = iter(actions)
         replayed, replayed_transitions, _ = run_episode(env, episode, lambda s: next(seq))
         expected = _hand_n_step_targets(
@@ -255,7 +255,7 @@ def test_hindsight_segments_are_exact_shorter_episodes(env, model, dataset):
     # hand list: (start step, steps) for every segment of <= 2 steps that stops short of the end
     segments = [(t, k) for t in range(6) for k in (1, 2) if t + k < 6]
     relabelled = buf.transitions[6:]
-    assert len(buf) == 6 + len(segments) and buf.episodes[0]["size"] == len(buf)
+    assert len(buf) == 6 + len(segments) and len(buf.episodes[0]["folded"]) == len(buf)
     for (t, k), tr in zip(segments, relabelled):
         covered = sum(actions[t : t + k])
         start = transitions[t].state
@@ -279,7 +279,7 @@ def test_buffer_capacity_counts_relabelled_segments(env, dataset):
         traj, transitions, _ = run_episode(env, episode, lambda s: 6)
         buf.add_episode(episode, traj.intervals, transitions, epoch=e)
     # a 4-step episode stores 4 n-step transitions + 3 + 2 + 1 segments = 10
-    assert [e["size"] for e in buf.episodes] == [10]
+    assert [len(e["folded"]) for e in buf.episodes] == [10]
     assert len(buf) == 10 and buf.episodes[0]["epoch"] == 1
     assert buf.transitions[0].state.travel_h == 0 and buf.transitions[0].steps == 2
 
@@ -347,7 +347,7 @@ def test_buffer_refresh_tracks_environment_change(model, dataset):
     saved = head.data.copy()
     try:
         head.data = head.data + 0.05
-        buf.refresh(env, current_epoch=0, max_age=3)
+        buf.refresh(env, current_epoch=1, max_age=3)
         new_rewards = [t.reward for t in buf.transitions]
         assert len(new_rewards) == len(old_rewards)
         assert any(abs(a - b) > 1e-9 for a, b in zip(old_rewards, new_rewards))
@@ -355,6 +355,34 @@ def test_buffer_refresh_tracks_environment_change(model, dataset):
         assert [t.action for t in buf.transitions] == traj.intervals
     finally:
         head.data = saved
+
+
+def test_buffer_refresh_keeps_same_epoch_episodes_as_collected(model, dataset, monkeypatch):
+    env = ForecastEnv(model, dataset, omega=-0.1)
+    buf = ReplayBuffer(capacity=100, n_step=2, hindsight_steps=1)
+    t0 = dataset.fields[0].timestamp_hours
+    for epoch in (0, 1):
+        episode = EpisodeSpec(t0 + epoch * 6, 18)
+        traj, transitions, _ = run_episode(env, episode, lambda s: 6)
+        buf.add_episode(episode, traj.intervals, transitions, epoch=epoch)
+    stored = list(buf.transitions)
+    replayed = []
+    step = ForecastEnv.step
+
+    def counting_step(self, state, action):
+        replayed.append(action)
+        return step(self, state, action)
+
+    monkeypatch.setattr(ForecastEnv, "step", counting_step)
+    buf.refresh(env, current_epoch=1, max_age=3)
+    # only the epoch-0 episode is replayed; the epoch-1 transitions are the stored objects
+    assert replayed == [6, 6, 6]
+    size0 = len(buf.episodes[0]["folded"])
+    assert len(buf) == len(stored)
+    assert all(a is b for a, b in zip(buf.transitions[size0:], stored[size0:]))
+    assert all(a is not b for a, b in zip(buf.transitions[:size0], stored[:size0]))
+    for a, b in zip(buf.transitions, stored):
+        assert a.reward == b.reward and a.action == b.action
 
 
 def test_buffer_refresh_evicts_aged_episodes(env, dataset):
