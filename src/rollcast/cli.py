@@ -28,7 +28,7 @@ from .config import (
 )
 from .diffcore import CheckpointError, load_checkpoint, save_checkpoint
 from .encoding import conventional_pe, ring_pe_2d, similarity_matrix
-from .evaluation import eval_initial_times, evaluate_leads, model_forecast_fn
+from .evaluation import eval_initial_times, evaluate_leads
 from .gridio import (
     Dataset,
     GridFileError,
@@ -55,10 +55,10 @@ from .scheduler import (
     ReplayBuffer,
     adaptive_rollout_finetune,
     evaluate_policies,
-    policy_adaptive,
     policy_greedy,
     policy_naive,
     policy_random,
+    rollout_forecast_fn,
 )
 
 
@@ -228,7 +228,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
     prov = provenance(cfg)
     write_csv(out_dir / "training.csv", ["step", "l_delta", "aux1", "aux2", "total"], curve, prov)
     if args.router_csv:
-        write_router_telemetry(out_dir / "router.csv", router_rows, model.cfg.moe_num_private)
+        write_router_telemetry(out_dir / "router.csv", router_rows, model.cfg.moe_num_private, prov)
 
     summary = {"provenance": prov, "per_interval": {}}
     for delta in model.cfg.intervals:
@@ -300,21 +300,15 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     climatology = Climatology.from_dataset(ds, "train")
     weights = lat_weights(ds.spec)
 
+    env = ForecastEnv(model, ds, omega=0.0, weights=weights)
     if cfg.eval.policy == "adaptive":
         if not args.dqn:
             raise ConfigError("adaptive evaluation needs --dqn")
-        dqn = load_dqn_checkpoint(args.dqn, model)
-        env = ForecastEnv(model, ds, omega=0.0, weights=weights)
-
-        def forecast_fn(x0, lead):
-            state = env.reset(EpisodeSpec(x0.timestamp_hours, lead))
-            while state.remaining_h > 0:
-                _, state = env.step(state, policy_adaptive(state, dqn))
-            return state.x_hat
-
+        q_net = load_dqn_checkpoint(args.dqn, model).q_main
+        forecast_fn = rollout_forecast_fn(env, lambda lead: None, q_net)
     else:
         decompose = _policy_decomposition(cfg.eval.policy, model.cfg.intervals, cfg.seed)
-        forecast_fn = model_forecast_fn(model, decompose)
+        forecast_fn = rollout_forecast_fn(env, decompose)
 
     rows = evaluate_leads(
         forecast_fn, ds, "test", cfg.eval.leads, cfg.eval.episodes, cfg.seed,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridio import Dataset, GridField
+from .gridio import Dataset
 from .metrics import Climatology, WeightTable, acc, lat_weights, rmse
 
 
@@ -28,37 +28,28 @@ def evaluate_leads(forecast_fn, dataset: Dataset, split: str, leads, episodes: i
                    weights: WeightTable | None = None) -> list:
     """Score a forecaster at several lead times.
 
-    forecast_fn(x0: GridField, lead_h) must return the predicted GridField at
-    x0.timestamp + lead_h. Returns rows of
-    (variable name, lead_hours, rmse, acc) averaged over initial times.
+    forecast_fn(starts, leads) gets every (initial state, lead) pair of all
+    leads in one call, as a list of GridFields and a list of lead hours, and
+    must return the predicted GridField at start.timestamp + lead for each
+    pair, in order. Returns rows of (variable name, lead_hours, rmse, acc)
+    averaged over initial times.
     """
     weights = weights or lat_weights(dataset.spec)
     climatology = climatology or Climatology.from_dataset(dataset, "train")
     names = dataset.meta.get("variables") or [f"var{v}" for v in range(dataset.spec.num_vars)]
+    t0s = [eval_initial_times(dataset, split, lead, episodes, seed) for lead in leads]
+    pair_leads = [int(lead) for lead, starts in zip(leads, t0s) for _ in starts]
+    preds = forecast_fn([dataset.at(t0) for starts in t0s for t0 in starts], pair_leads)
+    if len(preds) != len(pair_leads):
+        raise ValueError(f"forecast_fn returned {len(preds)} fields for {len(pair_leads)} pairs")
+    preds = iter(preds)
     rows = []
-    for lead in leads:
-        preds, truths, clims = [], [], []
-        for t0 in eval_initial_times(dataset, split, lead, episodes, seed):
-            x0 = dataset.at(t0)
-            pred = forecast_fn(x0, lead)
-            truth = dataset.at(t0 + lead)
-            preds.append(pred.values)
-            truths.append(truth.values)
-            clims.append(climatology.at(t0 + lead))
-        p = np.stack(preds)
-        t = np.stack(truths)
-        c = np.stack(clims)
+    for lead, starts in zip(leads, t0s):
+        p = np.stack([next(preds).values for _ in starts])
+        t = np.stack([dataset.at(t0 + lead).values for t0 in starts])
+        c = np.stack([climatology.at(t0 + lead) for t0 in starts])
         accs = acc(p, t, c, weights)
         for v, name in enumerate(names):
             r = rmse(p[:, v : v + 1], t[:, v : v + 1], weights)
             rows.append((name, int(lead), r, float(accs[v])))
     return rows
-
-
-def model_forecast_fn(model, policy_decompose):
-    """Adapt a model + lead->intervals decomposition to the evaluate_leads protocol."""
-
-    def forecast(x0: GridField, lead_h: int) -> GridField:
-        return model.predict_rollout(x0, policy_decompose(lead_h), lead_hours=lead_h)[-1]
-
-    return forecast

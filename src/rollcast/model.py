@@ -180,10 +180,10 @@ class ArchBlock:
         z = dc.gated_add(z, gate1, self._attention(h, batch, length))
 
         h2 = dc.modulate(dc.layer_norm(z), scale2, shift2)
-        moe_out, decision = self.moe.forward(h2, delta)
+        moe_out, decision, b = self.moe.forward(h2, delta)
         z = dc.gated_add(z, gate2, moe_out)
 
-        noise = self.moe.noise_sums(h2) if collect_noise else None
+        noise = self.moe.noise_sums(h2, delta, b) if collect_noise else None
         return z, decision, noise
 
 
@@ -325,13 +325,28 @@ class ForecastModel:
         z, decisions, noises = self.body_tokens(x_batch, delta, collect_noise=collect_noise)
         return self.apply_head(z), decisions, noises
 
-    def forward(self, x0: GridField, delta: int) -> ForecastOutput:
-        """One-step forecast: x_hat = x0 + predicted change."""
+    def predict_change(self, x_batch: np.ndarray, delta: int):
+        """Physical change of each (V, H, W) state of x_batch over `delta` hours.
+
+        Returns ((B, V, H, W) changes, per-block gate decisions); no autodiff
+        graph is kept.
+        """
         if delta not in self.cfg.intervals:
             raise KeyError(f"unknown interval {delta}h; configured set is {self.cfg.intervals}")
-        pred, decisions, _ = self.forward_tokens(x0.values[None], delta)
-        delta_norm = unpatchify(pred.data, self.spec.shape, self.cfg.patch_size)
-        delta_phys = self.denormalize_delta(delta_norm, delta)
+        with dc.no_grad():
+            pred, decisions, _ = self.forward_tokens(x_batch, delta)
+        patches = pred.data.reshape(len(x_batch), self.num_tokens, self.patch_dim)
+        delta_norm = np.stack([unpatchify(p, self.spec.shape, self.cfg.patch_size) for p in patches])
+        return self.denormalize_delta(delta_norm, delta), decisions
+
+    def forecast_batch(self, x_batch: np.ndarray, delta: int) -> np.ndarray:
+        """(B, V, H, W) states -> the (B, V, H, W) states `delta` hours later."""
+        return x_batch + self.predict_change(x_batch, delta)[0]
+
+    def forward(self, x0: GridField, delta: int) -> ForecastOutput:
+        """One-step forecast of one state (`predict_change` at B=1): x_hat = x0 + change."""
+        change, decisions = self.predict_change(x0.values[None], delta)
+        delta_phys = change[0]
         x_hat = GridField(self.spec, x0.values + delta_phys, x0.timestamp_hours + delta)
         return ForecastOutput(
             delta_hat=FieldDelta(self.spec, delta_phys, delta),
@@ -351,10 +366,9 @@ class ForecastModel:
             raise ValueError(f"trajectory sums to {total}h, lead time is {lead_hours}h")
         out = []
         x = x0
-        with dc.no_grad():
-            for d in intervals:
-                x = self.forward(x, d).x_hat
-                out.append(x)
+        for d in intervals:
+            x = self.forward(x, d).x_hat
+            out.append(x)
         return out
 
 

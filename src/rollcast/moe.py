@@ -20,9 +20,7 @@ discrete top-k selection itself is not differentiated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -133,7 +131,10 @@ class SharedPrivateMoE:
         return dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.noise.{delta}"]))
 
     def forward(self, z: Tensor, delta: int):
-        """Route (n_tokens, D) through the expert mix for one interval."""
+        """Route (n_tokens, D) through the expert mix for one interval.
+
+        Returns (output, gate decision, routing noise b_delta as a Tensor).
+        """
         cfg = self.cfg
         n = z.shape[0]
         s = dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.gate"]))
@@ -160,16 +161,21 @@ class SharedPrivateMoE:
         decision = MoEGateDecision(
             s=s.data.copy(), b_delta=b.data.copy(), selected=selected, g_prime=g_prime.data.copy()
         )
-        return out, decision
+        return out, decision, b
 
-    def noise_sums(self, z: Tensor) -> dict:
+    def noise_sums(self, z: Tensor, delta: int | None = None, noise: Tensor | None = None) -> dict:
         """Per-interval noise vectors summed over tokens: {delta: (M,) Tensor}.
 
         These feed the auxiliary losses; they are computed for every
         configured interval on the same tokens, so the losses are defined
-        regardless of which interval routed the batch.
+        regardless of which interval routed the batch. `noise` is interval
+        `delta`'s noise already computed on z (`forward` returns it), used
+        instead of recomputing it.
         """
-        return {d: dc.tensor_sum(self._noise(z, d), axis=0) for d in self.cfg.intervals}
+        return {
+            d: dc.tensor_sum(noise if d == delta else self._noise(z, d), axis=0)
+            for d in self.cfg.intervals
+        }
 
 
 def noise_distributions(noise_sums: dict) -> dict:
@@ -218,11 +224,11 @@ def combined_aux(aux1: Tensor, aux2: Tensor, alpha: float) -> Tensor:
     return dc.add(dc.neg(aux1), dc.mul_scalar(aux2, alpha))
 
 
-def write_router_telemetry(path, rows, num_experts: int):
-    """Per-step expert-usage CSV: step, interval, then one count per expert."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "interval_hours"] + [f"expert_{m}" for m in range(num_experts)])
-        for step, delta, counts in rows:
-            writer.writerow([step, delta] + [int(c) for c in counts])
+def write_router_telemetry(path, rows, num_experts: int, prov: dict):
+    """Per-step expert-usage CSV under a provenance header: step, interval,
+    then one count per expert."""
+    from .config import write_csv  # local import: config imports the model, which imports this
+
+    header = ["step", "interval_hours"] + [f"expert_{m}" for m in range(num_experts)]
+    body = [[step, delta] + [int(c) for c in counts] for step, delta, counts in rows]
+    write_csv(path, header, body, prov)

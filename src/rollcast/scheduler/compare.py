@@ -7,9 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..metrics import rmse
-from .dqn import DQN
-from .env import EpisodeSpec, ForecastEnv, run_episode
-from .policies import policy_adaptive, policy_greedy, policy_naive, policy_random
+from .dqn import DQN, QNetwork
+
+# run_episode stays importable here: bench/tracing.py wraps compare.run_episode
+from .env import EpisodeSpec, ForecastEnv, run_episode, run_episodes  # noqa: F401
+from .policies import plan_chooser, policy_greedy, policy_naive, policy_random
 
 
 @dataclass
@@ -42,38 +44,40 @@ class PolicyResult:
         return float(np.mean(self.final_rmse_by_var[v]))
 
 
-def _fixed_sequence(actions):
-    seq = iter(list(actions))
-    return lambda state: next(seq)
-
-
 def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
                       random_seed: int = 0) -> dict:
     """Run naive/greedy/random (and adaptive when a DQN is given) on the same episodes.
 
+    Every policy's episodes advance together in one `run_episodes` call.
     Returns {policy name: PolicyResult}.
     """
     episodes = list(episodes)
     intervals = env.actions.intervals
     names = ["naive", "greedy", "random"] + (["adaptive"] if dqn is not None else [])
-    results = {}
+    plans = []
     for name in names:
-        leads = {e.lead_h for e in episodes}
-        lead_label = episodes[0].lead_h if len(leads) == 1 else -1
-        res = PolicyResult(policy=name, lead_h=lead_label)
-        res.final_rmse_by_var = {v: [] for v in range(env.dataset.spec.num_vars)}
         for i, episode in enumerate(episodes):
             if name == "naive":
-                action_fn = _fixed_sequence(policy_naive(episode.lead_h, intervals))
+                plans.append(policy_naive(episode.lead_h, intervals))
             elif name == "greedy":
-                action_fn = _fixed_sequence(policy_greedy(episode.lead_h, intervals))
+                plans.append(policy_greedy(episode.lead_h, intervals))
             elif name == "random":
-                action_fn = _fixed_sequence(
-                    policy_random(episode.lead_h, seed=random_seed * 100003 + i, intervals=intervals)
-                )
+                plans.append(policy_random(episode.lead_h, seed=random_seed * 100003 + i,
+                                           intervals=intervals))
             else:
-                action_fn = lambda s: policy_adaptive(s, dqn)
-            traj, _, final_state = run_episode(env, episode, action_fn)
+                plans.append(None)
+    outcomes = run_episodes(env, episodes * len(names),
+                            plan_chooser(plans, dqn.q_main if dqn is not None else None),
+                            keep_transitions=False)
+
+    leads = {e.lead_h for e in episodes}
+    lead_label = episodes[0].lead_h if len(leads) == 1 else -1
+    results = {}
+    for p, name in enumerate(names):
+        res = PolicyResult(policy=name, lead_h=lead_label)
+        res.final_rmse_by_var = {v: [] for v in range(env.dataset.spec.num_vars)}
+        policy_outcomes = outcomes[p * len(episodes) : (p + 1) * len(episodes)]
+        for episode, (traj, _, final_state) in zip(episodes, policy_outcomes):
             truth = env.dataset.at(episode.t0_hours + episode.lead_h)
             res.returns.append(traj.return_value)
             res.lengths.append(len(traj))
@@ -84,3 +88,21 @@ def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
                 )
         results[name] = res
     return results
+
+
+def rollout_forecast_fn(env: ForecastEnv, plan, q_net: QNetwork | None = None):
+    """An `evaluate_leads` forecaster that rolls all its (start, lead) pairs out
+    in one `run_episodes` call.
+
+    plan(lead) gives the interval list of an episode of that lead, or None
+    to follow q_net's greedy legal choices. Starts are read from env's dataset
+    at the given states' timestamps.
+    """
+
+    def forecast(starts, leads):
+        episodes = [EpisodeSpec(x0.timestamp_hours, lead) for x0, lead in zip(starts, leads)]
+        outcomes = run_episodes(env, episodes, plan_chooser([plan(lead) for lead in leads], q_net),
+                                keep_transitions=False)
+        return [final.x_hat for _, _, final in outcomes]
+
+    return forecast

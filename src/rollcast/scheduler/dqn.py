@@ -24,7 +24,7 @@ from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
 from ..model import ForecastModel, _linear, _linear_params, attention
-from .env import ActionSet, EnvState, Transition
+from .env import MAX_BATCH, ActionSet, EnvState, Transition
 
 
 @dataclass
@@ -42,7 +42,6 @@ class DQNConfig:
     seed: int = 0
 
 
-NEG_INF = -1e30  # mask value for illegal actions
 # Environment steps folded into each replayed transition. A 138h episode is
 # 7 to 23 steps long, and one-step targets move value back only one step per
 # target sync; the default fine-tune syncs 9 times, so values far from the
@@ -149,11 +148,16 @@ class QNetwork:
         with dc.no_grad():
             return self.q_values_batch([state]).data[0]
 
-    def masked_q_values(self, state: EnvState) -> np.ndarray:
-        """Values with illegal actions forced to a -inf stand-in."""
-        q = self.q_values(state)
-        mask = self.actions.legal_mask(state.remaining_h)
-        return np.where(mask, q, NEG_INF)
+    def greedy_actions(self, states) -> list:
+        """The highest-valued legal interval of each state, valued in batched
+        calls of up to MAX_BATCH states."""
+        actions = []
+        for lo in range(0, len(states), MAX_BATCH):
+            chunk = states[lo : lo + MAX_BATCH]
+            with dc.no_grad():
+                q = self.q_values_batch(chunk).data
+            actions += self.actions.best_legal(q, [s.remaining_h for s in chunk])
+        return actions
 
 
 class DQN:
@@ -307,11 +311,11 @@ def td_targets(batch, dqn: DQN) -> np.ndarray:
     non_terminal = [t for t in batch if not t.terminal]
     next_q = {}
     if non_terminal:
+        next_states = [t.next_state for t in non_terminal]
         with dc.no_grad():
-            qb = dqn.q_target.q_values_batch([t.next_state for t in non_terminal]).data
-        for row, t in zip(qb, non_terminal):
-            mask = dqn.actions.legal_mask(t.next_state.remaining_h)
-            next_q[id(t)] = np.max(np.where(mask, row, NEG_INF))
+            qb = dqn.q_target.q_values_batch(next_states).data
+        best = np.max(dqn.actions.mask_illegal(qb, [s.remaining_h for s in next_states]), axis=1)
+        next_q = {id(t): q for t, q in zip(non_terminal, best)}
     for i, t in enumerate(batch):
         ret = sum(gamma**j * r for j, r in enumerate(t.rewards))
         targets[i] = td_target(ret, gamma**t.steps, next_q.get(id(t), 0.0), t.terminal)

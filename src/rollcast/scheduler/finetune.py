@@ -21,7 +21,7 @@ from ..encoding import patchify, unpatchify
 from ..gridio import Dataset, GridField
 from ..metrics import WeightTable, lat_weights
 from ..model import DivergenceError, ForecastModel, weighted_patch_loss
-from .dqn import DQN, NEG_INF, ReplayBuffer, td_update
+from .dqn import DQN, ReplayBuffer, td_update
 from .env import EpisodeSpec, ForecastEnv, run_episode
 from .policies import policy_adaptive
 
@@ -54,16 +54,11 @@ def resolve_omega(model: ForecastModel, dataset: Dataset, weights: WeightTable,
 
     rng = np.random.default_rng(seed)
     lo, hi = dataset.splits.get("train", (0, len(dataset)))
-    step_h = dataset.spec.base_step_hours
     delta = min(model.cfg.intervals)
-    vals = []
-    with dc.no_grad():
-        for _ in range(num_samples):
-            idx = int(rng.integers(lo, hi - delta // step_h))
-            x0 = dataset.fields[idx]
-            truth = dataset.fields[idx + delta // step_h]
-            pred = model.forward(x0, delta).x_hat
-            vals.append(rmse(pred.values, truth.values, weights))
+    step = delta // dataset.spec.base_step_hours
+    idxs = [int(rng.integers(lo, hi - step)) for _ in range(num_samples)]
+    preds = model.forecast_batch(np.stack([dataset.fields[i].values for i in idxs]), delta)
+    vals = [rmse(p, dataset.fields[i + step].values, weights) for p, i in zip(preds, idxs)]
     return -0.05 * float(np.mean(vals))
 
 
@@ -134,10 +129,10 @@ def sample_episode(dataset: Dataset, lead_times, rng: np.random.Generator,
 
 
 def _greedy_on_target(dqn: DQN):
+    """Action function of head-update episodes: the target network's greedy legal choice."""
+
     def action_fn(state):
-        q = dqn.q_target.q_values(state)
-        mask = dqn.actions.legal_mask(state.remaining_h)
-        return int(dqn.actions.intervals[int(np.argmax(np.where(mask, q, NEG_INF)))])
+        return dqn.q_target.greedy_actions([state])[0]
 
     return action_fn
 

@@ -125,7 +125,7 @@ def test_criterion_4_moe_routing_contract():
     rng = np.random.default_rng(1)
     z = Tensor(rng.normal(size=(10_000, 16)))
     with dc.no_grad():
-        _, decision = moe.forward(z, 12)
+        _, decision, _ = moe.forward(z, 12)
     assert decision.selected.shape == (10_000, 2)
     assert all(len(set(row)) == 2 for row in decision.selected)
     sums = decision.g_prime.sum(axis=1)

@@ -191,6 +191,23 @@ def test_residual_contract_delta_plus_input():
     assert len(out.gate_decisions) == 1
 
 
+def test_batched_forecast_matches_single_state_forecasts():
+    model = tiny_model()
+    randomize_params(model, 12)
+    xs = np.random.default_rng(13).normal(size=(5,) + TINY_SPEC.shape)
+    for delta in model.cfg.intervals:
+        batched = model.forecast_batch(xs, delta)
+        assert batched.shape == xs.shape
+        for x, row in zip(xs, batched):
+            single = model.forward(GridField(TINY_SPEC, x, 0), delta)
+            np.testing.assert_allclose(row, single.x_hat.values, rtol=0, atol=1e-12)
+        # B=1 is the single-state forecast, bit for bit
+        one = model.forward(GridField(TINY_SPEC, xs[0], 0), delta)
+        np.testing.assert_array_equal(model.forecast_batch(xs[:1], delta)[0], one.x_hat.values)
+    with pytest.raises(KeyError):
+        model.forecast_batch(xs, 7)
+
+
 def test_unknown_interval_rejected():
     model = tiny_model()
     x0 = GridField(TINY_SPEC, np.zeros(TINY_SPEC.shape), 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rollcast import diffcore as dc
+from rollcast.config import read_csv
 from rollcast.diffcore import Tensor
 from rollcast.moe import (
     MoEConfig,
@@ -41,7 +42,7 @@ def test_hand_arithmetic_routing_example():
 def test_single_expert_forces_unit_weight():
     cfg, moe = make_moe(M=1, k=1)
     z = Tensor(np.random.default_rng(1).normal(size=(5, cfg.embed_dim)))
-    out, dec = moe.forward(z, 6)
+    out, dec, _ = moe.forward(z, 6)
     np.testing.assert_array_equal(dec.g_prime, np.ones((5, 1)))
     np.testing.assert_array_equal(dec.selected, np.zeros((5, 1), dtype=np.intp))
     # output = shared(z) + 1.0 * private_0(z)
@@ -60,7 +61,7 @@ def test_zeroed_private_experts_leave_only_shared():
         if ".private." in name:
             p.data[:] = 0.0
     z = Tensor(np.random.default_rng(2).normal(size=(7, cfg.embed_dim)))
-    out, _ = moe.forward(z, 12)
+    out, _, _ = moe.forward(z, 12)
     from rollcast.moe import _ffn_forward
 
     shared = _ffn_forward(moe.params(), "moe.shared", z)
@@ -71,7 +72,7 @@ def test_exactly_k_selected_and_weights_sum_to_one():
     cfg, moe = make_moe(M=5, k=3)
     rng = np.random.default_rng(3)
     z = Tensor(rng.normal(size=(200, cfg.embed_dim)))
-    _, dec = moe.forward(z, 24)
+    _, dec, _ = moe.forward(z, 24)
     assert dec.selected.shape == (200, 3)
     for row in dec.selected:
         assert len(set(row)) == 3
@@ -92,8 +93,8 @@ def test_routing_is_permutation_equivariant():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(30, cfg.embed_dim))
     perm = rng.permutation(30)
-    out_a, dec_a = moe.forward(Tensor(z), 6)
-    out_b, dec_b = moe.forward(Tensor(z[perm]), 6)
+    out_a, dec_a, _ = moe.forward(Tensor(z), 6)
+    out_b, dec_b, _ = moe.forward(Tensor(z[perm]), 6)
     np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-12)
     np.testing.assert_array_equal(dec_b.selected, dec_a.selected[perm])
 
@@ -111,7 +112,7 @@ def test_layer_gradient_passes_fd_with_stable_routing():
     assert np.min(ranked[:, cfg.top_k - 1] - ranked[:, cfg.top_k]) > 1e-3
 
     def f():
-        out, _ = moe.forward(z, 6)
+        out, _, _ = moe.forward(z, 6)
         return dc.tensor_sum(dc.mul(out, cot))
 
     report = dc.check_gradients(f, moe.params(), tol=1e-4)
@@ -151,7 +152,7 @@ def test_dispatch_matches_dense_oracle(M, k):
     rng = np.random.default_rng(12)
     pool = rng.normal(size=(200, cfg.embed_dim))
     with dc.no_grad():
-        _, dec = moe.forward(Tensor(pool), 12)
+        _, dec, _ = moe.forward(Tensor(pool), 12)
     if k < M:
         # a batch on which expert 0 receives no rows
         rows = np.nonzero(~(dec.selected == 0).any(axis=1))[0][:6]
@@ -159,7 +160,7 @@ def test_dispatch_matches_dense_oracle(M, k):
         rows = np.arange(6)
     z = Tensor(pool[rows], requires_grad=True, name="z")
     cot = Tensor(rng.normal(size=(len(rows), cfg.embed_dim)))
-    _, dec = moe.forward(z, 12)
+    _, dec, _ = moe.forward(z, 12)
     usage = dec.usage_histogram(M)
     assert (usage[0] == 0) if k < M else np.all(usage == len(rows))
 
@@ -186,7 +187,7 @@ def test_each_private_expert_sees_exactly_its_routed_rows(monkeypatch):
         return original(params, prefix, x)
 
     monkeypatch.setattr(moe_module, "_ffn_forward", recording)
-    _, dec = moe.forward(z, 6)
+    _, dec, _ = moe.forward(z, 6)
     np.testing.assert_array_equal(seen.pop("moe.shared"), z.data)
     for m in range(cfg.num_private):
         routed = np.nonzero((dec.selected == m).any(axis=1))[0]
@@ -286,7 +287,7 @@ def test_training_specializes_per_interval_and_balances_pool():
         noise_pool = {}
         for d in cfg.intervals:
             z = Tensor(mu + rng.normal(size=(16, D)))
-            out, _ = moe.forward(z, d)
+            out, _, _ = moe.forward(z, d)
             diff = dc.sub(out, Tensor(z.data @ targets[d]))
             task = dc.tensor_mean(dc.mul(diff, diff))
             loss_total = task if loss_total is None else dc.add(loss_total, task)
@@ -302,7 +303,7 @@ def test_training_specializes_per_interval_and_balances_pool():
     for d in cfg.intervals:
         z = Tensor(mu + rng_eval.normal(size=(2000, D)))
         with dc.no_grad():
-            _, dec = moe.forward(z, d)
+            _, dec, _ = moe.forward(z, d)
         usage[d] = dec.usage_histogram(M) / (2000 * K)
 
     pooled = sum(usage.values()) / len(usage)
@@ -322,12 +323,37 @@ def test_router_telemetry_csv(tmp_path):
         for d in cfg.intervals:
             z = Tensor(rng.normal(size=(20, cfg.embed_dim)))
             with dc.no_grad():
-                _, dec = moe.forward(z, d)
+                _, dec, _ = moe.forward(z, d)
             rows.append((step, d, dec.usage_histogram(cfg.num_private)))
     path = tmp_path / "router.csv"
-    write_router_telemetry(path, rows, cfg.num_private)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,interval_hours,expert_0,expert_1,expert_2,expert_3"
-    assert len(lines) == 1 + 9
-    counts = [int(x) for x in lines[1].split(",")[2:]]
+    prov = {"config_hash": "abc123", "seed": 7}
+    write_router_telemetry(path, rows, cfg.num_private, prov)
+    read_prov, header, body = read_csv(path)
+    assert read_prov == prov
+    assert header == ["step", "interval_hours", "expert_0", "expert_1", "expert_2", "expert_3"]
+    assert len(body) == 9
+    counts = [int(x) for x in body[0][2:]]
     assert sum(counts) == 20 * cfg.top_k
+
+
+def test_collected_noise_reuses_the_routing_noise(monkeypatch):
+    cfg, moe = make_moe()
+    z = Tensor(np.random.default_rng(11).normal(size=(12, cfg.embed_dim)))
+    matmuls = []
+    real_matmul = dc.matmul
+
+    def counted(a, b):
+        matmuls.append(b.name)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(dc, "matmul", counted)
+    _, dec, b = moe.forward(z, 12)
+    noise = moe.noise_sums(z, 12, b)
+    # the gate, then one noise head per interval: 12h's noise is the routing's own
+    assert matmuls == ["moe.gate", "moe.noise.12", "moe.noise.6", "moe.noise.24"]
+    monkeypatch.undo()
+    recomputed = moe.noise_sums(z)
+    assert list(noise) == list(recomputed) == list(cfg.intervals)
+    for d in cfg.intervals:
+        np.testing.assert_array_equal(noise[d].data, recomputed[d].data)
+    np.testing.assert_array_equal(noise[12].data, dec.b_delta.sum(axis=0))

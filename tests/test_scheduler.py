@@ -16,16 +16,20 @@ from rollcast.scheduler import (
     ReplayBuffer,
     adaptive_rollout_finetune,
     evaluate_policies,
+    plan_chooser,
     policy_adaptive,
     policy_greedy,
     policy_naive,
     policy_random,
     rollout_finetune_loss,
+    rollout_forecast_fn,
     run_episode,
+    run_episodes,
     td_target,
     td_targets,
     td_update,
 )
+from rollcast.scheduler.env import MAX_BATCH
 from rollcast.scheduler.finetune import FinetuneConfig, sample_episode
 
 SPEC = GridSpec.cell_centered(2, 8, 16)
@@ -100,6 +104,136 @@ def test_episode_terminates_exactly_at_lead(env, dataset):
     assert traj.timestamps[-1] == 30
 
 
+# -- lockstep rollout engine ---------------------------------------------------------
+
+
+def _count_forecast_rows(monkeypatch, model):
+    """Record the batch size of every forecaster call made through forward_tokens."""
+    sizes = []
+    real = model.forward_tokens
+
+    def counted(x_batch, delta, collect_noise=False):
+        sizes.append(len(x_batch))
+        return real(x_batch, delta, collect_noise=collect_noise)
+
+    monkeypatch.setattr(model, "forward_tokens", counted)
+    return sizes
+
+
+def _assert_same_outcome(batched, single):
+    (traj, transitions, final), (traj1, transitions1, final1) = batched, single
+    assert traj.intervals == traj1.intervals
+    assert traj.timestamps == traj1.timestamps
+    np.testing.assert_allclose(traj.rewards, traj1.rewards, rtol=0, atol=1e-12)
+    assert len(transitions) == len(transitions1)
+    for t, t1 in zip(transitions, transitions1):
+        assert (t.action, t.terminal) == (t1.action, t1.terminal)
+        for a, b in ((t.state, t1.state), (t.next_state, t1.next_state)):
+            assert (a.date_time_hours, a.travel_h, a.remaining_h, a.lead_h) == (
+                b.date_time_hours, b.travel_h, b.remaining_h, b.lead_h)
+            np.testing.assert_allclose(a.x_hat.values, b.x_hat.values, rtol=0, atol=1e-12)
+    assert final.x_hat.timestamp_hours == final1.x_hat.timestamp_hours
+    assert final.remaining_h == final1.remaining_h == 0
+    np.testing.assert_allclose(final.x_hat.values, final1.x_hat.values, rtol=0, atol=1e-12)
+
+
+def test_run_episodes_matches_one_run_episode_per_episode(env, model, dataset):
+    dqn = DQN(model, DQNConfig(seed=15))
+    lo, _ = dataset.splits["test"]
+    t0s = [dataset.fields[lo + 3 * i].timestamp_hours for i in range(3)]
+    intervals = env.actions.intervals
+    episodes, plans = [], []
+    for lead in (6, 30, 138):
+        for i, t0 in enumerate(t0s):
+            for plan in (policy_naive(lead, intervals), policy_greedy(lead, intervals),
+                         policy_random(lead, seed=i, intervals=intervals), None):
+                episodes.append(EpisodeSpec(t0, lead))
+                plans.append(plan)
+    outcomes = run_episodes(env, episodes, plan_chooser(plans, dqn.q_main))
+    assert len(outcomes) == len(episodes)
+    for episode, plan, outcome in zip(episodes, plans, outcomes):
+        if plan is None:
+            action_fn = lambda s: policy_adaptive(s, dqn)
+        else:
+            steps = iter(plan)
+            action_fn = lambda s, steps=steps: next(steps)
+        single = run_episode(env, episode, action_fn)
+        _assert_same_outcome(outcome, single)
+        if plan is not None:
+            assert outcome[0].intervals == plan
+
+
+def test_run_episode_keeps_the_single_state_arithmetic(env, model, dataset):
+    # a lone episode forecasts at B=1, bit for bit the model's own rollout
+    steps = [24, 12, 6, 24]
+    x0 = dataset.fields[5]
+    seq = iter(steps)
+    _, _, final = run_episode(env, EpisodeSpec(x0.timestamp_hours, 66), lambda s: next(seq))
+    np.testing.assert_array_equal(final.x_hat.values, model.predict_rollout(x0, steps)[-1].values)
+
+
+def test_run_episodes_illegal_action_raises(env, dataset):
+    t0 = dataset.fields[0].timestamp_hours
+    episodes = [EpisodeSpec(t0, 18), EpisodeSpec(t0 + 6, 18)]
+    with pytest.raises(ValueError, match="illegal action 24h with 18h remaining"):
+        run_episodes(env, episodes, lambda ids, states: [24] * len(ids))
+    with pytest.raises(ValueError, match="illegal action 24h with 18h remaining"):
+        run_episodes(env, episodes[:1], lambda ids, states: [24])
+    with pytest.raises(ValueError, match="1 actions for 2 live episodes"):
+        run_episodes(env, episodes, lambda ids, states: [6])
+
+
+def test_run_episodes_splits_groups_larger_than_the_chunk(monkeypatch, env, model, dataset):
+    n = 2 * MAX_BATCH + 6
+    episodes = [EpisodeSpec(dataset.fields[i].timestamp_hours, 12) for i in range(n)]
+    sizes = _count_forecast_rows(monkeypatch, model)
+    outcomes = run_episodes(env, episodes, lambda ids, states: [6] * len(ids))
+    # two ticks of one 6h group each, every group split into chunks
+    assert sizes == [MAX_BATCH, MAX_BATCH, 6] * 2
+    assert all(traj.intervals == [6, 6] for traj, _, _ in outcomes)
+
+
+def test_shared_prefix_costs_one_forecast_per_shared_step(monkeypatch, env, model, dataset):
+    t0 = dataset.fields[7].timestamp_hours
+    plans = [[24, 12, 12], [24, 12, 6, 6], [24, 12, 12]]
+    episodes = [EpisodeSpec(t0, 48)] * 3
+    sizes = _count_forecast_rows(monkeypatch, model)
+    outcomes = run_episodes(env, episodes, plan_chooser(plans))
+    # 24h and 12h once for all three; then 12h and 6h once each; the last 6h once
+    assert sizes == [1, 1, 1, 1, 1]
+    assert outcomes[0][1] == outcomes[2][1]  # identical episodes share every transition
+    assert outcomes[0][1][:2] == outcomes[1][1][:2]
+    monkeypatch.undo()
+    for plan, episode, outcome in zip(plans, episodes, outcomes):
+        seq = iter(plan)
+        _assert_same_outcome(outcome, run_episode(env, episode, lambda s: next(seq)))
+
+
+def test_rollout_forecast_fn_rolls_every_pair_out_at_once(monkeypatch, env, model, dataset):
+    dqn = DQN(model, DQNConfig(seed=16))
+    lo, _ = dataset.splits["test"]
+    starts = [dataset.fields[lo + i].timestamp_hours for i in (0, 4)]
+    pairs = [(t0, lead) for lead in (24, 72) for t0 in starts]
+    x0s = [dataset.at(t0) for t0, _ in pairs]
+    leads = [lead for _, lead in pairs]
+    intervals = env.actions.intervals
+    for plan, q_net, action_fn in (
+        (lambda lead: policy_greedy(lead, intervals), None, None),
+        (lambda lead: None, dqn.q_main, lambda s: policy_adaptive(s, dqn)),
+    ):
+        sizes = _count_forecast_rows(monkeypatch, model)
+        finals = rollout_forecast_fn(env, plan, q_net)(x0s, leads)
+        monkeypatch.undo()
+        assert max(sizes) > 1  # episodes of both leads share forecaster calls
+        for (t0, lead), final in zip(pairs, finals):
+            if action_fn is None:
+                expect = model.predict_rollout(dataset.at(t0), plan(lead), lead_hours=lead)[-1]
+            else:
+                expect = run_episode(env, EpisodeSpec(t0, lead), action_fn)[2].x_hat
+            assert final.timestamp_hours == t0 + lead
+            np.testing.assert_allclose(final.values, expect.values, rtol=0, atol=1e-12)
+
+
 # -- DQN -----------------------------------------------------------------------------
 
 
@@ -109,8 +243,11 @@ def test_q_values_deterministic_and_masked_argmax_legal(env, model, dataset):
     a = dqn.q_main.q_values(state)
     b = dqn.q_main.q_values(state)
     np.testing.assert_array_equal(a, b)
-    masked = dqn.q_main.masked_q_values(state)
-    chosen = dqn.actions.intervals[int(np.argmax(masked))]
+    masked = dqn.actions.mask_illegal(a[None, :], [18])[0]
+    np.testing.assert_array_equal(masked[:2], a[:2])
+    assert masked[2] < -1e29  # 24h is illegal with 18h remaining
+    chosen = dqn.q_main.greedy_actions([state])[0]
+    assert chosen == dqn.actions.intervals[int(np.argmax(masked))]
     assert chosen in env.actions.legal(18)
 
 
@@ -367,13 +504,13 @@ def test_buffer_refresh_keeps_same_epoch_episodes_as_collected(model, dataset, m
         buf.add_episode(episode, traj.intervals, transitions, epoch=epoch)
     stored = list(buf.transitions)
     replayed = []
-    step = ForecastEnv.step
+    step_batch = ForecastEnv.step_batch
 
-    def counting_step(self, state, action):
-        replayed.append(action)
-        return step(self, state, action)
+    def counting_step_batch(self, states, action):
+        replayed.extend([action] * len(states))
+        return step_batch(self, states, action)
 
-    monkeypatch.setattr(ForecastEnv, "step", counting_step)
+    monkeypatch.setattr(ForecastEnv, "step_batch", counting_step_batch)
     buf.refresh(env, current_epoch=1, max_age=3)
     # only the epoch-0 episode is replayed; the epoch-1 transitions are the stored objects
     assert replayed == [6, 6, 6]
