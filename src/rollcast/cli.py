@@ -20,6 +20,7 @@ from . import diffcore as dc
 from .config import (
     ConfigError,
     RunConfig,
+    _from_dict,
     apply_overrides,
     config_to_dict,
     load_config,
@@ -88,6 +89,28 @@ def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arra
 _NORM_KEYS = ("norm.mean", "norm.std", "norm.delta_scale")
 
 
+def _read_sidecar(path, build):
+    """build(meta) over the parsed .meta.json sidecar of a checkpoint; a
+    missing sidecar, bad JSON, or a missing, unknown or invalid key in it
+    raises CheckpointError."""
+    meta_path = Path(str(path) + ".meta.json")
+    if not meta_path.exists():
+        raise CheckpointError(f"missing checkpoint sidecar {meta_path}")
+    try:
+        return build(json.loads(meta_path.read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed checkpoint sidecar {meta_path}: {exc}") from exc
+
+
+def _model_sidecar(meta) -> tuple:
+    g = meta["grid"]
+    spec = GridSpec(
+        g["num_vars"], g["lat_points"], g["lon_points"],
+        tuple(g["lat_degrees"]), g["base_step_hours"],
+    )
+    return _from_dict(ModelConfig, meta["model_config"], "model_config"), spec
+
+
 def load_model_checkpoint(path) -> tuple:
     """(model, arrays) reconstructed from a checkpoint and its .meta.json sidecar.
 
@@ -99,16 +122,7 @@ def load_model_checkpoint(path) -> tuple:
     missing = [k for k in _NORM_KEYS if k not in arrays]
     if missing:
         raise CheckpointError(f"checkpoint {path} lacks normalization statistics {missing}")
-    meta_path = Path(str(path) + ".meta.json")
-    if not meta_path.exists():
-        raise CheckpointError(f"missing checkpoint sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    model_cfg = ModelConfig.from_dict(meta["model_config"])
-    g = meta["grid"]
-    spec = GridSpec(
-        g["num_vars"], g["lat_points"], g["lon_points"],
-        tuple(g["lat_degrees"]), g["base_step_hours"],
-    )
+    model_cfg, spec = _read_sidecar(path, _model_sidecar)
     model = ForecastModel(model_cfg, spec, arrays["norm.mean"], arrays["norm.std"],
                           delta_scale=arrays["norm.delta_scale"])
     model.load_state_arrays(arrays)
@@ -127,11 +141,8 @@ def save_dqn_checkpoint(path, dqn: DQN, cfg: RunConfig):
 
 def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
     arrays = load_checkpoint(path)
-    meta_path = Path(str(path) + ".meta.json")
-    if not meta_path.exists():
-        raise CheckpointError(f"missing checkpoint sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    dqn = DQN(model, DQNConfig(**meta["dqn_config"]))
+    dqn_cfg = _read_sidecar(path, lambda meta: _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"))
+    dqn = DQN(model, dqn_cfg)
     dqn.q_main.load_state_arrays(arrays)
     dqn.sync_target()
     return dqn

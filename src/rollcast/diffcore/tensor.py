@@ -101,9 +101,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         return float(self.data)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .gridio import GridField, GridSpec, HOURS_PER_DAY
+from .gridio import GridSpec, HOURS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -74,26 +74,6 @@ def unpatchify(patches: np.ndarray, spec_shape, patch: int) -> np.ndarray:
     x = patches.reshape(h, w, V, patch, patch)
     x = x.transpose(2, 0, 3, 1, 4)
     return np.ascontiguousarray(x.reshape(V, H, W))
-
-
-def tokenize(field: GridField, cfg: TokenizerConfig, patch_weights: Tensor, patch_bias: Tensor | None = None) -> Tensor:
-    """Linear patch embedding of one weather state: (L, D) token sequence."""
-    cfg.validate_grid(field.spec)
-    pd = cfg.patch_dim(field.spec)
-    if patch_weights.shape != (pd, cfg.embed_dim):
-        raise dc.ShapeError(
-            f"patch_weights shape {patch_weights.shape} != ({pd}, {cfg.embed_dim})"
-        )
-    patches = Tensor(patchify(field.values, cfg.patch_size))
-    if patch_bias is None:
-        return dc.matmul(patches, patch_weights)
-    return dc.linear(patches, patch_weights, patch_bias)
-
-
-def add_positional(tokens: Tensor, table: PositionalTable) -> Tensor:
-    if tokens.shape != table.table.shape:
-        raise dc.ShapeError(f"tokens {tokens.shape} vs positional table {table.table.shape}")
-    return dc.add(tokens, Tensor(table.table))
 
 
 # -- positional tables ---------------------------------------------------------------

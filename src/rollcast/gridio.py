@@ -88,22 +88,6 @@ class GridField:
 
 
 @dataclass
-class FieldDelta:
-    """Change of state over interval_hours, same layout as GridField values."""
-
-    spec: GridSpec
-    values: np.ndarray
-    interval_hours: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.spec.shape:
-            raise ValueError(f"delta shape {self.values.shape} != spec shape {self.spec.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("delta values must be finite")
-
-
-@dataclass
 class RegimeConfig:
     """Synthetic dynamics knobs; all pure functions of the seed once fixed.
 
@@ -134,15 +118,6 @@ class RegimeConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "RegimeConfig":
-        known = {f.name for f in dataclasses.fields(RegimeConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown RegimeConfig keys: {sorted(unknown)}")
-        clean = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        return RegimeConfig(**clean)
 
 
 @dataclass
@@ -180,10 +155,6 @@ class Dataset:
 
     def at(self, t_hours: int) -> GridField:
         return self.fields[self.index_of(t_hours)]
-
-    def split_timestamps(self, name: str) -> list:
-        lo, hi = self.splits[name]
-        return [f.timestamp_hours for f in self.fields[lo:hi]]
 
     def values_array(self) -> np.ndarray:
         """All frames stacked as (T, V, H, W)."""
@@ -354,20 +325,6 @@ def default_splits(num_steps: int, train: float = 0.7, val: float = 0.1) -> dict
         "val": (n_train, n_train + n_val),
         "test": (n_train + n_val, num_steps),
     }
-
-
-# -- windowing -------------------------------------------------------------------
-
-
-def window(dataset: Dataset, t0: int, delta: int):
-    """(X_0, X_delta, change) for an initial time and interval, both in hours."""
-    step = dataset.spec.base_step_hours
-    if delta % step != 0:
-        raise ValueError(f"delta {delta}h is not a multiple of the base step {step}h")
-    x0 = dataset.at(t0)
-    x1 = dataset.at(t0 + delta)
-    d = FieldDelta(dataset.spec, x1.values - x0.values, delta)
-    return x0, x1, d
 
 
 # -- binary grid file -------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
-from ..model import ForecastModel, _linear, _linear_params, attention
-from .env import MAX_BATCH, ActionSet, EnvState, Transition
+from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention
+from .env import ActionSet, EnvState, Transition
 
 
 @dataclass

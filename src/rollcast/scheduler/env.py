@@ -9,11 +9,11 @@ Illegal actions (interval longer than the remaining time) raise, never clip.
 in lockstep: at each tick one `choose` call picks the intervals of every live
 episode (so a learned policy values all of them in one batched Q-network
 call), the live states are grouped by chosen interval, and each group is
-forecast in one batched model call (`ForecastEnv.step_batch`, in chunks of at
-most `MAX_BATCH` states). Episodes with the same start, lead and
-interval prefix hold the same state object and share its forecasts.
-`run_episode` is the engine with one episode, so each of its steps is a
-`step_batch` of one state: the same arithmetic as `ForecastEnv.step`.
+stepped by one `ForecastEnv.step_batch` call, whose forecast
+(`ForecastModel.forecast_batch`) splits it into chunks of at most
+`MAX_BATCH` states. Episodes with the same start, lead and interval prefix
+hold the same state object and share its forecasts. `run_episode` is the
+engine with one episode, so each of its steps forecasts one state.
 """
 
 from __future__ import annotations
@@ -24,15 +24,8 @@ import numpy as np
 
 from ..gridio import Dataset, GridField
 from ..metrics import WeightTable, lat_weights, step_reward, trajectory_return
-from ..model import ForecastModel
+from ..model import MAX_BATCH, ForecastModel  # noqa: F401  (MAX_BATCH: re-exported)
 
-# Most states in one forecaster or Q-network call. Measured forecast cost per
-# state on the desk-scale model, one BLAS thread: 1.11-1.19 ms at B=16,
-# 1.17-1.32 at B=32, 1.40 at B=48, 1.47-1.63 at B=64 and 1.56-1.73 at B=128,
-# against 2.4-2.8 ms at B=1. Past 32 a larger batch costs more per state, and
-# its working memory grows with it (one Q-network call on 200 states took
-# 40 MB).
-MAX_BATCH = 32
 NEG_INF = -1e30  # mask value for illegal actions
 
 
@@ -58,17 +51,13 @@ class EnvState:
         if self.remaining_h < 0:
             raise ValueError("remaining time must be non-negative")
 
-    @property
-    def episode_start_hours(self) -> int:
-        return self.date_time_hours - self.travel_h
-
 
 @dataclass
 class Transition:
     """state --action--> next_state, `steps` environment steps later.
 
     `reward` is the reward of taking `action` in `state`. A one-step
-    transition (all that `ForecastEnv.step` makes) has no `later_rewards`; a
+    transition (all that `ForecastEnv.step_batch` makes) has no `later_rewards`; a
     folded one (see `n_step_transitions`) keeps the rewards of the steps that
     follow, undiscounted, so the learner applies its own discount.
     """
@@ -232,10 +221,8 @@ def run_episodes(env: ForecastEnv, episodes, choose, keep_transitions: bool = Tr
                 stepped[key] = None
                 groups.setdefault(action, []).append(states[i])
         for action, group in groups.items():
-            for lo in range(0, len(group), MAX_BATCH):
-                chunk = group[lo : lo + MAX_BATCH]
-                for state, result in zip(chunk, env.step_batch(chunk, action)):
-                    stepped[(id(state), action)] = result
+            for state, result in zip(group, env.step_batch(group, action)):
+                stepped[(id(state), action)] = result
         for i, action in zip(live, actions):
             transition, states[i] = stepped[(id(states[i]), action)]
             trajectories[i].append(action, transition.reward)

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rollcast.cli import main
-from rollcast.config import read_csv
+from rollcast.cli import load_model_checkpoint, main, save_dqn_checkpoint
+from rollcast.config import RunConfig, read_csv
 from rollcast.diffcore import load_checkpoint, save_checkpoint
-from rollcast.scheduler import DQNConfig
+from rollcast.scheduler import DQN, DQNConfig
 
 TINY = {
     "seed": 5,
@@ -309,6 +309,30 @@ def test_exit_codes(tmp_path, workdir):
     assert main([
         "finetune", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(stale), "--out-dir", str(tmp_path / "stale_out"),
+    ]) == 4
+    # 4: malformed model sidecar, with an unknown config key or truncated JSON
+    meta_text = (root / "pre" / "model.ckpt.meta.json").read_text()
+    meta = json.loads(meta_text)
+    meta["model_config"]["nope"] = 1
+    for name, text in (("unknown_key", json.dumps(meta)), ("truncated", meta_text[:40])):
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes((root / "pre" / "model.ckpt").read_bytes())
+        (tmp_path / f"{name}.ckpt.meta.json").write_text(text)
+        assert main([
+            "eval", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+            "--checkpoint", str(bad), "--out", str(tmp_path / f"{name}.csv"),
+        ]) == 4
+    # 4: DQN sidecar with an unknown config key
+    model, _ = load_model_checkpoint(root / "pre" / "model.ckpt")
+    bad_dqn = tmp_path / "bad_dqn.ckpt"
+    save_dqn_checkpoint(bad_dqn, DQN(model, DQNConfig()), RunConfig())
+    meta = json.loads((tmp_path / "bad_dqn.ckpt.meta.json").read_text())
+    meta["dqn_config"]["nope"] = 1
+    (tmp_path / "bad_dqn.ckpt.meta.json").write_text(json.dumps(meta))
+    assert main([
+        "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+        "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(bad_dqn),
+        "--out", str(tmp_path / "bad_dqn.csv"),
     ]) == 4
     # 3: numeric divergence (absurd learning rate)
     assert main([

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from rollcast import diffcore as dc
-from rollcast.diffcore import Tensor
 from rollcast.encoding import (
     IntervalEmbedding,
     TemporalEmbedding,
     TokenizerConfig,
-    add_positional,
     conventional_pe,
     patchify,
     ring_pe_2d,
     similarity_matrix,
-    tokenize,
     unpatchify,
 )
-from rollcast.gridio import GridField, GridSpec
+from rollcast.gridio import GridSpec
 
 
 def circular_distance(a, b, w):
@@ -102,53 +99,16 @@ def test_patchify_partition_roundtrip():
     patches = patchify(x, CFG.patch_size)
     assert patches.shape == (2 * 4, 4 * 4 * 2)
     np.testing.assert_array_equal(unpatchify(patches, SPEC.shape, CFG.patch_size), x)
-
-
-def test_tokenize_zero_field_zero_bias_gives_zero_tokens():
-    field = GridField(SPEC, np.zeros(SPEC.shape), 0)
-    rng = np.random.default_rng(1)
-    w = Tensor(rng.normal(size=(CFG.patch_dim(SPEC), CFG.embed_dim)))
-    z = tokenize(field, CFG, w, Tensor(np.zeros((1, CFG.embed_dim))))
-    assert np.all(z.data == 0.0)
-
-
-def test_tokenize_one_hot_field_localizes_to_one_token():
-    cfg = TokenizerConfig(patch_size=4, embed_dim=32)  # embed_dim == patch_dim
-    values = np.zeros(SPEC.shape)
-    values[1, 5, 9] = 1.0  # token row 5//4=1, col 9//4=2 -> token index 1*4+2=6
-    field = GridField(SPEC, values, 0)
-    z = tokenize(field, cfg, Tensor(np.eye(32)))
-    nonzero_rows = np.flatnonzero(np.any(z.data != 0.0, axis=1))
-    assert list(nonzero_rows) == [6]
-
-
-def test_tokenize_matches_per_patch_matrix_products():
-    rng = np.random.default_rng(2)
-    field = GridField(SPEC, rng.normal(size=SPEC.shape), 0)
-    w = Tensor(rng.normal(size=(CFG.patch_dim(SPEC), CFG.embed_dim)))
-    b = Tensor(rng.normal(size=(1, CFG.embed_dim)))
-    z = tokenize(field, CFG, w, b).data
-    P = CFG.patch_size
-    h, w_tok = SPEC.lat_points // P, SPEC.lon_points // P
-    for r in range(h):
-        for c in range(w_tok):
-            patch = field.values[:, r * P : (r + 1) * P, c * P : (c + 1) * P]
-            flat = patch.reshape(-1)  # (v, lat, lon) order
-            expected = flat @ w.data + b.data[0]
-            np.testing.assert_allclose(z[r * w_tok + c], expected, atol=1e-12)
-
-
-def test_add_positional_cases():
-    rng = np.random.default_rng(3)
-    table = ring_pe_2d(2, 4, 8)
-    zeros = Tensor(np.zeros((8, 8)))
-    assert np.array_equal(add_positional(zeros, table).data, table.table)
-    tokens = Tensor(rng.normal(size=(8, 8)))
-    np.testing.assert_array_equal(
-        add_positional(tokens, table).data, tokens.data + table.table
-    )
-    with pytest.raises(dc.ShapeError):
-        add_positional(Tensor(np.zeros((4, 8))), table)
+    # token r*w+c is the (r, c) patch flattened in (variable, lat, lon) order
+    P, w = CFG.patch_size, SPEC.lon_points // CFG.patch_size
+    for r in range(SPEC.lat_points // P):
+        for c in range(w):
+            patch = x[:, r * P : (r + 1) * P, c * P : (c + 1) * P]
+            np.testing.assert_array_equal(patches[r * w + c], patch.reshape(-1))
+    # one hot cell lands in exactly one token: row 5//4=1, col 9//4=2 -> token 1*4+2=6
+    one_hot = np.zeros(SPEC.shape)
+    one_hot[1, 5, 9] = 1.0
+    assert list(np.flatnonzero(np.any(patchify(one_hot, CFG.patch_size) != 0.0, axis=1))) == [6]
 
 
 # -- learned embeddings ------------------------------------------------------------------

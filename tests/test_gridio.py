@@ -1,19 +1,16 @@
-"""Synthetic generator determinism, windowing, and grid-file round trips."""
+"""Synthetic generator determinism and grid-file round trips."""
 
 import numpy as np
 import pytest
 
 from rollcast import gridio
 from rollcast.gridio import (
-    Dataset,
-    FieldDelta,
     GridField,
     GridFileError,
     GridSpec,
     RegimeConfig,
     generate_synthetic,
     read_grid_file,
-    window,
     write_grid_file,
 )
 
@@ -119,41 +116,6 @@ def test_longitude_periodicity_no_seam_artifact():
     assert min(interior) - 0.05 <= seam <= max(interior) + 0.05
 
 
-# -- windowing ----------------------------------------------------------------------
-
-
-def test_window_zero_delta_is_zero_change():
-    ds = generate_synthetic(SMALL_SPEC, 10, seed=1)
-    x0, x1, d = window(ds, ds.start_hours + 12, 0)
-    assert x0 is x1
-    assert np.all(d.values == 0.0)
-    assert d.interval_hours == 0
-
-
-def test_window_on_constant_dataset_is_zero():
-    const = np.ones(SMALL_SPEC.shape) * 7.0
-    fields = [GridField(SMALL_SPEC, const, t * 6) for t in range(8)]
-    ds = Dataset(SMALL_SPEC, fields)
-    _, _, d = window(ds, 6, 24)
-    assert np.all(d.values == 0.0)
-
-
-def test_window_matches_direct_subtraction():
-    ds = generate_synthetic(SMALL_SPEC, 30, seed=2)
-    t0 = ds.start_hours + 36
-    x0, x1, d = window(ds, t0, 6)
-    expected = ds.at(t0 + 6).values - ds.at(t0).values
-    np.testing.assert_array_equal(d.values, expected)
-
-
-def test_window_range_and_alignment_errors():
-    ds = generate_synthetic(SMALL_SPEC, 10, seed=2)
-    with pytest.raises(IndexError):
-        window(ds, ds.start_hours, 6 * 40)
-    with pytest.raises(ValueError, match="multiple"):
-        window(ds, ds.start_hours, 7)
-
-
 # -- binary file round trip ----------------------------------------------------------
 
 
@@ -195,10 +157,10 @@ def test_grid_file_truncation_detected(tmp_path):
         read_grid_file(cut)
 
 
-def test_field_delta_validates_shape_and_finiteness():
+def test_grid_field_validates_shape_and_finiteness():
     with pytest.raises(ValueError):
-        FieldDelta(SMALL_SPEC, np.zeros((1, 2, 3)), 6)
+        GridField(SMALL_SPEC, np.zeros((1, 2, 3)), 0)
     bad = np.zeros(SMALL_SPEC.shape)
     bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        FieldDelta(SMALL_SPEC, bad, 6)
+    with pytest.raises(ValueError, match="finite"):
+        GridField(SMALL_SPEC, bad, 0)

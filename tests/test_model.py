@@ -7,7 +7,9 @@ from rollcast import diffcore as dc
 from rollcast.diffcore import Tensor
 from rollcast.encoding import patchify, unpatchify
 from rollcast.gridio import GridField, GridSpec, generate_synthetic, default_splits
+from rollcast.metrics import lat_weights
 from rollcast.model import (
+    MAX_BATCH,
     ArchBlock,
     ForecastModel,
     ModelConfig,
@@ -173,10 +175,9 @@ def test_forecaster_and_q_network_share_one_attention(monkeypatch):
 def test_zero_head_means_persistence():
     model = tiny_model()
     rng = np.random.default_rng(6)
-    x0 = GridField(TINY_SPEC, rng.normal(size=TINY_SPEC.shape), 0)
-    out = model.forward(x0, 6)
-    assert np.all(out.delta_hat.values == 0.0)
-    np.testing.assert_array_equal(out.x_hat.values, x0.values)
+    x0 = rng.normal(size=(1,) + TINY_SPEC.shape)
+    assert np.all(model.predict_change(x0, 6) == 0.0)
+    np.testing.assert_array_equal(model.forecast_batch(x0, 6), x0)
 
 
 def test_residual_contract_delta_plus_input():
@@ -184,26 +185,28 @@ def test_residual_contract_delta_plus_input():
     randomize_params(model, 7)
     rng = np.random.default_rng(8)
     x0 = GridField(TINY_SPEC, rng.normal(size=TINY_SPEC.shape), 12)
-    out = model.forward(x0, 12)
-    assert np.any(out.delta_hat.values != 0.0)
-    np.testing.assert_array_equal(out.x_hat.values, x0.values + out.delta_hat.values)
-    assert out.x_hat.timestamp_hours == 24
-    assert len(out.gate_decisions) == 1
+    change = model.predict_change(x0.values[None], 12)[0]
+    assert np.any(change != 0.0)
+    (x_hat,) = model.predict_rollout(x0, [12])
+    np.testing.assert_array_equal(x_hat.values, x0.values + change)
+    assert x_hat.timestamp_hours == 24
 
 
 def test_batched_forecast_matches_single_state_forecasts():
     model = tiny_model()
     randomize_params(model, 12)
-    xs = np.random.default_rng(13).normal(size=(5,) + TINY_SPEC.shape)
+    xs = np.random.default_rng(13).normal(size=(MAX_BATCH + 3,) + TINY_SPEC.shape)
     for delta in model.cfg.intervals:
         batched = model.forecast_batch(xs, delta)
         assert batched.shape == xs.shape
         for x, row in zip(xs, batched):
-            single = model.forward(GridField(TINY_SPEC, x, 0), delta)
-            np.testing.assert_allclose(row, single.x_hat.values, rtol=0, atol=1e-12)
-        # B=1 is the single-state forecast, bit for bit
-        one = model.forward(GridField(TINY_SPEC, xs[0], 0), delta)
-        np.testing.assert_array_equal(model.forecast_batch(xs[:1], delta)[0], one.x_hat.values)
+            np.testing.assert_allclose(row, model.forecast_batch(x[None], delta)[0], rtol=0, atol=1e-12)
+        # a batch past MAX_BATCH is its chunks' forecasts, bit for bit
+        chunks = [model.forecast_batch(xs[:MAX_BATCH], delta), model.forecast_batch(xs[MAX_BATCH:], delta)]
+        np.testing.assert_array_equal(batched, np.concatenate(chunks))
+        # a one-step rollout is the B=1 forecast, bit for bit
+        (step,) = model.predict_rollout(GridField(TINY_SPEC, xs[0], 0), [delta])
+        np.testing.assert_array_equal(model.forecast_batch(xs[:1], delta)[0], step.values)
     with pytest.raises(KeyError):
         model.forecast_batch(xs, 7)
 
@@ -212,7 +215,7 @@ def test_unknown_interval_rejected():
     model = tiny_model()
     x0 = GridField(TINY_SPEC, np.zeros(TINY_SPEC.shape), 0)
     with pytest.raises(KeyError):
-        model.forward(x0, 7)
+        model.predict_rollout(x0, [7])
 
 
 def test_patch_roundtrip_through_model_shapes():
@@ -228,10 +231,10 @@ def test_rollout_composition_matches_manual_chaining():
     rng = np.random.default_rng(11)
     x0 = GridField(TINY_SPEC, rng.normal(size=TINY_SPEC.shape), 0)
     rolled = model.predict_rollout(x0, [6, 6])
-    step1 = model.forward(x0, 6).x_hat
-    step2 = model.forward(step1, 6).x_hat
-    np.testing.assert_array_equal(rolled[0].values, step1.values)
-    np.testing.assert_array_equal(rolled[1].values, step2.values)
+    step1 = x0.values + model.predict_change(x0.values[None], 6)[0]
+    step2 = step1 + model.predict_change(step1[None], 6)[0]
+    np.testing.assert_array_equal(rolled[0].values, step1)
+    np.testing.assert_array_equal(rolled[1].values, step2)
 
 
 def test_rollout_lead_time_mismatch_rejected():
@@ -354,7 +357,7 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
     batch = trainer.sample_batch(0)
     _, l_delta, _, _ = trainer.loss_on_batch(batch)
 
-    # independent evaluation: model outputs via forward(), change scales from
+    # independent evaluation: model outputs via predict_change(), change scales from
     # the dataset, loss via triple loop
     spec = small_dataset.spec
     V, H, W = spec.shape
@@ -363,12 +366,12 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
     w_var = trainer.weights.var_weight
     total = 0.0
     for x0, dvals, delta in batch:
-        out = model.forward(GridField(spec, x0, 0), delta)
+        change = model.predict_change(x0[None], delta)[0]
         s = scale[cfg.intervals.index(delta)]
         for v in range(V):
             for i in range(H):
                 for j in range(W):
-                    pred_norm = out.delta_hat.values[v, i, j] / s[v]
+                    pred_norm = change[v, i, j] / s[v]
                     target_norm = dvals[v, i, j] / s[v]
                     total += w_var[v] * w_lat[i] * (pred_norm - target_norm) ** 2
     expected = total / (len(batch) * V * H * W)
@@ -400,10 +403,40 @@ def test_trained_model_conditions_on_interval(small_dataset):
     )
     for i in range(60):
         trainer.step(i)
-    x0 = small_dataset.fields[0]
-    out6 = model.forward(x0, 6).delta_hat.values
-    out24 = model.forward(x0, 24).delta_hat.values
+    x0 = small_dataset.fields[0].values[None]
+    out6 = model.predict_change(x0, 6)
+    out24 = model.predict_change(x0, 24)
     assert not np.allclose(out6, out24)
     # and the trained model beats persistence on its train split
     m, p = evaluate_one_step_loss(model, small_dataset, "train", 6, 50, seed=1)
     assert m < p
+
+
+def test_one_step_summary_matches_the_single_window_formula(small_dataset):
+    cfg = ModelConfig(embed_dim=8, num_blocks=1, num_heads=2, patch_size=4,
+                      moe_num_private=2, moe_top_k=1)
+    model = ForecastModel.from_dataset(cfg, small_dataset, seed=19)
+    randomize_params(model, 19)
+    spec = small_dataset.spec
+    V, H, W = spec.shape
+    w_field = lat_weights(spec).field_weights(spec.shape)
+    lo, hi = small_dataset.splits["train"]
+    num_samples = MAX_BATCH + 8  # two forecaster chunks
+    for delta in cfg.intervals:
+        m, p = evaluate_one_step_loss(model, small_dataset, "train", delta, num_samples, seed=4)
+        # oracle: one window at a time through forward_tokens at B=1
+        k = delta // spec.base_step_hours
+        idxs = np.random.default_rng(4).integers(lo, hi - 1 - k + 1, size=num_samples)
+        model_total = pers_total = 0.0
+        for idx in idxs:
+            x0 = small_dataset.fields[int(idx)]
+            x1 = small_dataset.fields[int(idx) + k]
+            target = model.normalize_delta(x1.values - x0.values, delta)
+            with dc.no_grad():
+                pred, _, _ = model.forward_tokens(x0.values[None], delta)
+            pred_field = unpatchify(pred.data, spec.shape, cfg.patch_size)
+            model_total += float(np.sum(w_field * (pred_field - target) ** 2))
+            pers_total += float(np.sum(w_field * target**2))
+        denom = num_samples * V * H * W
+        assert abs(m - model_total / denom) <= 1e-12 * (model_total / denom)
+        assert p == pers_total / denom
