@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rollcast import diffcore as dc
+from rollcast.diffcore import Tensor
 from rollcast.encoding import (
     IntervalEmbedding,
     TemporalEmbedding,
@@ -99,16 +100,35 @@ def test_patchify_partition_roundtrip():
     patches = patchify(x, CFG.patch_size)
     assert patches.shape == (2 * 4, 4 * 4 * 2)
     np.testing.assert_array_equal(unpatchify(patches, SPEC.shape, CFG.patch_size), x)
-    # token r*w+c is the (r, c) patch flattened in (variable, lat, lon) order
-    P, w = CFG.patch_size, SPEC.lon_points // CFG.patch_size
-    for r in range(SPEC.lat_points // P):
-        for c in range(w):
-            patch = x[:, r * P : (r + 1) * P, c * P : (c + 1) * P]
-            np.testing.assert_array_equal(patches[r * w + c], patch.reshape(-1))
-    # one hot cell lands in exactly one token: row 5//4=1, col 9//4=2 -> token 1*4+2=6
-    one_hot = np.zeros(SPEC.shape)
-    one_hot[1, 5, 9] = 1.0
-    assert list(np.flatnonzero(np.any(patchify(one_hot, CFG.patch_size) != 0.0, axis=1))) == [6]
+
+
+# The forecaster's tokenizer is patchify followed by one linear map (see
+# ForecastModel.body_tokens); these tests run that same pair of operations.
+
+
+def test_tokenize_one_hot_field_localizes_to_one_token():
+    values = np.zeros(SPEC.shape)
+    values[1, 5, 9] = 1.0  # token row 5//4=1, col 9//4=2 -> token index 1*4+2=6
+    # embed_dim == patch_dim, so an identity weight keeps each patch as its token
+    z = dc.matmul(Tensor(patchify(values, CFG.patch_size)), Tensor(np.eye(CFG.patch_dim(SPEC))))
+    nonzero_rows = np.flatnonzero(np.any(z.data != 0.0, axis=1))
+    assert list(nonzero_rows) == [6]
+
+
+def test_tokenize_matches_per_patch_matrix_products():
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=SPEC.shape)
+    w = Tensor(rng.normal(size=(CFG.patch_dim(SPEC), CFG.embed_dim)))
+    b = Tensor(rng.normal(size=(1, CFG.embed_dim)))
+    z = dc.linear(Tensor(patchify(values, CFG.patch_size)), w, b).data
+    P = CFG.patch_size
+    h, w_tok = SPEC.lat_points // P, SPEC.lon_points // P
+    for r in range(h):
+        for c in range(w_tok):
+            patch = values[:, r * P : (r + 1) * P, c * P : (c + 1) * P]
+            flat = patch.reshape(-1)  # (v, lat, lon) order
+            expected = flat @ w.data + b.data[0]
+            np.testing.assert_allclose(z[r * w_tok + c], expected, atol=1e-12)
 
 
 # -- learned embeddings ------------------------------------------------------------------
