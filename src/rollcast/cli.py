@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diffcore as dc
 from .config import (
     ConfigError,
     RunConfig,
@@ -30,6 +29,7 @@ from .config import (
 from .diffcore import CheckpointError, load_checkpoint, save_checkpoint
 from .encoding import conventional_pe, ring_pe_2d, similarity_matrix
 from .evaluation import eval_initial_times, evaluate_leads
+from .fileio import atomic_open
 from .gridio import (
     Dataset,
     GridFileError,
@@ -66,6 +66,11 @@ from .scheduler import (
 # -- checkpoint helpers -------------------------------------------------------------
 
 
+def _write_json(path, obj):
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2)
+
+
 def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arrays=None):
     arrays = dict(model.state_arrays())
     if extra_arrays:
@@ -83,7 +88,7 @@ def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arra
         },
         "provenance": provenance(cfg),
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2))
+    _write_json(str(path) + ".meta.json", meta)
 
 
 _NORM_KEYS = ("norm.mean", "norm.std", "norm.delta_scale")
@@ -136,7 +141,7 @@ def save_dqn_checkpoint(path, dqn: DQN, cfg: RunConfig):
         "dqn_config": dataclasses.asdict(dqn.cfg),
         "provenance": provenance(cfg),
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2))
+    _write_json(str(path) + ".meta.json", meta)
 
 
 def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
@@ -224,14 +229,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         stats = trainer.step(step)
         curve.append((stats["step"], stats["l_delta"], stats["aux1"], stats["aux2"], stats["total"]))
         if args.router_csv and step % 10 == 0:
-            batch = trainer.sample_batch(step)
-            with dc.no_grad():
-                for delta in model.cfg.intervals:
-                    xs = np.stack([x for x, _, d in batch if d == delta] or [batch[0][0]])
-                    _, decisions, _ = model.forward_tokens(xs, delta)
-                    router_rows.append(
-                        (step, delta, decisions[0].usage_histogram(model.cfg.moe_num_private))
-                    )
+            router_rows += [(step, block, delta, counts) for delta, block, counts in stats["usage"]]
         if cfg.pretrain.checkpoint_every and (step + 1) % cfg.pretrain.checkpoint_every == 0:
             checkpoint_and_reload(step + 1)
     checkpoint_and_reload(end_step)
@@ -248,7 +246,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
             "model_loss": m, "persistence_loss": p, "ratio": m / p,
         }
         print(f"delta={delta}h: one-step loss {m:.5f} vs persistence {p:.5f} (ratio {m/p:.3f})")
-    (out_dir / "pretrain_summary.json").write_text(json.dumps(summary, indent=2))
+    _write_json(out_dir / "pretrain_summary.json", summary)
     print(f"wrote {ckpt_path}")
     return 0
 
@@ -290,7 +288,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
         "td_loss_last": logs["td_losses"][-5:],
         "rollout_losses": logs["rollout_losses"],
     }
-    (out_dir / "finetune_summary.json").write_text(json.dumps(summary, indent=2))
+    _write_json(out_dir / "finetune_summary.json", summary)
     print(f"wrote {out_dir / 'model_finetuned.ckpt'} and {out_dir / 'dqn.ckpt'}")
     return 0
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .fileio import atomic_open
 from .gridio import RegimeConfig
 from .model import ModelConfig, PretrainConfig
 from .scheduler.dqn import DQNConfig
@@ -158,10 +159,10 @@ def provenance(cfg: RunConfig) -> dict:
 
 
 def write_csv(path, header, rows, prov: dict):
-    """CSV with a '# provenance: {...}' comment line above the header row."""
+    """CSV with a '# provenance: {...}' comment line above the header row, written atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)

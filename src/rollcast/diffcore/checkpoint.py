@@ -23,6 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ..fileio import atomic_open
+
 MAGIC = b"RCKP"
 VERSION = 1
 
@@ -32,7 +34,7 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, tensors: Mapping[str, np.ndarray]):
-    """Write named arrays (cast to float32) to a checksummed container."""
+    """Write named arrays (cast to float32) to a checksummed container, atomically."""
     chunks = [MAGIC, struct.pack("<HI", VERSION, len(tensors))]
     for name, arr in tensors.items():
         data = np.ascontiguousarray(arr, dtype=np.float32)
@@ -44,7 +46,8 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray]):
         chunks.append(data.tobytes())
     blob = b"".join(chunks)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> dict:
@@ -80,7 +83,7 @@ def load_checkpoint(path) -> dict:
                 raise CheckpointError(f"payload for {name!r} truncated at offset {off}")
             payload = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(dims)
             off += nbytes
-        except struct.error as exc:
+        except (struct.error, UnicodeDecodeError) as exc:
             raise CheckpointError(f"corrupt tensor record at offset {off}: {exc}") from exc
         out[name] = payload.astype(np.float64)
     if off != end:

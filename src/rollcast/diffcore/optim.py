@@ -1,4 +1,4 @@
-"""Adaptive-moment optimizer with decoupled weight decay."""
+"""Adaptive-moment optimizer with decoupled weight decay, and its cosine LR schedule."""
 
 from __future__ import annotations
 
@@ -7,6 +7,14 @@ from typing import Mapping
 import numpy as np
 
 from .tensor import Tensor
+
+
+def cosine_lr(base_lr: float, final_fraction: float, step: int, total_steps: int) -> float:
+    """Cosine decay from base_lr at step 0 to base_lr * final_fraction at step
+    total_steps - 1, held at that floor for every later step."""
+    frac = min(step / max(total_steps - 1, 1), 1.0)
+    floor = base_lr * final_fraction
+    return floor + (base_lr - floor) * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
 class AdamW:

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_open
+
 GRID_MAGIC = b"ARRW"
 GRID_VERSION = 1
 
@@ -51,6 +53,8 @@ class GridSpec:
         lats = np.asarray(self.lat_degrees, dtype=np.float64)
         if lats.shape != (self.lat_points,):
             raise ValueError(f"expected {self.lat_points} latitudes, got {lats.shape}")
+        if not np.all(np.isfinite(lats)):
+            raise ValueError("latitudes must be finite")
         if np.any(np.diff(lats) >= 0):
             raise ValueError("latitudes must be strictly decreasing (north to south)")
         if np.any(np.abs(lats) > 90.0):
@@ -331,7 +335,7 @@ def default_splits(num_steps: int, train: float = 0.7, val: float = 0.1) -> dict
 
 
 def write_grid_file(path, dataset: Dataset, provenance: dict | None = None):
-    """Write the dataset and its JSON sidecar manifest."""
+    """Write the dataset and its JSON sidecar manifest, each atomically."""
     spec = dataset.spec
     header = struct.pack(
         "<4sHHHHII",
@@ -347,7 +351,8 @@ def write_grid_file(path, dataset: Dataset, provenance: dict | None = None):
     frames = b"".join(
         np.ascontiguousarray(f.values, dtype="<f4").tobytes() for f in dataset.fields
     )
-    Path(path).write_bytes(header + lats + frames)
+    with atomic_open(path, "wb") as fh:
+        fh.write(header + lats + frames)
 
     manifest = {
         "format": {"magic": GRID_MAGIC.decode(), "version": GRID_VERSION},
@@ -363,11 +368,33 @@ def write_grid_file(path, dataset: Dataset, provenance: dict | None = None):
     }
     if provenance:
         manifest["provenance"] = provenance
-    Path(str(path) + ".json").write_text(json.dumps(manifest, indent=2))
+    with atomic_open(str(path) + ".json") as fh:
+        json.dump(manifest, fh, indent=2)
+
+
+def _read_manifest(path, num_steps: int) -> dict:
+    """The grid file's JSON sidecar manifest, {} when absent; its splits must lie
+    within the file's frames."""
+    manifest_path = Path(str(path) + ".json")
+    if not manifest_path.exists():
+        return {}
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        manifest["start_hours"] = int(manifest.get("start_hours", 0))
+        splits = {k: (int(lo), int(hi)) for k, (lo, hi) in manifest.get("splits", {}).items()}
+        for k, (lo, hi) in splits.items():
+            if not 0 <= lo <= hi <= num_steps:
+                raise ValueError(f"split {k} [{lo}, {hi}) outside the file's {num_steps} frames")
+        manifest["splits"] = splits
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise GridFileError(f"malformed manifest {manifest_path}: {exc}") from exc
+    return manifest
 
 
 def read_grid_file(path) -> Dataset:
-    """Read a grid file (and its sidecar manifest when present) back to a Dataset."""
+    """Read a grid file (and its sidecar manifest when present) back to a Dataset.
+
+    Any malformed input, in the file or its manifest, raises GridFileError."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != GRID_MAGIC:
         raise GridFileError(f"bad magic {blob[:4]!r} at offset 0")
@@ -377,12 +404,18 @@ def read_grid_file(path) -> Dataset:
     version, V, H, W, num_steps, base_step = struct.unpack_from("<HHHHII", blob, 4)
     if version != GRID_VERSION:
         raise GridFileError(f"unsupported version {version} at offset 4")
+    if num_steps < 1:
+        raise GridFileError(f"header declares no frames at offset {header_len - 8}")
     off = header_len
     lat_bytes = 8 * H
     if len(blob) < off + lat_bytes:
         raise GridFileError(f"latitude block truncated at offset {off}")
     lats = np.frombuffer(blob, dtype="<f8", count=H, offset=off)
     off += lat_bytes
+    try:
+        spec = GridSpec(V, H, W, tuple(lats), base_step)
+    except ValueError as exc:
+        raise GridFileError(f"bad grid header at offset 4: {exc}") from exc
     frame_len = 4 * V * H * W
     need = off + frame_len * num_steps
     if len(blob) < need:
@@ -390,19 +423,20 @@ def read_grid_file(path) -> Dataset:
             f"payload truncated at offset {len(blob)}: header declares {num_steps} frames "
             f"({need} bytes total)"
         )
+    if len(blob) > need:
+        raise GridFileError(f"{len(blob) - need} trailing bytes at offset {need}")
 
-    manifest_path = Path(str(path) + ".json")
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-    start_hours = int(manifest.get("start_hours", 0))
-
-    spec = GridSpec(V, H, W, tuple(lats), base_step)
+    manifest = _read_manifest(path, num_steps)
+    start_hours = manifest.get("start_hours", 0)
     fields = []
     for t in range(num_steps):
         frame = np.frombuffer(blob, dtype="<f4", count=V * H * W, offset=off).reshape(V, H, W)
+        if not np.all(np.isfinite(frame)):
+            raise GridFileError(f"non-finite value in frame {t} at offset {off}")
         off += frame_len
         fields.append(GridField(spec, frame.astype(np.float64), start_hours + t * base_step))
 
-    splits = {k: tuple(v) for k, v in manifest.get("splits", {}).items()}
+    splits = manifest.get("splits", {})
     meta = {
         "variables": manifest.get("variables", [f"var{v}" for v in range(V)]),
         "seed": manifest.get("seed"),

@@ -327,7 +327,11 @@ class ForecastModel:
         with dc.no_grad():
             preds = [self.forward_tokens(x_batch[lo : lo + MAX_BATCH], delta)[0].data
                      for lo in range(0, len(x_batch), MAX_BATCH)]
-        patches = np.concatenate(preds).reshape(len(x_batch), self.num_tokens, self.patch_dim)
+        return self.change_from_patches(np.concatenate(preds), delta)
+
+    def change_from_patches(self, patches: np.ndarray, delta: int) -> np.ndarray:
+        """(B*L, patch_dim) head output -> the (B, V, H, W) physical changes over `delta` hours."""
+        patches = patches.reshape(-1, self.num_tokens, self.patch_dim)
         delta_norm = np.stack([unpatchify(p, self.spec.shape, self.cfg.patch_size) for p in patches])
         return self.denormalize_delta(delta_norm, delta)
 
@@ -410,7 +414,11 @@ class PretrainTrainer:
         return out
 
     def loss_on_batch(self, batch):
-        """(total, l_delta, aux1, aux2) losses for a list of (x0, delta_target, interval)."""
+        """(total, l_delta, aux1, aux2, usage) for a list of (x0, delta_target, interval).
+
+        usage holds the routing of this forward: one (interval, block, expert
+        counts) per interval group of the batch and block of the model.
+        """
         model = self.model
         spec = self.dataset.spec
         V, H, W = spec.shape
@@ -420,13 +428,16 @@ class PretrainTrainer:
             groups.setdefault(delta, []).append((x0, dvals))
 
         l_delta = None
+        usage = []
         noise_pool = [dict() for _ in model.blocks]
         for delta, items in sorted(groups.items()):
             xb = np.stack([x for x, _ in items])
             targets = np.stack(
                 [patchify(model.normalize_delta(d, delta), model.cfg.patch_size) for _, d in items]
             )
-            pred, _, noises = model.forward_tokens(xb, delta, collect_noise=True)
+            pred, decisions, noises = model.forward_tokens(xb, delta, collect_noise=True)
+            usage += [(delta, bi, dec.usage_histogram(model.cfg.moe_num_private))
+                      for bi, dec in enumerate(decisions)]
             wp = np.tile(self._weight_patches, (len(items), 1))
             part = weighted_patch_loss(pred, targets.reshape(pred.shape), wp, denom=B * V * H * W)
             l_delta = part if l_delta is None else dc.add(l_delta, part)
@@ -446,19 +457,14 @@ class PretrainTrainer:
         aux1 = dc.mul_scalar(aux1, 1.0 / n_blocks)
         aux2 = dc.mul_scalar(aux2, 1.0 / n_blocks)
         total = dc.add(l_delta, combined_aux(aux1, aux2, model.cfg.moe_alpha))
-        return total, l_delta, aux1, aux2
-
-    def lr_at(self, step_idx: int) -> float:
-        cfg = self.cfg
-        frac = min(step_idx / max(cfg.steps - 1, 1), 1.0)
-        floor = cfg.lr * cfg.lr_final_fraction
-        return floor + (cfg.lr - floor) * 0.5 * (1.0 + np.cos(np.pi * frac))
+        return total, l_delta, aux1, aux2, usage
 
     def step(self, step_idx: int) -> dict:
+        cfg = self.cfg
         batch = self.sample_batch(step_idx)
-        self.optimizer.lr = self.lr_at(step_idx)
+        self.optimizer.lr = dc.cosine_lr(cfg.lr, cfg.lr_final_fraction, step_idx, cfg.steps)
         self.optimizer.zero_grad()
-        total, l_delta, aux1, aux2 = self.loss_on_batch(batch)
+        total, l_delta, aux1, aux2, usage = self.loss_on_batch(batch)
         if not np.isfinite(total.data):
             raise DivergenceError(f"non-finite pre-training loss at step {step_idx}")
         dc.backward(total)
@@ -469,6 +475,7 @@ class PretrainTrainer:
             "aux1": float(aux1.data),
             "aux2": float(aux2.data),
             "total": float(total.data),
+            "usage": usage,
         }
 
 

@@ -3,7 +3,10 @@
 An episode starts from a true state and walks forward by chosen intervals
 until the lead time is exhausted; each step forecasts with the model, is
 scored against the dataset truth, and feeds its own forecast back in.
-Illegal actions (interval longer than the remaining time) raise, never clip.
+Illegal actions (interval longer than the remaining time) raise, never clip:
+`ActionSet.check` is the one legality test, and `EnvState.advance` the one
+way a forecast becomes the next state, for the rollout engine here and for
+the head-update walk of `finetune.rollout_finetune_loss` alike.
 
 `run_episodes` is the one rollout engine. It advances any number of episodes
 in lockstep: at each tick one `choose` call picks the intervals of every live
@@ -50,6 +53,12 @@ class EnvState:
             )
         if self.remaining_h < 0:
             raise ValueError("remaining time must be non-negative")
+
+    def advance(self, action: int, values: np.ndarray) -> "EnvState":
+        """The state `action` hours on, whose x_hat holds the forecast `values`."""
+        t = self.date_time_hours + action
+        return EnvState(GridField(self.x_hat.spec, values, t), t, self.travel_h + action,
+                        self.remaining_h - action, self.lead_h)
 
 
 @dataclass
@@ -113,6 +122,12 @@ class ActionSet:
     def legal(self, remaining_h: int) -> list:
         return [d for d in self.intervals if d <= remaining_h]
 
+    def check(self, action: int, remaining_h: int):
+        """Raise ValueError unless `action` is legal with `remaining_h` hours left."""
+        legal = self.legal(remaining_h)
+        if action not in legal:
+            raise ValueError(f"illegal action {action}h with {remaining_h}h remaining; legal: {legal}")
+
     def index_of(self, action: int) -> int:
         return self.intervals.index(int(action))
 
@@ -165,24 +180,13 @@ class ForecastEnv:
         remaining time is shorter than `action` raises ValueError.
         """
         for state in states:
-            legal = self.actions.legal(state.remaining_h)
-            if action not in legal:
-                raise ValueError(
-                    f"illegal action {action}h with {state.remaining_h}h remaining; legal: {legal}"
-                )
+            self.actions.check(action, state.remaining_h)
         forecasts = self.model.forecast_batch(np.stack([s.x_hat.values for s in states]), action)
         out = []
         for state, values in zip(states, forecasts):
-            forecast = GridField(self.model.spec, values, state.x_hat.timestamp_hours + action)
-            truth = self.dataset.at(state.date_time_hours + action)
-            reward = step_reward(forecast.values, truth.values, self.weights, self.omega)
-            next_state = EnvState(
-                x_hat=forecast,
-                date_time_hours=state.date_time_hours + action,
-                travel_h=state.travel_h + action,
-                remaining_h=state.remaining_h - action,
-                lead_h=state.lead_h,
-            )
+            next_state = state.advance(action, values)
+            truth = self.dataset.at(next_state.date_time_hours)
+            reward = step_reward(next_state.x_hat.values, truth.values, self.weights, self.omega)
             transition = Transition(state, action, reward, next_state, next_state.remaining_h == 0)
             out.append((transition, next_state))
         return out

@@ -4,21 +4,24 @@ fine-tuning of the forecaster's prediction head along scheduled trajectories.
 Each epoch collects epsilon-greedy episodes into the replay buffer and
 refreshes stale entries against the current environment. TD iterations then
 update the main Q network; at every target sync the head is fine-tuned on
-trajectories generated by the freshly synced target policy. Steps beyond
-t_max contribute to the reported rollout loss but are cut out of the
-gradient entirely.
+trajectories that the freshly synced target policy picks. Each of those
+trajectories is walked once (`rollout_finetune_loss`): the target network
+chooses every interval on the state the walk has just forecast, and that same
+forecast builds the step's loss. Steps beyond t_max contribute to the
+reported rollout loss but are cut out of the gradient entirely.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore import Tensor
-from ..encoding import patchify, unpatchify
-from ..gridio import Dataset, GridField
+from ..encoding import patchify
+from ..gridio import Dataset
 from ..metrics import WeightTable, lat_weights
 from ..model import DivergenceError, ForecastModel, weighted_patch_loss
 from .dqn import DQN, ReplayBuffer, td_update
@@ -62,57 +65,46 @@ def resolve_omega(model: ForecastModel, dataset: Dataset, weights: WeightTable,
     return -0.05 * float(np.mean(vals))
 
 
-def rollout_finetune_loss(model: ForecastModel, dataset: Dataset, episode: EpisodeSpec,
-                          actions, weights: WeightTable, t_max: int) -> RolloutLossParts:
-    """Trajectory loss of Algorithm-style head fine-tuning.
+def rollout_finetune_loss(env: ForecastEnv, episode: EpisodeSpec, action_fn,
+                          t_max: int) -> RolloutLossParts:
+    """Walk one episode once, choosing each interval as it goes, and score the walk.
 
-    Each step scores the predicted change against the change that would have
-    made the forecast exact (truth minus the incoming state), weighted by
-    latitude/variable and normalized by trajectory length and grid size.
-    Inputs are detached between steps; steps beyond t_max are evaluated
-    without recording gradients at all.
+    From `env.reset(episode)`, each state reached asks action_fn (EnvState ->
+    interval, as in `run_episode`) for its interval and is forecast once: the
+    body without gradient, the head with gradient for the first t_max steps
+    and without it after. That head output, as a physical change, makes the
+    next state (`EnvState.advance`), so the walk visits the states
+    `run_episode` would. Once the walk ends, each step scores its predicted
+    change against the change that would have made the forecast exact (truth
+    minus the incoming state), weighted by latitude and variable and
+    normalized by trajectory length and grid size.
     """
-    spec = dataset.spec
+    model, spec = env.model, env.dataset.spec
     V, H, W = spec.shape
-    n_steps = len(actions)
-    denom = n_steps * V * H * W
-    w_patches = patchify(weights.field_weights(spec.shape), model.cfg.patch_size)
-
-    x_prev = dataset.at(episode.t0_hours)
-    t_now = episode.t0_hours
-    grad_terms = []
-    per_step = []
-    for t, delta in enumerate(actions, start=1):
-        truth = dataset.at(t_now + delta)
-        target_norm = model.normalize_delta(truth.values - x_prev.values, delta)
-        target_patches = patchify(target_norm, model.cfg.patch_size)
+    state = env.reset(episode)
+    steps = []  # (head output, normalized target change patches)
+    while state.remaining_h > 0:
+        action = int(action_fn(state))
+        env.actions.check(action, state.remaining_h)
+        truth = env.dataset.at(state.date_time_hours + action)
+        target = model.normalize_delta(truth.values - state.x_hat.values, action)
         with dc.no_grad():
-            z, _, _ = model.body_tokens(x_prev.values[None], delta)
+            z, _, _ = model.body_tokens(state.x_hat.values[None], action)
+        with dc.no_grad() if len(steps) >= t_max else contextlib.nullcontext():
+            pred = model.apply_head(z)
+        steps.append((pred, patchify(target, model.cfg.patch_size)))
+        change = model.change_from_patches(pred.data, action)[0]
+        state = state.advance(action, state.x_hat.values + change)
+
+    denom = len(steps) * V * H * W
+    w_patches = patchify(env.weights.field_weights(spec.shape), model.cfg.patch_size)
+    grad_loss, per_step = None, []
+    for t, (pred, target) in enumerate(steps, start=1):
+        term = weighted_patch_loss(pred, target, w_patches, denom)  # graph-free past t_max
         if t <= t_max:
-            pred = model.apply_head(Tensor(z.data))
-            term = weighted_patch_loss(pred, target_patches, w_patches, denom)
-            grad_terms.append(term)
-            term_value = float(term.data)
-        else:
-            with dc.no_grad():
-                pred = model.apply_head(Tensor(z.data))
-                term_value = float(
-                    weighted_patch_loss(pred, target_patches, w_patches, denom).data
-                )
-        per_step.append(term_value)
-        # feed the forecast back as the next (detached) input
-        delta_phys = model.denormalize_delta(_unpatch(model, pred.data), delta)
-        x_prev = GridField(spec, x_prev.values + delta_phys, t_now + delta)
-        t_now += delta
-
-    grad_loss = None
-    for term in grad_terms:
-        grad_loss = term if grad_loss is None else dc.add(grad_loss, term)
+            grad_loss = term if grad_loss is None else dc.add(grad_loss, term)
+        per_step.append(float(term.data))
     return RolloutLossParts(grad_loss=grad_loss, total_value=float(np.sum(per_step)), per_step=per_step)
-
-
-def _unpatch(model: ForecastModel, pred_data: np.ndarray) -> np.ndarray:
-    return unpatchify(pred_data, model.spec.shape, model.cfg.patch_size)
 
 
 def sample_episode(dataset: Dataset, lead_times, rng: np.random.Generator,
@@ -182,9 +174,7 @@ def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
         rng_iter = np.random.default_rng([cfg.seed, 2, epoch])
         total_iters = cfg.epochs * cfg.iterations_per_epoch
         for _ in range(cfg.iterations_per_epoch):
-            progress = global_iter / max(total_iters - 1, 1)
-            floor = dqn.cfg.lr * dqn.cfg.lr_final_fraction
-            dqn.optimizer.lr = floor + (dqn.cfg.lr - floor) * 0.5 * (1.0 + np.cos(np.pi * progress))
+            dqn.optimizer.lr = dc.cosine_lr(dqn.cfg.lr, dqn.cfg.lr_final_fraction, global_iter, total_iters)
             batch = buffer.sample(dqn.cfg.batch_size, rng_iter)
             logs["td_losses"].append(td_update(batch, dqn))
             global_iter += 1
@@ -197,10 +187,7 @@ def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
                 value_total = 0.0
                 for _ in range(cfg.finetune_episodes):
                     episode = sample_episode(dataset, cfg.lead_times, rng_ft)
-                    traj, _, _ = run_episode(env, episode, _greedy_on_target(dqn))
-                    parts = rollout_finetune_loss(
-                        model, dataset, episode, traj.intervals, weights, cfg.t_max
-                    )
+                    parts = rollout_finetune_loss(env, episode, _greedy_on_target(dqn), cfg.t_max)
                     value_total += parts.total_value
                     if parts.grad_loss is not None:
                         grad_total = (

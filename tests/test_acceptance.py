@@ -337,21 +337,21 @@ def test_criterion_11_stop_gradient_at_t_max():
     rng = np.random.default_rng(7)
     for p in model.trainable_params().values():
         p.data = rng.normal(scale=0.2, size=p.data.shape)
-    weights = lat_weights(spec)
-    episode = EpisodeSpec(ds.fields[0].timestamp_hours, 48)
-    actions = [24, 12, 12]
+    env = ForecastEnv(model, ds, omega=0.0, weights=lat_weights(spec))
+    t0 = ds.fields[0].timestamp_hours
+    actions = iter([24, 12, 12])
 
     head = model.head_params()
     for p in head.values():
         p.zero_grad()
-    parts = rollout_finetune_loss(model, ds, episode, actions, weights, t_max=1)
+    parts = rollout_finetune_loss(env, EpisodeSpec(t0, 48), lambda state: next(actions), t_max=1)
     dc.backward(parts.grad_loss)
     grads_tmax = {k: p.grad.copy() for k, p in head.items()}
     for p in head.values():
         p.zero_grad()
 
     # gradient of the first step alone, rescaled to the 3-step normalization
-    first = rollout_finetune_loss(model, ds, episode, actions[:1], weights, t_max=1)
+    first = rollout_finetune_loss(env, EpisodeSpec(t0, 24), lambda state: 24, t_max=1)
     dc.backward(dc.mul_scalar(first.grad_loss, 1.0 / 3.0))
     grads_first = {k: p.grad.copy() for k, p in head.items()}
     for k in head:

@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rollcast.cli import load_model_checkpoint, main, save_dqn_checkpoint
-from rollcast.config import RunConfig, read_csv
+from rollcast.config import RunConfig, apply_overrides, load_config, provenance, read_csv
+from rollcast.gridio import read_grid_file
+from rollcast.model import ForecastModel, PretrainTrainer
 from rollcast.diffcore import load_checkpoint, save_checkpoint
 from rollcast.scheduler import DQN, DQNConfig
 
@@ -135,6 +138,41 @@ def test_pretrain_seeded_runs_are_identical(tmp_path, workdir):
     b = (tmp_path / "r2" / "training.csv").read_bytes()
     assert a == b
     assert (tmp_path / "r1" / "model.ckpt").read_bytes() == (tmp_path / "r2" / "model.ckpt").read_bytes()
+
+
+def test_pretrain_router_csv_takes_every_block_from_the_training_forward(tmp_path, workdir):
+    root, cfg_path = workdir
+    sets = ["pretrain.steps=11", "model.num_blocks=2"]
+    outs = {}
+    for flags in ([], ["--router-csv"]):
+        out = tmp_path / ("router" if flags else "plain")
+        assert main([
+            "pretrain", "--config", str(cfg_path), *[a for v in sets for a in ("--set", v)],
+            "--data", str(root / "data.grid"), "--out-dir", str(out), *flags,
+        ]) == 0
+        outs[bool(flags)] = out
+    # the telemetry leaves training as it was
+    assert (outs[True] / "training.csv").read_bytes() == (outs[False] / "training.csv").read_bytes()
+    assert not (outs[False] / "router.csv").exists()
+
+    prov, header, rows = read_csv(outs[True] / "router.csv")
+    assert header == ["step", "block", "interval_hours", "expert_0", "expert_1"]
+    cfg = apply_overrides(load_config(cfg_path), sets)
+    assert prov == provenance(cfg)
+    ds = read_grid_file(root / "data.grid")
+    model = ForecastModel.from_dataset(cfg.model, ds, seed=cfg.seed)
+    trainer = PretrainTrainer(model, ds, cfg.pretrain)
+    got = [tuple(int(x) for x in row) for row in rows]
+    # one row per block and interval present in the batch, every 10 steps
+    expected = []
+    for step in (0, 10):
+        per_interval = Counter(d for _, _, d in trainer.sample_batch(step))
+        expected += [(step, block, d, per_interval[d] * model.num_tokens * cfg.model.moe_top_k)
+                     for d in sorted(per_interval) for block in (0, 1)]
+    assert [(r[0], r[1], r[2], sum(r[3:])) for r in got] == expected
+    # step 0's counts are those of the training forward itself
+    step0 = [(0, block, d, *counts) for d, block, counts in trainer.step(0)["usage"]]
+    assert [r for r in got if r[0] == 0] == step0
 
 
 def test_pretrain_resume_matches_uninterrupted(tmp_path, workdir):
@@ -300,6 +338,27 @@ def test_exit_codes(tmp_path, workdir):
         "pretrain", "--config", str(cfg_path), "--data", str(corrupt),
         "--out-dir", str(tmp_path / "out2"),
     ]) == 4
+    # 4: malformed grid files: trailing bytes, a manifest that is not JSON,
+    # a header with no variables, a non-finite frame value
+    grid = (root / "data.grid").read_bytes()
+    manifest = (root / "data.grid.json").read_text()
+    header = struct.calcsize("<4sHHHHII")
+    no_vars = bytearray(grid)
+    struct.pack_into("<H", no_vars, 6, 0)
+    nan_frame = bytearray(grid)
+    struct.pack_into("<f", nan_frame, header + 8 * TINY["data"]["lat_points"], float("nan"))
+    for name, blob, text in (
+        ("trailing", grid + b"\0\0\0\0", manifest),
+        ("bad_manifest", grid, "{bad"),
+        ("no_vars", bytes(no_vars), manifest),
+        ("nan_frame", bytes(nan_frame), manifest),
+    ):
+        (tmp_path / f"{name}.grid").write_bytes(blob)
+        (tmp_path / f"{name}.grid.json").write_text(text)
+        assert main([
+            "pretrain", "--config", str(cfg_path), "--set", "pretrain.steps=1",
+            "--data", str(tmp_path / f"{name}.grid"), "--out-dir", str(tmp_path / f"{name}_out"),
+        ]) == 4, name
     # 4: model checkpoint without its per-interval change scales
     arrays = load_checkpoint(root / "pre" / "model.ckpt")
     del arrays["norm.delta_scale"]

@@ -291,6 +291,18 @@ def test_adamw_descends_a_quadratic():
     assert float(loss.data) < 1e-3 * first
 
 
+def test_cosine_lr_runs_from_the_base_rate_to_the_floor():
+    base, fraction, total = 3e-3, 0.1, 50
+    assert dc.cosine_lr(base, fraction, 0, total) == pytest.approx(base, rel=1e-15)
+    floor = base * fraction
+    for step in (total - 1, total, 10 * total):
+        assert dc.cosine_lr(base, fraction, step, total) == floor
+    mid = dc.cosine_lr(base, fraction, (total - 1) / 2, total)
+    assert mid == pytest.approx((base + floor) / 2, rel=1e-12)
+    rates = [dc.cosine_lr(base, fraction, s, total) for s in range(total)]
+    assert all(a > b for a, b in zip(rates, rates[1:]))
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     tensors = {

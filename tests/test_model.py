@@ -297,7 +297,7 @@ def test_pretrain_loss_zero_when_prediction_perfect(small_dataset):
     trainer = PretrainTrainer(model, small_dataset, PretrainConfig(seed=14))
     x0 = small_dataset.fields[0].values
     batch = [(x0, np.zeros_like(x0), 6)]
-    _, l_delta, _, _ = trainer.loss_on_batch(batch)
+    _, l_delta, *_ = trainer.loss_on_batch(batch)
     # zero-init head predicts zero change; a zero target is matched exactly
     assert float(l_delta.data) == 0.0
 
@@ -315,7 +315,7 @@ def test_single_cell_loss_arithmetic():
     trainer = PretrainTrainer(model, ds, PretrainConfig(seed=15))
     delta_target = np.full(spec.shape, 2.0)  # every cell misses by 2 -> squared 4
     batch = [(np.zeros(spec.shape), delta_target, 6)]
-    _, l_delta, _, _ = trainer.loss_on_batch(batch)
+    _, l_delta, *_ = trainer.loss_on_batch(batch)
     np.testing.assert_allclose(float(l_delta.data), 4.0, atol=1e-12)
 
 
@@ -355,7 +355,7 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
     randomize_params(model, 16)
     trainer = PretrainTrainer(model, small_dataset, PretrainConfig(batch_size=3, seed=16))
     batch = trainer.sample_batch(0)
-    _, l_delta, _, _ = trainer.loss_on_batch(batch)
+    _, l_delta, *_ = trainer.loss_on_batch(batch)
 
     # independent evaluation: model outputs via predict_change(), change scales from
     # the dataset, loss via triple loop

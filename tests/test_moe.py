@@ -324,15 +324,15 @@ def test_router_telemetry_csv(tmp_path):
             z = Tensor(rng.normal(size=(20, cfg.embed_dim)))
             with dc.no_grad():
                 _, dec, _ = moe.forward(z, d)
-            rows.append((step, d, dec.usage_histogram(cfg.num_private)))
+            rows.append((step, 0, d, dec.usage_histogram(cfg.num_private)))
     path = tmp_path / "router.csv"
     prov = {"config_hash": "abc123", "seed": 7}
     write_router_telemetry(path, rows, cfg.num_private, prov)
     read_prov, header, body = read_csv(path)
     assert read_prov == prov
-    assert header == ["step", "interval_hours", "expert_0", "expert_1", "expert_2", "expert_3"]
+    assert header == ["step", "block", "interval_hours", "expert_0", "expert_1", "expert_2", "expert_3"]
     assert len(body) == 9
-    counts = [int(x) for x in body[0][2:]]
+    counts = [int(x) for x in body[0][3:]]
     assert sum(counts) == 20 * cfg.top_k
 
 

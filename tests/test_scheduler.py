@@ -1,5 +1,7 @@
 """Environment contracts, TD arithmetic, policies, buffer, and fine-tune gradients."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from rollcast.scheduler import (
     td_update,
 )
 from rollcast.scheduler.env import MAX_BATCH
+from rollcast.scheduler import finetune
 from rollcast.scheduler.finetune import FinetuneConfig, sample_episode
 
 SPEC = GridSpec.cell_centered(2, 8, 16)
@@ -598,22 +601,29 @@ def test_policy_adaptive_masking_and_epsilon(env, model, dataset):
 # -- rollout fine-tune loss ---------------------------------------------------------------
 
 
-def test_stop_gradient_beyond_t_max(model, dataset):
-    weights = lat_weights(dataset.spec)
-    episode = EpisodeSpec(dataset.fields[0].timestamp_hours, 48)
+def follow(actions):
+    """Chooser that takes the given intervals in order, whatever the state."""
+    it = iter(actions)
+    return lambda state: next(it)
+
+
+def test_stop_gradient_beyond_t_max(env, dataset):
+    t0 = dataset.fields[0].timestamp_hours
+    episode = EpisodeSpec(t0, 48)
     actions = [24, 12, 12]
+    model = env.model
 
     head = model.head_params()
     for p in head.values():
         p.zero_grad()
-    parts_full = rollout_finetune_loss(model, dataset, episode, actions, weights, t_max=1)
+    parts_full = rollout_finetune_loss(env, episode, follow(actions), t_max=1)
     assert parts_full.grad_loss is not None
     dc.backward(parts_full.grad_loss)
     grad_tmax1 = {k: (p.grad.copy() if p.grad is not None else None) for k, p in head.items()}
 
     for p in head.values():
         p.zero_grad()
-    parts_one = rollout_finetune_loss(model, dataset, episode, actions[:1], weights, t_max=1)
+    parts_one = rollout_finetune_loss(env, EpisodeSpec(t0, 24), follow(actions[:1]), t_max=1)
     # rescale: the 3-step loss divides by 3 steps, the 1-step loss by 1
     dc.backward(dc.mul_scalar(parts_one.grad_loss, 1.0 / 3.0))
     grad_one = {k: (p.grad.copy() if p.grad is not None else None) for k, p in head.items()}
@@ -625,14 +635,102 @@ def test_stop_gradient_beyond_t_max(model, dataset):
         p.zero_grad()
 
 
-def test_rollout_loss_value_covers_all_steps(model, dataset):
-    weights = lat_weights(dataset.spec)
+def test_rollout_loss_value_covers_all_steps(env, dataset):
     episode = EpisodeSpec(dataset.fields[0].timestamp_hours, 36)
-    actions = [12, 12, 12]
-    parts = rollout_finetune_loss(model, dataset, episode, actions, weights, t_max=2)
+    parts = rollout_finetune_loss(env, episode, follow([12, 12, 12]), t_max=2)
     assert parts.total_value == pytest.approx(sum(parts.per_step))
     assert len(parts.per_step) == 3
     np.testing.assert_allclose(float(parts.grad_loss.data), sum(parts.per_step[:2]), rtol=1e-12)
+
+
+def _model_with_random_head(dataset, seed):
+    """A fresh forecaster whose head moves the state, so a walk's states differ."""
+    model = ForecastModel.from_dataset(MODEL_CFG, dataset, seed=21)
+    rng = np.random.default_rng(seed)
+    for p in model.head_params().values():
+        p.data = rng.normal(scale=0.05, size=p.data.shape)
+    return model
+
+
+def test_walk_shows_the_chooser_the_states_run_episode_visits(dataset):
+    env = ForecastEnv(_model_with_random_head(dataset, 30), dataset, omega=-0.1)
+    episode = EpisodeSpec(dataset.fields[3].timestamp_hours, 72)
+    seen = {"walk": [], "engine": []}
+
+    def recording(key):
+        def choose(state):  # a legal interval that depends on every bit of the state
+            seen[key].append(state)
+            legal = env.actions.legal(state.remaining_h)
+            return legal[zlib.crc32(state.x_hat.values.tobytes()) % len(legal)]
+        return choose
+
+    parts = rollout_finetune_loss(env, episode, recording("walk"), t_max=2)
+    traj, _, _ = run_episode(env, episode, recording("engine"))
+    assert len(parts.per_step) == len(traj) == len(seen["walk"]) == len(seen["engine"])
+    assert len(set(traj.intervals)) > 1  # the chooser did choose
+    for a, b in zip(seen["walk"], seen["engine"]):
+        assert a.x_hat.values.tobytes() == b.x_hat.values.tobytes()
+        assert (a.date_time_hours, a.travel_h, a.remaining_h, a.lead_h) == (
+            b.date_time_hours, b.travel_h, b.remaining_h, b.lead_h)
+    assert seen["walk"][-1].x_hat.values.tobytes() != seen["walk"][0].x_hat.values.tobytes()
+
+
+def test_walk_rejects_illegal_intervals(env, dataset):
+    t0 = dataset.fields[0].timestamp_hours
+    with pytest.raises(ValueError, match="illegal action 24h with 12h remaining"):
+        rollout_finetune_loss(env, EpisodeSpec(t0, 36), follow([24, 24]), t_max=2)
+    with pytest.raises(ValueError, match="illegal action 18h"):
+        rollout_finetune_loss(env, EpisodeSpec(t0, 36), follow([18, 18]), t_max=2)
+
+
+def test_head_updates_forecast_each_step_once(monkeypatch, dataset):
+    """Between a target sync and the next TD update, the head update runs the
+    forecaster body once per trajectory step, and never through run_episode."""
+    model = _model_with_random_head(dataset, 32)
+    phase = {"head": False}
+    counts = {"body": 0, "steps": 0, "head_episodes": 0}
+
+    def wrap(owner, name, before=None, after=None):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            if before:
+                before(*args)
+            out = real(*args, **kwargs)
+            if after:
+                after(out)
+            return out
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def enter_other(*_):
+        phase["head"] = False
+
+    def count_body(*_):
+        counts["body"] += phase["head"]
+
+    def count_episode(env, episode, action_fn):
+        if "_greedy_on_target" in action_fn.__qualname__:
+            counts["head_episodes"] += 1
+        else:  # an epsilon-greedy collection episode
+            enter_other()
+
+    wrap(ForecastModel, "body_tokens", before=count_body)
+    wrap(DQN, "sync_target", after=lambda _: phase.update(head=True))
+    wrap(finetune, "td_update", before=enter_other)
+    wrap(ReplayBuffer, "refresh", before=enter_other)
+    wrap(finetune, "run_episode", before=count_episode)
+    wrap(finetune, "rollout_finetune_loss",
+         after=lambda parts: counts.update(steps=counts["steps"] + len(parts.per_step)))
+
+    dqn = DQN(model, DQNConfig(seed=33, sync_every=10, batch_size=8))
+    cfg = FinetuneConfig(epochs=2, episodes_per_epoch=3, iterations_per_epoch=20,
+                         finetune_episodes=2, t_max=2, lead_times=(24, 36), seed=33)
+    phase["head"] = False  # the DQN's constructor syncs its target once
+    logs = adaptive_rollout_finetune(model, dataset, dqn, ReplayBuffer(capacity=500), cfg)
+    assert len(logs["rollout_losses"]) == 4
+    assert counts["steps"] >= 4 * cfg.finetune_episodes
+    assert counts["body"] == counts["steps"]
+    assert counts["head_episodes"] == 0
 
 
 # -- the alternating loop (smoke scale) ------------------------------------------------------
