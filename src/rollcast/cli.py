@@ -139,15 +139,28 @@ def save_dqn_checkpoint(path, dqn: DQN, cfg: RunConfig):
     meta = {
         "kind": "dqn",
         "dqn_config": dataclasses.asdict(dqn.cfg),
+        "forecaster_fingerprint": dqn.q_main.weather.fingerprint(),
         "provenance": provenance(cfg),
     }
     _write_json(str(path) + ".meta.json", meta)
 
 
 def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
+    """The DQN of a checkpoint, on `model`'s frozen weather embedding.
+
+    The Q-network reads the weather through the tokenizer, positional table
+    and normalization it was trained on; a forecaster whose pieces hash to
+    another fingerprint than the sidecar records raises CheckpointError.
+    """
     arrays = load_checkpoint(path)
-    dqn_cfg = _read_sidecar(path, lambda meta: _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"))
+    dqn_cfg, fingerprint = _read_sidecar(path, lambda meta: (
+        _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"), meta["forecaster_fingerprint"]))
     dqn = DQN(model, dqn_cfg)
+    if dqn.q_main.weather.fingerprint() != fingerprint:
+        raise CheckpointError(
+            f"DQN checkpoint {path} was trained on another forecaster: its tokenizer, "
+            "positional table or normalization differ from the given checkpoint's"
+        )
     dqn.q_main.load_state_arrays(arrays)
     dqn.sync_target()
     return dqn

@@ -205,8 +205,10 @@ class TemporalEmbedding:
             ]
         )
 
-    def __call__(self, date_time_hours: int, travel_h: int, remaining_h: int, lead_h: int) -> Tensor:
-        feats = Tensor(self.features(date_time_hours, travel_h, remaining_h, lead_h)[None, :])
+    def __call__(self, times) -> Tensor:
+        """(B, D) embedding of B (date_time_hours, travel_h, remaining_h, lead_h)
+        tuples: one linear map over their stacked feature rows."""
+        feats = Tensor(np.stack([self.features(*t) for t in times]))
         return dc.linear(feats, self.weight, self.bias)
 
     def params(self) -> dict:

@@ -93,8 +93,8 @@ class ModelConfig:
 # state on the desk-scale model, one BLAS thread: 1.11-1.19 ms at B=16,
 # 1.17-1.32 at B=32, 1.40 at B=48, 1.47-1.63 at B=64 and 1.56-1.73 at B=128,
 # against 2.4-2.8 ms at B=1. Past 32 a larger batch costs more per state, and
-# its working memory grows with it (one Q-network call on 200 states took
-# 40 MB).
+# its working memory grows with it (one no_grad Q-network call on 200 new
+# states peaked at 20.5 MB under tracemalloc, its cached weather rows included).
 MAX_BATCH = 32
 
 
@@ -113,27 +113,35 @@ def _linear(params, prefix, x: Tensor) -> Tensor:
     return dc.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
-def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads: int) -> Tensor:
-    """Multi-head self-attention over (batch*length, D) tokens, all heads at once.
+def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads: int,
+              queries: Tensor | None = None) -> Tensor:
+    """Multi-head attention over (batch*length, D) tokens, all heads at once.
 
-    Queries, keys and values move to a (batch*heads, length, dh) layout, so
-    one batched matmul scores every head; keys land transposed in the same
-    permute. Projections are `{prefix}.wq/.wk/.wv/.wo`.
+    Keys and values cover every token of h. Without `queries` every token
+    also queries (self-attention) and the result has h's shape. Given
+    (batch*m, D) query rows, m per sequence, only they query and the result
+    is (batch*m, D): the Q-network's temporal token reads the weather this
+    way (class attention). Queries, keys and values move to a
+    (batch*heads, rows, dh) layout, so one batched matmul scores every head;
+    keys land transposed in the same permute. Projections are
+    `{prefix}.wq/.wk/.wv/.wo`.
     """
     D = h.shape[1]
     dh = D // num_heads
+    queries = h if queries is None else queries
+    m = queries.shape[0] // batch
 
-    def heads(name, axes):
-        x = dc.reshape(_linear(params, f"{prefix}.{name}", h), (batch, length, num_heads, dh))
+    def heads(name, x, rows, axes):
+        x = dc.reshape(_linear(params, f"{prefix}.{name}", x), (batch, rows, num_heads, dh))
         x = dc.permute(x, axes)
         return dc.reshape(x, (batch * num_heads,) + x.shape[2:])
 
-    q = heads("wq", (0, 2, 1, 3))  # (B*H, L, dh)
-    kt = heads("wk", (0, 2, 3, 1))  # (B*H, dh, L)
-    v = heads("wv", (0, 2, 1, 3))
+    q = heads("wq", queries, m, (0, 2, 1, 3))  # (B*H, m, dh)
+    kt = heads("wk", h, length, (0, 2, 3, 1))  # (B*H, dh, L)
+    v = heads("wv", h, length, (0, 2, 1, 3))
     scores = dc.mul_scalar(dc.matmul(q, kt), 1.0 / np.sqrt(dh))
-    ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, length, dh))
-    cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * length, D))
+    ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, m, dh))
+    cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * m, D))
     return _linear(params, f"{prefix}.wo", cat)
 
 

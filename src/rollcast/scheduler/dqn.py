@@ -1,21 +1,32 @@
 """Action-value estimation for rollout scheduling.
 
-The Q network consumes the forecaster's own weather embedding (tokenizer +
-ring positional table, frozen copies) of the state's spatial anomalies with
-a temporal token appended, runs one multi-head self-attention block, and
-maps the temporal token to one value per interval action. A main network
-learns by temporal-difference regression against a periodically synced
-target copy. Replayed episodes are stored as n-step transitions (`N_STEP`):
-the target of a step is the discounted sum of the rewards of up to N_STEP
-steps of its episode plus the discounted best legal target-network value at
-the state they reach, or the rewards alone when the episode ends inside the
-window. A one-step transition gets the one-step target. Short segments of
-each episode are also stored as whole episodes of the lead they cover
-(`HINDSIGHT_STEPS`), whose targets are their exact returns.
+The Q network reads a state through the forecaster's own weather embedding
+(frozen copies of its tokenizer, ring positional table and normalization)
+of the state's spatial anomalies, plus a learned temporal token for its date
+and trajectory position. Its one attention block is a class-attention
+readout (CaiT, arXiv:2103.17239): the temporal token is the only query, and
+it attends over the L weather tokens and itself. The attended temporal row,
+after its residual, maps to one value per interval action. Only the temporal
+row depends on trained weights before the attention, and layer norm works on
+each row alone, so the layer-normed weather rows of a state are fixed: they
+are computed once per `x_hat` field and cached (`FrozenWeather`), shared by
+the main and target networks.
+
+A main network learns by temporal-difference regression against a
+periodically synced target copy. Replayed episodes are stored as n-step
+transitions (`N_STEP`): the target of a step is the discounted sum of the
+rewards of up to N_STEP steps of its episode plus the discounted best legal
+target-network value at the state they reach, or the rewards alone when the
+episode ends inside the window. A one-step transition gets the one-step
+target. Short segments of each episode are also stored as whole episodes of
+the lead they cover (`HINDSIGHT_STEPS`), whose targets are their exact
+returns; they keep their state's `x_hat`, so they share its cached rows.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,24 +66,60 @@ N_STEP = 8
 HINDSIGHT_STEPS = 3
 
 
-class QNetwork:
-    """One attention block over [weather tokens, temporal token] -> action values."""
+class FrozenWeather:
+    """The forecaster's frozen weather embedding, and the rows it gave each state.
 
-    def __init__(self, model: ForecastModel, cfg: DQNConfig, seed: int):
-        self.model_cfg = model.cfg
+    Holds copies of the tokenizer, the positional table and `norm_std`. A
+    main/target pair shares one, so both read one cache: the layer-normed
+    (L, D) weather rows of each `x_hat` field embedded so far. An entry lives
+    as long as its field does; a weakref callback drops it when the field
+    goes, so evicted replay states take their rows with them.
+    """
+
+    def __init__(self, model: ForecastModel):
+        self.tok_weight = model.params()["tokenizer.weight"].data.copy()
+        self.tok_bias = model.params()["tokenizer.bias"].data.copy()
+        self.positional = model.positional.table.copy()
+        self.norm_std = model.norm_std.copy()
+        self.patch_size = model.cfg.patch_size
+        self._rows: dict = {}  # id(field) -> (weakref to the field, its (L, D) rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the embedding pieces; a forecaster with other ones gets another."""
+        h = hashlib.sha256()
+        for piece in (self.tok_weight, self.tok_bias, self.positional, self.norm_std):
+            h.update(np.ascontiguousarray(piece, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    def get(self, field):
+        entry = self._rows.get(id(field))
+        return entry[1] if entry is not None and entry[0]() is field else None
+
+    def put(self, field, rows: np.ndarray):
+        key, holder = id(field), weakref.ref(self)  # weak both ways: no reference cycle
+
+        def drop(_):
+            live = holder()
+            if live is not None:
+                live._rows.pop(key, None)
+
+        self._rows[key] = (weakref.ref(field, drop), rows)
+
+
+class QNetwork:
+    """Class-attention readout: the temporal token attends over [weather tokens, itself]."""
+
+    def __init__(self, model: ForecastModel, cfg: DQNConfig, seed: int,
+                 weather: FrozenWeather | None = None):
         self.actions = ActionSet(model.cfg.intervals)
         self.num_tokens = model.num_tokens
-        self.patch_dim = model.patch_dim
-        self.patch_size = model.cfg.patch_size
         D = model.cfg.embed_dim
         self.embed_dim = D
         self.num_heads = model.cfg.num_heads
-
-        # frozen weather-embedding pieces, copied from the pre-trained model
-        self._tok_weight = Tensor(model.params()["tokenizer.weight"].data.copy())
-        self._tok_bias = Tensor(model.params()["tokenizer.bias"].data.copy())
-        self._positional = model.positional.table.copy()
-        self._norm_std = model.norm_std.copy()
+        self.weather = FrozenWeather(model) if weather is None else weather
 
         rng = np.random.default_rng(seed)
         # The fewest steps that finish a remaining time r grow with r in jumps
@@ -112,36 +159,35 @@ class QNetwork:
         zonal wind sits about 0.8 train std above the train mean), and values
         fitted on train-split states did not carry over to such states.
         """
-        xn = (values - values.mean(axis=(1, 2), keepdims=True)) / self._norm_std[:, None, None]
-        patches = patchify(xn, self.patch_size)
-        return patches @ self._tok_weight.data + self._tok_bias.data + self._positional
+        w = self.weather
+        xn = (values - values.mean(axis=(1, 2), keepdims=True)) / w.norm_std[:, None, None]
+        return patchify(xn, w.patch_size) @ w.tok_weight + w.tok_bias + w.positional
+
+    def _normalized_weather(self, fields) -> np.ndarray:
+        """(B, L, D) layer-normed weather rows; each field object is embedded once."""
+        cache = self.weather
+        missing = {id(f): f for f in fields if cache.get(f) is None}
+        if missing:
+            raw = np.stack([self._weather_tokens(f.values) for f in missing.values()])
+            with dc.no_grad():
+                rows = dc.layer_norm(Tensor(raw)).data
+            for f, r in zip(missing.values(), rows):
+                cache.put(f, r.copy())  # a copy, so one entry does not pin the whole batch
+        return np.stack([cache.get(f) for f in fields])
 
     def q_values_batch(self, states) -> Tensor:
         """(B, num_actions) action values for a list of EnvStates."""
-        B = len(states)
-        L = self.num_tokens
-        D = self.embed_dim
-        weather = np.stack([self._weather_tokens(s.x_hat.values) for s in states])
-        z = Tensor(weather.reshape(B * L, D))
-        temporal_rows = dc.concat(
-            [
-                self.temporal(s.date_time_hours, s.travel_h, s.remaining_h, s.lead_h)
-                for s in states
-            ],
-            axis=0,
-        )  # (B, D)
-        z3 = dc.reshape(z, (B, L, D))
-        t3 = dc.reshape(temporal_rows, (B, 1, D))
-        full = dc.concat([z3, t3], axis=1)  # (B, L+1, D)
-        h = dc.reshape(full, (B * (L + 1), D))
-        h = dc.layer_norm(h)
-        attn = self._attention(h, B, L + 1)
-        h = dc.add(h, attn)
-        last = dc.slice_axis(dc.reshape(h, (B, L + 1, D)), 1, L, L + 1)  # temporal token
-        return _linear(self._params, "q.head", dc.reshape(last, (B, D)))
-
-    def _attention(self, h: Tensor, batch: int, length: int) -> Tensor:
-        return attention(self._params, "q.attn", h, batch, length, self.num_heads)
+        B, L, D = len(states), self.num_tokens, self.embed_dim
+        weather = self._normalized_weather([s.x_hat for s in states])
+        t = dc.layer_norm(self.temporal(
+            [(s.date_time_hours, s.travel_h, s.remaining_h, s.lead_h) for s in states]
+        ))  # (B, D)
+        # each state's L weather rows then its temporal row, laid out as one
+        # (B, (L+1) D) row per state so the temporal rows join without a reshape
+        tokens = dc.concat([Tensor(weather.reshape(B, L * D)), t], axis=1)
+        h = dc.reshape(tokens, (B * (L + 1), D))
+        attn = attention(self._params, "q.attn", h, B, L + 1, self.num_heads, t)
+        return _linear(self._params, "q.head", dc.add(t, attn))
 
     def q_values(self, state: EnvState) -> np.ndarray:
         """Plain (num_actions,) values for one state."""
@@ -166,7 +212,7 @@ class DQN:
     def __init__(self, model: ForecastModel, cfg: DQNConfig):
         self.cfg = cfg
         self.q_main = QNetwork(model, cfg, seed=cfg.seed)
-        self.q_target = QNetwork(model, cfg, seed=cfg.seed)
+        self.q_target = QNetwork(model, cfg, seed=cfg.seed, weather=self.q_main.weather)
         self.q_target.copy_from(self.q_main)
         self.optimizer = dc.AdamW(self.q_main.params(), lr=cfg.lr)
 

@@ -220,6 +220,10 @@ def test_finetune_eval_compare_pipeline(workdir, tmp_path):
     dqn_meta = json.loads((fin / "dqn.ckpt.meta.json").read_text())
     expected_dqn = dataclasses.asdict(DQNConfig(**TINY["dqn"], seed=TINY["seed"]))
     assert dqn_meta["dqn_config"] == expected_dqn
+    # head fine-tuning leaves the frozen embedding the DQN was trained on alone
+    finetuned, _ = load_model_checkpoint(fin / "model_finetuned.ckpt")
+    fingerprint = DQN(finetuned, DQNConfig()).q_main.weather.fingerprint()
+    assert dqn_meta["forecaster_fingerprint"] == fingerprint
     prov, header, rows = read_csv(fin / "episodes.csv")
     assert header == [
         "episode", "epoch", "t0_hours", "lead_hours", "intervals", "rewards", "return", "epsilon",
@@ -392,6 +396,18 @@ def test_exit_codes(tmp_path, workdir):
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(bad_dqn),
         "--out", str(tmp_path / "bad_dqn.csv"),
+    ]) == 4
+    # 4: DQN trained on another forecaster (its frozen tokenizer differs)
+    good_dqn = tmp_path / "good_dqn.ckpt"
+    save_dqn_checkpoint(good_dqn, DQN(model, DQNConfig()), RunConfig())
+    arrays = load_checkpoint(root / "pre" / "model.ckpt")
+    arrays["tokenizer.weight"] = arrays["tokenizer.weight"] * 2.0
+    other = tmp_path / "other.ckpt"
+    save_checkpoint(other, arrays)
+    (tmp_path / "other.ckpt.meta.json").write_text((root / "pre" / "model.ckpt.meta.json").read_text())
+    assert main([
+        "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+        "--checkpoint", str(other), "--dqn", str(good_dqn), "--out", str(tmp_path / "other.csv"),
     ]) == 4
     # 3: numeric divergence (absurd learning rate)
     assert main([

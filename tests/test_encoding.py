@@ -166,14 +166,15 @@ def test_temporal_embedding_remaining_phase_features():
 
 def test_temporal_embedding_contract():
     emb = TemporalEmbedding(16, season_length_days=60, norm_hours=240.0, rng=np.random.default_rng(6))
-    start = emb(1000, 0, 138, 138)
-    end = emb(1000, 138, 0, 138)
-    mid_a = emb(1000, 6, 132, 138)
-    mid_b = emb(1000, 12, 126, 138)
-    assert start.shape == (1, 16)
-    assert not np.array_equal(mid_a.data, mid_b.data)
-    assert not np.array_equal(start.data, end.data)
+    start, end, mid_a, mid_b = emb(
+        [(1000, 0, 138, 138), (1000, 138, 0, 138), (1000, 6, 132, 138), (1000, 12, 126, 138)]
+    ).data
+    one = emb([(1000, 0, 138, 138)])
+    assert one.shape == (1, 16)
+    np.testing.assert_allclose(one.data[0], start, rtol=0, atol=1e-12)
+    assert not np.array_equal(mid_a, mid_b)
+    assert not np.array_equal(start, end)
     with pytest.raises(ValueError, match="inconsistent"):
-        emb(1000, 6, 100, 138)
+        emb([(1000, 6, 100, 138)])
     with pytest.raises(ValueError):
-        emb(1000, -6, 144, 138)
+        emb([(1000, -6, 144, 138)])

@@ -140,6 +140,34 @@ def test_batched_attention_matches_per_head_oracle_and_gradients():
     assert report.passed, str(report)
 
 
+def test_attention_query_rows_give_their_rows_of_self_attention():
+    from rollcast.model import attention
+
+    model = tiny_model(seed=3, num_heads=4, embed_dim=8)
+    randomize_params(model, 4)
+    params = model.blocks[0].params()
+    rng = np.random.default_rng(6)
+    h = Tensor(rng.normal(size=(2 * 3, 8)), requires_grad=True)
+
+    def last_token_reads():  # each sequence's last token is its one query
+        last = dc.reshape(dc.slice_axis(dc.reshape(h, (2, 3, 8)), 1, 2, 3), (2, 8))
+        return attention(params, "block0.attn", h, 2, 3, 4, last)
+
+    got = last_token_reads()
+    expected = numpy_attention(params, "block0.attn", h.data, 2, 3, 4)[[2, 5]]
+    np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12)
+
+    cot = Tensor(rng.normal(size=(2, 8)))
+    # the key bias shifts all of a query's scores alike, so its exact gradient
+    # is zero and a finite difference of it is rounding noise alone
+    checked = {k: p for k, p in params.items() if ".attn." in k and k != "block0.attn.wk.bias"}
+    checked["h"] = h
+    report = dc.check_gradients(
+        lambda: dc.tensor_sum(dc.mul(last_token_reads(), cot)), checked, tol=1e-6
+    )
+    assert report.passed, str(report)
+
+
 def test_forecaster_and_q_network_share_one_attention(monkeypatch):
     import rollcast.model as model_module
     from rollcast.scheduler import dqn as dqn_module
@@ -150,9 +178,9 @@ def test_forecaster_and_q_network_share_one_attention(monkeypatch):
     calls = []
     original = model_module.attention
 
-    def counting(params, prefix, *args):
-        calls.append(prefix)
-        return original(params, prefix, *args)
+    def counting(params, prefix, h, batch, length, num_heads, *queries):
+        calls.append((prefix, len(queries)))
+        return original(params, prefix, h, batch, length, num_heads, *queries)
 
     monkeypatch.setattr(model_module, "attention", counting)
     monkeypatch.setattr(dqn_module, "attention", counting)
@@ -160,13 +188,13 @@ def test_forecaster_and_q_network_share_one_attention(monkeypatch):
     model = tiny_model(num_blocks=2)
     x = np.random.default_rng(6).normal(size=TINY_SPEC.shape)
     model.forward_tokens(x[None], 6)
-    assert calls == ["block0.attn", "block1.attn"]
+    assert calls == [("block0.attn", 0), ("block1.attn", 0)]  # self-attention: no query rows
 
     calls.clear()
     q_net = dqn_module.QNetwork(model, DQNConfig(), seed=0)
     state = EnvState(GridField(TINY_SPEC, x, 0), date_time_hours=0, travel_h=0, remaining_h=12, lead_h=12)
     q_net.q_values_batch([state])
-    assert calls == ["q.attn"]
+    assert calls == [("q.attn", 1)]  # the temporal token's row is the one query
 
 
 # -- forecast contracts ----------------------------------------------------------------

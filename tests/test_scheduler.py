@@ -1,6 +1,8 @@
 """Environment contracts, TD arithmetic, policies, buffer, and fine-tune gradients."""
 
+import gc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from rollcast import diffcore as dc
 from rollcast.diffcore import Tensor
 from rollcast.gridio import Dataset, GridField, GridSpec, generate_synthetic, default_splits
 from rollcast.metrics import lat_weights
-from rollcast.model import ForecastModel, ModelConfig
+from rollcast.model import ForecastModel, ModelConfig, attention
 from rollcast.scheduler import (
     DQN,
     DQNConfig,
@@ -31,7 +33,8 @@ from rollcast.scheduler import (
     td_targets,
     td_update,
 )
-from rollcast.scheduler.env import MAX_BATCH
+from rollcast.scheduler.dqn import QNetwork, hindsight_transitions
+from rollcast.scheduler.env import MAX_BATCH, EnvState
 from rollcast.scheduler import finetune
 from rollcast.scheduler.finetune import FinetuneConfig, sample_episode
 
@@ -293,6 +296,146 @@ def test_q_network_matches_manual_attention_arithmetic(model, dataset, env):
     expected = h[-1] @ p["q.head.weight"].data + p["q.head.bias"].data[0]
 
     np.testing.assert_allclose(qnet.q_values(state), expected, atol=1e-10)
+
+
+def full_attention_q(qnet, states) -> Tensor:
+    """The Q-values through full (L+1)x(L+1) self-attention, every token a query,
+    with the temporal row read out after the residual: the graph the
+    class-attention readout replaces, kept as its oracle."""
+    B, L, D = len(states), qnet.num_tokens, qnet.embed_dim
+    p = qnet.params()
+    weather = np.stack([qnet._weather_tokens(s.x_hat.values) for s in states])
+    feats = np.stack([qnet.temporal.features(s.date_time_hours, s.travel_h, s.remaining_h, s.lead_h)
+                      for s in states])
+    temporal = dc.linear(Tensor(feats), qnet.temporal.weight, qnet.temporal.bias)
+    full = dc.concat([Tensor(weather), dc.reshape(temporal, (B, 1, D))], axis=1)
+    h = dc.layer_norm(dc.reshape(full, (B * (L + 1), D)))
+    h = dc.add(h, attention(p, "q.attn", h, B, L + 1, qnet.num_heads))
+    last = dc.reshape(dc.slice_axis(dc.reshape(h, (B, L + 1, D)), 1, L, L + 1), (B, D))
+    return dc.linear(last, p["q.head.weight"], p["q.head.bias"])
+
+
+def td_batch_48(env, dataset):
+    """48 transitions: distinct states, hindsight relabels of them (same x_hat
+    objects) and repeats of the same transitions."""
+    rng = np.random.default_rng(31)
+    distinct, relabelled = [], []
+    for i in range(4):
+        episode = EpisodeSpec(dataset.fields[5 + 7 * i].timestamp_hours, 48)
+        _, transitions, _ = run_episode(
+            env, episode, lambda s: int(rng.choice(env.actions.legal(s.remaining_h))))
+        distinct += transitions
+        relabelled += hindsight_transitions(transitions, 2)
+    batch = distinct[:20] + relabelled[:16]
+    batch += [batch[int(i)] for i in rng.integers(0, len(batch), size=48 - len(batch))]
+    assert len(batch) == 48
+    assert len({id(t.state.x_hat) for t in batch}) < len({id(t.state) for t in batch}) < 48
+    return batch
+
+
+def _td_loss(q, batch, targets, actions):
+    idx = np.array([[actions.index_of(t.action)] for t in batch])
+    diff = dc.sub(dc.gather_cols(q, idx), Tensor(targets[:, None]))
+    return dc.tensor_mean(dc.mul(diff, diff))
+
+
+def test_class_attention_matches_full_attention_oracle_at_b48(env, model, dataset):
+    dqn = DQN(model, DQNConfig(seed=9, gamma=0.9))
+    qnet = dqn.q_main
+    rng = np.random.default_rng(10)
+    for prm in qnet.params().values():
+        prm.data = prm.data + rng.normal(scale=0.3, size=prm.data.shape)
+    batch = td_batch_48(env, dataset)
+    targets = td_targets(batch, dqn)
+    states = [t.state for t in batch]
+
+    grads = []
+    for q_fn in (qnet.q_values_batch, lambda s: full_attention_q(qnet, s)):
+        for prm in qnet.params().values():
+            prm.zero_grad()
+        q = q_fn(states)
+        dc.backward(_td_loss(q, batch, targets, dqn.actions))
+        grads.append((q.data, {k: prm.grad.copy() for k, prm in qnet.params().items()}))
+    (q_got, g_got), (q_want, g_want) = grads
+    np.testing.assert_allclose(q_got, q_want, rtol=0, atol=1e-10)
+    assert set(g_got) == set(g_want) and len(g_got) == 12
+    for k in g_want:
+        assert np.any(g_want[k] != 0.0), k
+        np.testing.assert_allclose(g_got[k], g_want[k], rtol=0, atol=1e-10, err_msg=k)
+
+
+def test_td_update_embeds_each_distinct_field_once(env, model, dataset, monkeypatch):
+    batch = td_batch_48(env, dataset)
+    dqn = DQN(model, DQNConfig(seed=11))
+    assert dqn.q_target.weather is dqn.q_main.weather
+    embedded = []
+    original = QNetwork._weather_tokens
+
+    def counting(self, values):
+        embedded.append(id(values))
+        return original(self, values)
+
+    monkeypatch.setattr(QNetwork, "_weather_tokens", counting)
+    td_update(batch, dqn)
+    fields = {id(t.state.x_hat): t.state.x_hat for t in batch}
+    fields.update({id(t.next_state.x_hat): t.next_state.x_hat for t in batch if not t.terminal})
+    assert sorted(embedded) == sorted(id(f.values) for f in fields.values())
+    assert len(dqn.q_main.weather) == len(fields)
+    embedded.clear()
+    td_update(batch, dqn)
+    assert embedded == []
+
+
+def test_weather_rows_are_freed_with_their_field(model, dataset):
+    qnet = DQN(model, DQNConfig(seed=12)).q_main
+    before = len(qnet.weather)
+    field = GridField(SPEC, dataset.fields[7].values + 0.5, dataset.fields[7].timestamp_hours)
+    state = EnvState(field, field.timestamp_hours, 0, 24, 24)
+    qnet.q_values(state)
+    relabelled = replace(state, remaining_h=12, lead_h=12)
+    qnet.q_values(relabelled)
+    assert len(qnet.weather) == before + 1
+    del field, state, relabelled
+    gc.collect()
+    assert len(qnet.weather) == before
+
+
+def test_weather_cache_never_returns_a_stale_entry(model, dataset):
+    qnet = DQN(model, DQNConfig(seed=13)).q_main
+    rng = np.random.default_rng(14)
+    ids = []
+    for _ in range(20):
+        field = GridField(SPEC, rng.normal(size=SPEC.shape), 0)
+        state = EnvState(field, 0, 0, 24, 24)
+        ids.append(id(field))
+        got = qnet.q_values(state)
+        with dc.no_grad():
+            want = full_attention_q(qnet, [state]).data[0]
+            rows = dc.layer_norm(Tensor(qnet._weather_tokens(field.values))).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(qnet.weather.get(field), rows)
+        del field, state
+        gc.collect()
+        assert len(qnet.weather) == 0
+    assert len(set(ids)) < len(ids)  # new fields took freed ones' ids, and still got their own rows
+
+
+def test_td_update_at_b48_creates_at_most_60_op_results(env, model, dataset, monkeypatch):
+    batch = td_batch_48(env, dataset)
+    dqn = DQN(model, DQNConfig(seed=15))
+    count = [0]
+    make = Tensor.__dict__["_result"].__func__
+
+    def counted(data, parents, vjp):
+        count[0] += 1
+        return make(data, parents, vjp)
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    td_update(batch, dqn)  # cold cache: one layer norm of new rows per network
+    assert count[0] <= 60
+    count[0] = 0
+    td_update(batch, dqn)
+    assert count[0] <= 58
 
 
 def test_td_target_arithmetic():
