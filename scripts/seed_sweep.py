@@ -1,13 +1,14 @@
 """Criterion 10 across pipeline seeds: is the learned scheduler at least as good as greedy?
 
-For each seed this runs `gen-data`, `pretrain` and `finetune` on the default
-config with that seed as the run, pretraining and fine-tune seed, then the comparison of acceptance criterion 10 on the
-fine-tuned pair: 200 test starts at 138h, evaluated with seed 0 as the test
-does. It prints, per seed, the mean paired return gap of the adaptive policy
-against greedy, naive and random with its standard error, and the adaptive
-138h RMSE against 1.02 x the best fixed policy's.
+For each of seeds 0-3 this runs `gen-data`, `pretrain` and `finetune` on the
+default config with that seed as the run, pretraining and fine-tune seed, then
+the comparison of acceptance criterion 10 on the fine-tuned pair: 200 test
+starts at 138h, evaluated with seed 0 as the test does. It prints, per seed,
+the mean paired return gap of the adaptive policy against greedy, naive and
+random with its standard error, and the adaptive 138h RMSE against 1.02 x the
+best fixed policy's.
 
-    python3 scripts/seed_sweep.py [--seeds 0 1 2 3] [--work-dir DIR]
+    python3 scripts/seed_sweep.py [--work-dir DIR]
 
 Four seeds take minutes each on a desk machine. This is a study tool, not a
 test: nothing here runs in tier-1.
@@ -34,6 +35,7 @@ from rollcast.metrics import lat_weights  # noqa: E402
 from rollcast.scheduler import EpisodeSpec, ForecastEnv, evaluate_policies  # noqa: E402
 from rollcast.scheduler.finetune import resolve_omega  # noqa: E402
 
+SEEDS = (0, 1, 2, 3)
 LEAD_H = 138
 EPISODES = 200
 
@@ -79,7 +81,6 @@ def compare(root: Path) -> dict:
 
 def main_cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
     parser.add_argument("--work-dir", help="keep each seed's files here (default: a temporary dir)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,7 +88,7 @@ def main_cli(argv=None) -> int:
         failed = 0
         print("seed  gap_vs_greedy  se     gap_vs_naive  gap_vs_random  rmse/bar     "
               "pipeline_s  finetune_s")
-        for seed in args.seeds:
+        for seed in SEEDS:
             root = base / f"seed{seed}"
             root.mkdir(parents=True, exist_ok=True)
             walls = pipeline(root, seed)
@@ -99,7 +100,7 @@ def main_cli(argv=None) -> int:
             print(f"{seed:<5} {gap:+13.3f}  {se:5.3f}  {r['naive'][0]:+12.3f}  {r['random'][0]:+13.3f}"
                   f"  {r['rmse'][0]:.3f}/{r['rmse'][1]:.3f}  {sum(walls):10.1f}  {walls[-1]:10.1f}"
                   f"  {'pass' if passed else 'FAIL'}", flush=True)
-    print(f"{len(args.seeds) - failed}/{len(args.seeds)} seeds meet criterion 10")
+    print(f"{len(SEEDS) - failed}/{len(SEEDS)} seeds meet criterion 10")
     return 0
 
 

@@ -148,18 +148,23 @@ def save_dqn_checkpoint(path, dqn: DQN, cfg: RunConfig):
 def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
     """The DQN of a checkpoint, on `model`'s frozen weather embedding.
 
-    The Q-network reads the weather through the tokenizer, positional table
-    and normalization it was trained on; a forecaster whose pieces hash to
-    another fingerprint than the sidecar records raises CheckpointError.
+    The Q-network reads the weather through the tokenizer and normalization
+    it was trained on; a forecaster whose pieces hash to another fingerprint
+    than the sidecar records, or a sidecar without one, raises CheckpointError.
     """
     arrays = load_checkpoint(path)
     dqn_cfg, fingerprint = _read_sidecar(path, lambda meta: (
-        _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"), meta["forecaster_fingerprint"]))
+        _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"), meta.get("forecaster_fingerprint")))
+    if fingerprint is None:
+        raise CheckpointError(
+            f"DQN checkpoint {path} records no forecaster fingerprint: it predates them; "
+            "fine-tune again to write one"
+        )
     dqn = DQN(model, dqn_cfg)
     if dqn.q_main.weather.fingerprint() != fingerprint:
         raise CheckpointError(
-            f"DQN checkpoint {path} was trained on another forecaster: its tokenizer, "
-            "positional table or normalization differ from the given checkpoint's"
+            f"DQN checkpoint {path} was trained on another forecaster: its tokenizer "
+            "or normalization differ from the given checkpoint's"
         )
     dqn.q_main.load_state_arrays(arrays)
     dqn.sync_target()

@@ -75,9 +75,12 @@ class GridSpec:
         return GridSpec(num_vars, lat_points, lon_points, tuple(lats), base_step_hours)
 
 
-@dataclass
+@dataclass(eq=False)
 class GridField:
-    """One weather state: values[v][lat][lon] at a timestamp (hours from epoch)."""
+    """One weather state: values[v][lat][lon] at a timestamp (hours from epoch).
+
+    Fields compare and hash by identity, so caches can key on them weakly.
+    """
 
     spec: GridSpec
     values: np.ndarray

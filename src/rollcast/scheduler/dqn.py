@@ -70,10 +70,9 @@ class FrozenWeather:
     """The forecaster's frozen weather embedding, and the rows it gave each state.
 
     Holds copies of the tokenizer, the positional table and `norm_std`. A
-    main/target pair shares one, so both read one cache: the layer-normed
-    (L, D) weather rows of each `x_hat` field embedded so far. An entry lives
-    as long as its field does; a weakref callback drops it when the field
-    goes, so evicted replay states take their rows with them.
+    main/target pair shares one, so both read one cache: `rows` maps each
+    `x_hat` field embedded so far to its layer-normed (L, D) weather rows. It
+    holds its fields weakly, so evicted replay states take their rows with them.
     """
 
     def __init__(self, model: ForecastModel):
@@ -82,31 +81,18 @@ class FrozenWeather:
         self.positional = model.positional.table.copy()
         self.norm_std = model.norm_std.copy()
         self.patch_size = model.cfg.patch_size
-        self._rows: dict = {}  # id(field) -> (weakref to the field, its (L, D) rows)
-
-    def __len__(self):
-        return len(self._rows)
+        self.rows = weakref.WeakKeyDictionary()
 
     def fingerprint(self) -> str:
-        """SHA-256 of the embedding pieces; a forecaster with other ones gets another."""
+        """SHA-256 of the embedding pieces read from the checkpoint.
+
+        The positional table is computed from the model config, not stored,
+        so it is left out: its last bits depend on the sin/cos of the machine.
+        """
         h = hashlib.sha256()
-        for piece in (self.tok_weight, self.tok_bias, self.positional, self.norm_std):
+        for piece in (self.tok_weight, self.tok_bias, self.norm_std):
             h.update(np.ascontiguousarray(piece, dtype=np.float64).tobytes())
         return h.hexdigest()
-
-    def get(self, field):
-        entry = self._rows.get(id(field))
-        return entry[1] if entry is not None and entry[0]() is field else None
-
-    def put(self, field, rows: np.ndarray):
-        key, holder = id(field), weakref.ref(self)  # weak both ways: no reference cycle
-
-        def drop(_):
-            live = holder()
-            if live is not None:
-                live._rows.pop(key, None)
-
-        self._rows[key] = (weakref.ref(field, drop), rows)
 
 
 class QNetwork:
@@ -165,15 +151,15 @@ class QNetwork:
 
     def _normalized_weather(self, fields) -> np.ndarray:
         """(B, L, D) layer-normed weather rows; each field object is embedded once."""
-        cache = self.weather
-        missing = {id(f): f for f in fields if cache.get(f) is None}
+        cache = self.weather.rows
+        missing = list(dict.fromkeys(f for f in fields if cache.get(f) is None))
         if missing:
-            raw = np.stack([self._weather_tokens(f.values) for f in missing.values()])
+            raw = np.stack([self._weather_tokens(f.values) for f in missing])
             with dc.no_grad():
                 rows = dc.layer_norm(Tensor(raw)).data
-            for f, r in zip(missing.values(), rows):
-                cache.put(f, r.copy())  # a copy, so one entry does not pin the whole batch
-        return np.stack([cache.get(f) for f in fields])
+            for f, r in zip(missing, rows):
+                cache[f] = r.copy()  # a copy, so one entry does not pin the whole batch
+        return np.stack([cache[f] for f in fields])
 
     def q_values_batch(self, states) -> Tensor:
         """(B, num_actions) action values for a list of EnvStates."""

@@ -409,6 +409,15 @@ def test_exit_codes(tmp_path, workdir):
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(other), "--dqn", str(good_dqn), "--out", str(tmp_path / "other.csv"),
     ]) == 4
+    # 4: DQN sidecar written before fingerprints were recorded
+    meta = json.loads((tmp_path / "good_dqn.ckpt.meta.json").read_text())
+    del meta["forecaster_fingerprint"]
+    (tmp_path / "good_dqn.ckpt.meta.json").write_text(json.dumps(meta))
+    assert main([
+        "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+        "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(good_dqn),
+        "--out", str(tmp_path / "no_fingerprint.csv"),
+    ]) == 4
     # 3: numeric divergence (absurd learning rate)
     assert main([
         "pretrain", "--config", str(cfg_path), "--set", "pretrain.lr=1e18",

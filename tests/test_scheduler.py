@@ -380,7 +380,7 @@ def test_td_update_embeds_each_distinct_field_once(env, model, dataset, monkeypa
     fields = {id(t.state.x_hat): t.state.x_hat for t in batch}
     fields.update({id(t.next_state.x_hat): t.next_state.x_hat for t in batch if not t.terminal})
     assert sorted(embedded) == sorted(id(f.values) for f in fields.values())
-    assert len(dqn.q_main.weather) == len(fields)
+    assert len(dqn.q_main.weather.rows) == len(fields)
     embedded.clear()
     td_update(batch, dqn)
     assert embedded == []
@@ -388,16 +388,16 @@ def test_td_update_embeds_each_distinct_field_once(env, model, dataset, monkeypa
 
 def test_weather_rows_are_freed_with_their_field(model, dataset):
     qnet = DQN(model, DQNConfig(seed=12)).q_main
-    before = len(qnet.weather)
+    before = len(qnet.weather.rows)
     field = GridField(SPEC, dataset.fields[7].values + 0.5, dataset.fields[7].timestamp_hours)
     state = EnvState(field, field.timestamp_hours, 0, 24, 24)
     qnet.q_values(state)
     relabelled = replace(state, remaining_h=12, lead_h=12)
     qnet.q_values(relabelled)
-    assert len(qnet.weather) == before + 1
+    assert len(qnet.weather.rows) == before + 1
     del field, state, relabelled
     gc.collect()
-    assert len(qnet.weather) == before
+    assert len(qnet.weather.rows) == before
 
 
 def test_weather_cache_never_returns_a_stale_entry(model, dataset):
@@ -413,10 +413,10 @@ def test_weather_cache_never_returns_a_stale_entry(model, dataset):
             want = full_attention_q(qnet, [state]).data[0]
             rows = dc.layer_norm(Tensor(qnet._weather_tokens(field.values))).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-        np.testing.assert_array_equal(qnet.weather.get(field), rows)
+        np.testing.assert_array_equal(qnet.weather.rows[field], rows)
         del field, state
         gc.collect()
-        assert len(qnet.weather) == 0
+        assert len(qnet.weather.rows) == 0
     assert len(set(ids)) < len(ids)  # new fields took freed ones' ids, and still got their own rows
 
 
