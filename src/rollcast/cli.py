@@ -1,7 +1,9 @@
 """Command-line surface: data generation, training, fine-tuning, evaluation,
 rollout comparison, and positional-encoding similarity dumps.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric divergence, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a malformed setting, or a model
+and a dataset that do not fit together: another grid, a patch that does not
+tile it, intervals or leads off its steps), 3 numeric divergence, 4 I/O error.
 Every output carries a provenance header (config hash, seed, versions), so two
 runs with the same config and seed produce identical files.
 """
@@ -45,6 +47,7 @@ from .model import (
     ForecastModel,
     ModelConfig,
     PretrainTrainer,
+    check_grid_fit,
     evaluate_one_step_loss,
 )
 from .moe import write_router_telemetry
@@ -56,9 +59,6 @@ from .scheduler import (
     ReplayBuffer,
     adaptive_rollout_finetune,
     evaluate_policies,
-    policy_greedy,
-    policy_naive,
-    policy_random,
     rollout_forecast_fn,
 )
 
@@ -78,7 +78,7 @@ def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arra
     save_checkpoint(path, arrays)
     meta = {
         "kind": "forecast_model",
-        "model_config": model.cfg.to_dict(),
+        "model_config": dataclasses.asdict(model.cfg),
         "grid": {
             "num_vars": model.spec.num_vars,
             "lat_points": model.spec.lat_points,
@@ -174,21 +174,32 @@ def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
 # -- dataset plumbing ------------------------------------------------------------------
 
 
-def _spec_from_config(cfg: RunConfig) -> GridSpec:
-    d = cfg.data
-    return GridSpec.cell_centered(d.num_vars, d.lat_points, d.lon_points, d.base_step_hours)
-
-
-def _splits_from_config(cfg: RunConfig) -> dict:
-    d = cfg.data
-    return default_splits(d.steps, train=d.train_frac, val=d.val_frac)
-
-
 def _require_dataset(path) -> Dataset:
     ds = read_grid_file(path)
     if "train" not in ds.splits:
         raise ConfigError(f"dataset {path} has no train split in its manifest")
     return ds
+
+
+def _check_fit(model_cfg: ModelConfig, ds_path, ds: Dataset, trained_on: GridSpec | None = None):
+    """ConfigError unless a model of model_cfg (trained on `trained_on`) fits the dataset."""
+    try:
+        check_grid_fit(model_cfg, ds.spec, trained_on)
+    except ValueError as exc:
+        raise ConfigError(f"model does not fit dataset {ds_path}: {exc}") from exc
+
+
+def _load_model_for(args, ds: Dataset, setting: str, leads) -> ForecastModel:
+    """The --checkpoint model, checked against the --data dataset it runs on
+    and against the leads of `setting`: each must be a multiple of the
+    model's smallest interval."""
+    model, _ = load_model_checkpoint(args.checkpoint)
+    _check_fit(model.cfg, args.data, ds, model.spec)
+    step = min(model.cfg.intervals)
+    off = [lead for lead in leads if lead % step]
+    if off:
+        raise ConfigError(f"{setting}: leads {off} are not multiples of the smallest interval {step}h")
+    return model
 
 
 def _season_days(ds: Dataset) -> int:
@@ -199,11 +210,10 @@ def _season_days(ds: Dataset) -> int:
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
-    spec = _spec_from_config(cfg)
-    ds = generate_synthetic(
-        spec, cfg.data.steps, seed=cfg.seed, regime_cfg=cfg.data.regime,
-        splits=_splits_from_config(cfg),
-    )
+    d = cfg.data
+    spec = GridSpec.cell_centered(d.num_vars, d.lat_points, d.lon_points, d.base_step_hours)
+    ds = generate_synthetic(spec, d.steps, seed=cfg.seed, regime_cfg=d.regime,
+                            splits=default_splits(d.steps, train=d.train_frac, val=d.val_frac))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_grid_file(out, ds, provenance=provenance(cfg))
@@ -220,10 +230,12 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
     start_step = 0
     if args.resume:
         model, arrays = load_model_checkpoint(args.resume)
+        _check_fit(model.cfg, args.data, ds, model.spec)
         trainer = PretrainTrainer(model, ds, cfg.pretrain)
         trainer.optimizer.load_state_tensors(arrays)
         start_step = int(arrays["trainer.step"][0])
     else:
+        _check_fit(cfg.model, args.data, ds)
         model = ForecastModel.from_dataset(cfg.model, ds, seed=cfg.seed)
         trainer = PretrainTrainer(model, ds, cfg.pretrain)
 
@@ -271,7 +283,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
 
 def cmd_finetune(cfg: RunConfig, args) -> int:
     ds = _require_dataset(args.data)
-    model, _ = load_model_checkpoint(args.checkpoint)
+    model = _load_model_for(args, ds, "finetune.lead_times", cfg.finetune.lead_times)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -311,31 +323,19 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _policy_decomposition(name: str, intervals, seed: int):
-    if name == "naive":
-        return lambda lead: policy_naive(lead, intervals)
-    if name == "greedy":
-        return lambda lead: policy_greedy(lead, intervals)
-    if name == "random":
-        return lambda lead: policy_random(lead, seed, intervals)
-    raise ConfigError(f"unknown policy {name!r}; expected naive, greedy, random or adaptive")
-
-
 def cmd_eval(cfg: RunConfig, args) -> int:
     ds = _require_dataset(args.data)
-    model, _ = load_model_checkpoint(args.checkpoint)
+    model = _load_model_for(args, ds, "eval.leads", cfg.eval.leads)
     climatology = Climatology.from_dataset(ds, "train")
     weights = lat_weights(ds.spec)
 
     env = ForecastEnv(model, ds, omega=0.0, weights=weights)
+    q_net = None
     if cfg.eval.policy == "adaptive":
         if not args.dqn:
             raise ConfigError("adaptive evaluation needs --dqn")
         q_net = load_dqn_checkpoint(args.dqn, model).q_main
-        forecast_fn = rollout_forecast_fn(env, lambda lead: None, q_net)
-    else:
-        decompose = _policy_decomposition(cfg.eval.policy, model.cfg.intervals, cfg.seed)
-        forecast_fn = rollout_forecast_fn(env, decompose)
+    forecast_fn = rollout_forecast_fn(env, cfg.eval.policy, q_net, random_seed=cfg.seed)
 
     rows = evaluate_leads(
         forecast_fn, ds, "test", cfg.eval.leads, cfg.eval.episodes, cfg.seed,
@@ -350,7 +350,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
     ds = _require_dataset(args.data)
-    model, _ = load_model_checkpoint(args.checkpoint)
+    model = _load_model_for(args, ds, "compare.lead", [cfg.compare.lead])
     dqn = load_dqn_checkpoint(args.dqn, model) if args.dqn else None
     weights = lat_weights(ds.spec)
 
@@ -388,6 +388,8 @@ def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
 
 def cmd_pe_viz(cfg: RunConfig, args) -> int:
     h, w, dim = args.height_tokens, args.width_tokens, args.dim
+    if min(h, w) < 1 or dim < 4 or dim % 4:
+        raise ConfigError(f"pe-viz needs tokens >= 1 and a --dim that is a multiple of 4, got {h}x{w}, {dim}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ring = similarity_matrix(ring_pe_2d(h, w, dim))

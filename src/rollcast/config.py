@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .fileio import atomic_open
 from .gridio import RegimeConfig
-from .model import ModelConfig, PretrainConfig
+from .model import ModelConfig, PretrainConfig, check_at_least
+from .scheduler.compare import POLICIES
 from .scheduler.dqn import DQNConfig
 from .scheduler.finetune import FinetuneConfig
 
@@ -39,6 +40,15 @@ class DataConfig:
     val_frac: float = 0.1
     regime: RegimeConfig = field(default_factory=RegimeConfig)
 
+    def __post_init__(self):
+        check_at_least(self, num_vars=1, lat_points=2, lon_points=2, base_step_hours=1, steps=2)
+        covered = min(len(self.regime.var_means), len(self.regime.var_scales))
+        if self.num_vars > covered:
+            raise ValueError(f"num_vars {self.num_vars} exceeds the {covered} variables the regime covers")
+        if not (self.train_frac > 0 and self.val_frac >= 0 and self.train_frac + self.val_frac <= 1):
+            raise ValueError(f"need train_frac > 0, val_frac >= 0 and a sum <= 1, got "
+                             f"{self.train_frac} and {self.val_frac}")
+
 
 @dataclass
 class EvalConfig:
@@ -46,17 +56,26 @@ class EvalConfig:
     episodes: int = 50
     policy: str = "greedy"
 
+    def __post_init__(self):
+        if not self.leads or min(self.leads) < 1:
+            raise ValueError(f"leads must be positive hours, got {list(self.leads)}")
+        check_at_least(self, episodes=1)
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}; expected one of {', '.join(POLICIES)}")
+
 
 @dataclass
 class CompareConfig:
     lead: int = 138
     episodes: int = 200
 
+    def __post_init__(self):
+        check_at_least(self, lead=1, episodes=1)
+
 
 @dataclass
 class RunConfig:
     seed: int = 0
-    output_dir: str = "runs/default"
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)

@@ -9,45 +9,11 @@ conventional transformer sinusoid table is provided for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .gridio import GridSpec, HOURS_PER_DAY
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    patch_size: int
-    embed_dim: int
-
-    def __post_init__(self):
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be positive")
-        if self.embed_dim % 4 != 0:
-            raise ValueError(f"embed_dim must be divisible by 4, got {self.embed_dim}")
-
-    def validate_grid(self, spec: GridSpec):
-        if spec.lat_points % self.patch_size or spec.lon_points % self.patch_size:
-            raise ValueError(
-                f"grid {spec.lat_points}x{spec.lon_points} not divisible by patch {self.patch_size}"
-            )
-
-    def token_grid(self, spec: GridSpec) -> tuple:
-        """(h, w): token resolution of the patched grid."""
-        self.validate_grid(spec)
-        return spec.lat_points // self.patch_size, spec.lon_points // self.patch_size
-
-    def patch_dim(self, spec: GridSpec) -> int:
-        return self.patch_size * self.patch_size * spec.num_vars
-
-
-@dataclass(frozen=True)
-class PositionalTable:
-    kind: str  # "ring" | "conventional"
-    table: np.ndarray  # (L, D)
+from .gridio import HOURS_PER_DAY
 
 
 # -- patch partition ---------------------------------------------------------------
@@ -79,8 +45,8 @@ def unpatchify(patches: np.ndarray, spec_shape, patch: int) -> np.ndarray:
 # -- positional tables ---------------------------------------------------------------
 
 
-def ring_pe_2d(h: int, w: int, D: int) -> PositionalTable:
-    """Ring positional table on an h x w token grid, longitude as the ring axis.
+def ring_pe_2d(h: int, w: int, D: int) -> np.ndarray:
+    """(h*w, D) ring positional table on an h x w token grid, longitude as the ring axis.
 
     For token (r, c) and frequency i = 1..D/4, the four columns of group i are
         sin(2*pi*i*c/w) * w/(4i),  cos(2*pi*i*c/w) * w/(4i),
@@ -101,11 +67,11 @@ def ring_pe_2d(h: int, w: int, D: int) -> PositionalTable:
     table[:, :, 1::4] = np.cos(lon_phase) * scale
     table[:, :, 2::4] = np.sin(lat_phase) * scale
     table[:, :, 3::4] = np.cos(lat_phase) * scale
-    return PositionalTable("ring", table.reshape(h * w, D))
+    return table.reshape(h * w, D)
 
 
-def conventional_pe(L: int, D: int) -> PositionalTable:
-    """Standard transformer sinusoid over a flat index 0..L-1."""
+def conventional_pe(L: int, D: int) -> np.ndarray:
+    """(L, D) standard transformer sinusoid table over a flat index 0..L-1."""
     if D % 2 != 0:
         raise ValueError(f"embed dim must be even, got {D}")
     pos = np.arange(L)[:, None]
@@ -114,12 +80,12 @@ def conventional_pe(L: int, D: int) -> PositionalTable:
     table = np.zeros((L, D))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
-    return PositionalTable("conventional", table)
+    return table
 
 
-def similarity_matrix(table: PositionalTable) -> np.ndarray:
-    """All-pairs dot products of table rows (L x L)."""
-    return table.table @ table.table.T
+def similarity_matrix(table: np.ndarray) -> np.ndarray:
+    """All-pairs dot products of the rows of an (L, D) table (L x L)."""
+    return table @ table.T
 
 
 # -- learned conditioning embeddings ---------------------------------------------------
@@ -130,8 +96,6 @@ class IntervalEmbedding:
 
     def __init__(self, intervals, embed_dim: int, rng: np.random.Generator):
         self.intervals = tuple(int(d) for d in intervals)
-        if not self.intervals:
-            raise ValueError("interval set must be non-empty")
         self.embed_dim = embed_dim
         self.table = Tensor(
             rng.normal(scale=0.5, size=(len(self.intervals), embed_dim)),

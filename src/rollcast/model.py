@@ -15,24 +15,16 @@ and the head start at zero, so an untrained model forecasts persistence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .encoding import (
-    IntervalEmbedding,
-    PositionalTable,
-    TokenizerConfig,
-    patchify,
-    ring_pe_2d,
-    unpatchify,
-)
+from .encoding import IntervalEmbedding, patchify, ring_pe_2d, unpatchify
 from .gridio import Dataset, GridField, GridSpec
 from .metrics import WeightTable, lat_weights
 from .moe import (
-    MoEConfig,
     SharedPrivateMoE,
     aux_loss_1,
     aux_loss_2,
@@ -45,48 +37,54 @@ class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss."""
 
 
+def check_at_least(cfg, **least):
+    """Raise ValueError naming the first of cfg's fields that is below its least value."""
+    for name, low in least.items():
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
+    """The forecaster's one config: every part of the model reads its settings here."""
+
     embed_dim: int = 64
     num_blocks: int = 2
     num_heads: int = 4
     patch_size: int = 4
     intervals: tuple = (6, 12, 24)
-    interval_probs: tuple = ()  # empty -> uniform
     moe_num_private: int = 4
     moe_top_k: int = 2
     moe_alpha: float = 0.02
-    moe_private_hidden: int = 0
-    moe_shared_hidden: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "intervals", tuple(int(d) for d in self.intervals))
+        check_at_least(self, num_blocks=1, num_heads=1, patch_size=1)
+        # the ring table spends four columns on each frequency
+        if self.embed_dim < 4 or self.embed_dim % 4:
+            raise ValueError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
         if self.embed_dim % self.num_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
-        object.__setattr__(self, "intervals", tuple(int(d) for d in self.intervals))
-        probs = self.interval_probs or tuple(1.0 / len(self.intervals) for _ in self.intervals)
-        probs = tuple(float(p) for p in probs)
-        if len(probs) != len(self.intervals):
-            raise ValueError("interval_probs length must match intervals")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"interval_probs must sum to 1, got {sum(probs)}")
-        object.__setattr__(self, "interval_probs", probs)
+        d = self.intervals
+        if not d or min(d) < 1 or len(set(d)) < len(d):
+            raise ValueError(f"intervals must be distinct positive hours, got {list(d)}")
+        if not 1 <= self.moe_top_k <= self.moe_num_private:
+            raise ValueError(f"moe_top_k {self.moe_top_k} outside [1, moe_num_private={self.moe_num_private}]")
+        check_at_least(self, moe_alpha=0)
 
-    def tokenizer(self) -> TokenizerConfig:
-        return TokenizerConfig(self.patch_size, self.embed_dim)
 
-    def moe(self) -> MoEConfig:
-        return MoEConfig(
-            num_private=self.moe_num_private,
-            top_k=self.moe_top_k,
-            embed_dim=self.embed_dim,
-            intervals=self.intervals,
-            alpha=self.moe_alpha,
-            private_hidden=self.moe_private_hidden,
-            shared_hidden=self.moe_shared_hidden,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def check_grid_fit(cfg: ModelConfig, spec: GridSpec, trained_on: GridSpec | None = None):
+    """Raise ValueError unless a model of `cfg` (trained on the grid
+    `trained_on`, if given) can run on `spec`: the patch tiles the grid, every
+    interval is a whole number of base steps, and `trained_on` is `spec`."""
+    if spec.lat_points % cfg.patch_size or spec.lon_points % cfg.patch_size:
+        raise ValueError(f"grid {spec.lat_points}x{spec.lon_points} not divisible by patch {cfg.patch_size}")
+    off_step = [d for d in cfg.intervals if d % spec.base_step_hours]
+    if off_step:
+        raise ValueError(f"intervals {off_step} are not multiples of the {spec.base_step_hours}h base step")
+    if trained_on is not None and trained_on != spec:
+        raise ValueError(f"model trained on grid {trained_on.shape} at {trained_on.base_step_hours}h "
+                         f"steps, data is {spec.shape} at {spec.base_step_hours}h")
 
 
 # Most states in one forecaster or Q-network call. Measured forecast cost per
@@ -157,7 +155,7 @@ class ArchBlock:
             self._params.update(_linear_params(rng, D, D, f"{prefix}.attn.{name}"))
         # modulation map starts at zero: the whole block is the identity at init
         self._params.update(_linear_params(rng, D, 6 * D, f"{prefix}.adaln", zero=True))
-        self.moe = SharedPrivateMoE(cfg.moe(), rng, prefix=f"{prefix}.moe")
+        self.moe = SharedPrivateMoE(cfg, rng, prefix=f"{prefix}.moe")
         self._params.update(self.moe.params())
 
     def params(self) -> dict:
@@ -194,13 +192,14 @@ class ForecastModel:
         """norm_mean/norm_std: per-variable state statistics. delta_scale:
         (num intervals, num vars) change scale in `cfg.intervals` order;
         None means the state std for every interval."""
-        cfg.tokenizer().validate_grid(spec)
+        check_grid_fit(cfg, spec)
         self.cfg = cfg
         self.spec = spec
-        self.token_grid = cfg.tokenizer().token_grid(spec)  # (h, w)
-        self.patch_dim = cfg.tokenizer().patch_dim(spec)
+        P = cfg.patch_size
+        self.token_grid = (spec.lat_points // P, spec.lon_points // P)  # (h, w)
+        self.patch_dim = P * P * spec.num_vars
         self.num_tokens = self.token_grid[0] * self.token_grid[1]
-        self.positional: PositionalTable = ring_pe_2d(*self.token_grid, cfg.embed_dim)
+        self.positional = ring_pe_2d(*self.token_grid, cfg.embed_dim)  # (L, D)
 
         rng = np.random.default_rng(seed)
         self._params = {}
@@ -307,7 +306,7 @@ class ForecastModel:
         L = self.num_tokens
         patches = np.stack([patchify(self.normalize(x), self.cfg.patch_size) for x in x_batch])
         z = _linear(self._params, "tokenizer", Tensor(patches.reshape(B * L, self.patch_dim)))
-        z = dc.add(z, Tensor(np.tile(self.positional.table, (B, 1))))
+        z = dc.add(z, Tensor(np.tile(self.positional, (B, 1))))
         cond = self.interval_embedding(delta)
         decisions, noises = [], []
         for block in self.blocks:
@@ -385,6 +384,9 @@ class PretrainConfig:
     seed: int = 0
     checkpoint_every: int = 0  # 0 -> only at the end
 
+    def __post_init__(self):
+        check_at_least(self, steps=0, batch_size=1, checkpoint_every=0)
+
 
 class PretrainTrainer:
     """Randomized-interval one-step training over the train split."""
@@ -411,9 +413,10 @@ class PretrainTrainer:
         lo, hi = self._train_range
         step_h = self.dataset.spec.base_step_hours
         max_delta = max(model_cfg.intervals)
+        uniform = [1.0 / len(model_cfg.intervals)] * len(model_cfg.intervals)
         out = []
         for _ in range(cfg.batch_size):
-            delta = int(rng.choice(model_cfg.intervals, p=model_cfg.interval_probs))
+            delta = int(rng.choice(model_cfg.intervals, p=uniform))
             last_valid = hi - 1 - max_delta // step_h
             idx = int(rng.integers(lo, last_valid + 1))
             x0 = self.dataset.fields[idx]

@@ -20,38 +20,16 @@ discrete top-k selection itself is not differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
 
-
-@dataclass(frozen=True)
-class MoEConfig:
-    num_private: int
-    top_k: int
-    embed_dim: int
-    intervals: tuple
-    alpha: float = 1.0
-    private_hidden: int = 0  # 0 -> 4*D/M
-    shared_hidden: int = 0  # 0 -> 4*D
-
-    def __post_init__(self):
-        if not (1 <= self.top_k <= self.num_private):
-            raise ValueError(f"top_k {self.top_k} outside [1, {self.num_private}]")
-        if not self.intervals:
-            raise ValueError("interval set must be non-empty")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        object.__setattr__(self, "intervals", tuple(int(d) for d in self.intervals))
-        if self.private_hidden == 0:
-            object.__setattr__(
-                self, "private_hidden", max(4 * self.embed_dim // self.num_private, 4)
-            )
-        if self.shared_hidden == 0:
-            object.__setattr__(self, "shared_hidden", 4 * self.embed_dim)
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelConfig
 
 
 @dataclass
@@ -100,12 +78,17 @@ def _ffn_forward(params: dict, prefix: str, z: Tensor) -> Tensor:
 
 
 class SharedPrivateMoE:
-    """One shared always-on expert plus M routed private experts."""
+    """One shared always-on expert plus M routed private experts.
 
-    def __init__(self, cfg: MoEConfig, rng: np.random.Generator, prefix: str = "moe"):
+    Reads `embed_dim` (D), `moe_num_private` (M), `moe_top_k` and `intervals`
+    of the model config. A private expert's hidden layer is max(4D/M, 4)
+    wide, so the M of them together match the 4D of the shared expert.
+    """
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, prefix: str = "moe"):
         self.cfg = cfg
         self.prefix = prefix
-        D, M = cfg.embed_dim, cfg.num_private
+        D, M = cfg.embed_dim, cfg.moe_num_private
         gate_scale = 1.0 / np.sqrt(D)
         self._params: dict = {
             f"{prefix}.gate": Tensor(
@@ -119,8 +102,8 @@ class SharedPrivateMoE:
                 name=f"{prefix}.noise.{delta}",
             )
         for m in range(M):
-            self._params.update(_ffn_params(rng, D, cfg.private_hidden, D, f"{prefix}.private.{m}"))
-        self._params.update(_ffn_params(rng, D, cfg.shared_hidden, D, f"{prefix}.shared"))
+            self._params.update(_ffn_params(rng, D, max(4 * D // M, 4), D, f"{prefix}.private.{m}"))
+        self._params.update(_ffn_params(rng, D, 4 * D, D, f"{prefix}.shared"))
 
     def params(self) -> dict:
         return self._params
@@ -139,13 +122,13 @@ class SharedPrivateMoE:
         n = z.shape[0]
         s = dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.gate"]))
         b = self._noise(z, delta)
-        g_prime, selected = gate_decision(s, b, cfg.top_k)
+        g_prime, selected = gate_decision(s, b, cfg.moe_top_k)
 
         out = _ffn_forward(self._params, f"{self.prefix}.shared", z)
         # (token, slot) assignments grouped by expert, in flat g_prime order
         order = np.argsort(selected.ravel(), kind="stable")
-        tokens = order // cfg.top_k
-        counts = np.bincount(selected.ravel(), minlength=cfg.num_private)
+        tokens = order // cfg.moe_top_k
+        counts = np.bincount(selected.ravel(), minlength=cfg.moe_num_private)
         outputs, start = [], 0
         for m, count in enumerate(counts):
             if count:

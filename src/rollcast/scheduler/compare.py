@@ -11,7 +11,10 @@ from .dqn import DQN, QNetwork
 
 # run_episode stays importable here: bench/tracing.py wraps compare.run_episode
 from .env import EpisodeSpec, ForecastEnv, run_episode, run_episodes  # noqa: F401
+# bench/tracing.py wraps the policy_* names here, so policy_plans calls them through this module
 from .policies import plan_chooser, policy_greedy, policy_naive, policy_random
+
+POLICIES = ("naive", "greedy", "random", "adaptive")
 
 
 @dataclass
@@ -44,6 +47,24 @@ class PolicyResult:
         return float(np.mean(self.final_rmse_by_var[v]))
 
 
+def policy_plans(name: str, episodes, intervals, random_seed: int = 0) -> list:
+    """The interval plan of each episode under policy `name`, in order.
+
+    "adaptive" plans nothing (None: the Q-network chooses as it goes). The
+    random policy draws episode i's plan with seed random_seed * 100003 + i.
+    """
+    if name == "naive":
+        return [policy_naive(e.lead_h, intervals) for e in episodes]
+    if name == "greedy":
+        return [policy_greedy(e.lead_h, intervals) for e in episodes]
+    if name == "random":
+        return [policy_random(e.lead_h, seed=random_seed * 100003 + i, intervals=intervals)
+                for i, e in enumerate(episodes)]
+    if name == "adaptive":
+        return [None] * len(episodes)
+    raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICIES)}")
+
+
 def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
                       random_seed: int = 0) -> dict:
     """Run naive/greedy/random (and adaptive when a DQN is given) on the same episodes.
@@ -53,19 +74,8 @@ def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
     """
     episodes = list(episodes)
     intervals = env.actions.intervals
-    names = ["naive", "greedy", "random"] + (["adaptive"] if dqn is not None else [])
-    plans = []
-    for name in names:
-        for i, episode in enumerate(episodes):
-            if name == "naive":
-                plans.append(policy_naive(episode.lead_h, intervals))
-            elif name == "greedy":
-                plans.append(policy_greedy(episode.lead_h, intervals))
-            elif name == "random":
-                plans.append(policy_random(episode.lead_h, seed=random_seed * 100003 + i,
-                                           intervals=intervals))
-            else:
-                plans.append(None)
+    names = POLICIES if dqn is not None else POLICIES[:-1]
+    plans = [plan for name in names for plan in policy_plans(name, episodes, intervals, random_seed)]
     outcomes = run_episodes(env, episodes * len(names),
                             plan_chooser(plans, dqn.q_main if dqn is not None else None),
                             keep_transitions=False)
@@ -90,19 +100,20 @@ def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
     return results
 
 
-def rollout_forecast_fn(env: ForecastEnv, plan, q_net: QNetwork | None = None):
+def rollout_forecast_fn(env: ForecastEnv, policy: str, q_net: QNetwork | None = None,
+                        random_seed: int = 0):
     """An `evaluate_leads` forecaster that rolls all its (start, lead) pairs out
     in one `run_episodes` call.
 
-    plan(lead) gives the interval list of an episode of that lead, or None
-    to follow q_net's greedy legal choices. Starts are read from env's dataset
-    at the given states' timestamps.
+    Each pair is an episode planned by `policy_plans(policy, ...)`; an
+    "adaptive" one follows q_net's greedy legal choices. Starts are read
+    from env's dataset at the given states' timestamps.
     """
 
     def forecast(starts, leads):
         episodes = [EpisodeSpec(x0.timestamp_hours, lead) for x0, lead in zip(starts, leads)]
-        outcomes = run_episodes(env, episodes, plan_chooser([plan(lead) for lead in leads], q_net),
-                                keep_transitions=False)
+        plans = policy_plans(policy, episodes, env.actions.intervals, random_seed)
+        outcomes = run_episodes(env, episodes, plan_chooser(plans, q_net), keep_transitions=False)
         return [final.x_hat for _, _, final in outcomes]
 
     return forecast

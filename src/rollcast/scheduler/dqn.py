@@ -34,7 +34,7 @@ import numpy as np
 from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
-from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention
+from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention, check_at_least
 from .env import ActionSet, EnvState, Transition
 
 
@@ -51,6 +51,13 @@ class DQNConfig:
     season_length_days: int = 60
     norm_hours: float = 240.0
     seed: int = 0
+
+    def __post_init__(self):
+        check_at_least(self, sync_every=1, buffer_capacity=1, batch_size=1, season_length_days=1)
+        if not 0 <= self.gamma <= 1:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if self.norm_hours <= 0:
+            raise ValueError(f"norm_hours must be positive, got {self.norm_hours}")
 
 
 # Environment steps folded into each replayed transition. A 138h episode is
@@ -78,7 +85,7 @@ class FrozenWeather:
     def __init__(self, model: ForecastModel):
         self.tok_weight = model.params()["tokenizer.weight"].data.copy()
         self.tok_bias = model.params()["tokenizer.bias"].data.copy()
-        self.positional = model.positional.table.copy()
+        self.positional = model.positional.copy()
         self.norm_std = model.norm_std.copy()
         self.patch_size = model.cfg.patch_size
         self.rows = weakref.WeakKeyDictionary()

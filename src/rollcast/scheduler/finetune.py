@@ -23,7 +23,7 @@ from ..diffcore import Tensor
 from ..encoding import patchify
 from ..gridio import Dataset
 from ..metrics import WeightTable, lat_weights
-from ..model import DivergenceError, ForecastModel, weighted_patch_loss
+from ..model import DivergenceError, ForecastModel, check_at_least, weighted_patch_loss
 from .dqn import DQN, ReplayBuffer, td_update
 from .env import EpisodeSpec, ForecastEnv, run_episode
 from .policies import policy_adaptive
@@ -41,6 +41,12 @@ class FinetuneConfig:
     lead_times: tuple = (72, 138, 240)
     omega: float | None = None  # None -> -0.05 * typical one-step RMSE
     seed: int = 0
+
+    def __post_init__(self):
+        check_at_least(self, epochs=1, episodes_per_epoch=1, iterations_per_epoch=0,
+                       finetune_episodes=1, t_max=0, max_episode_age=0)
+        if not self.lead_times or min(self.lead_times) < 1:
+            raise ValueError(f"lead_times must be positive hours, got {list(self.lead_times)}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from rollcast.encoding import conventional_pe, ring_pe_2d, similarity_matrix
 from rollcast.gridio import GridSpec, generate_synthetic, read_grid_file, default_splits
 from rollcast.metrics import lat_weights, rmse, acc
 from rollcast.model import ForecastModel, ModelConfig
-from rollcast.moe import MoEConfig, SharedPrivateMoE, aux_loss_1, aux_loss_2, gate_decision
+from rollcast.moe import SharedPrivateMoE, aux_loss_1, aux_loss_2, gate_decision
 from rollcast.scheduler import DQN, DQNConfig, EpisodeSpec, ForecastEnv, run_episode, td_targets
 from rollcast.scheduler.finetune import rollout_finetune_loss
 from rollcast.scheduler.policies import policy_greedy, policy_naive
@@ -97,7 +97,7 @@ def test_criterion_3_gradient_correctness():
         for p in model.trainable_params().values():
             p.data = rng.normal(scale=0.3, size=p.data.shape)
         x = rng.normal(size=(1,) + spec.shape)
-        target = rng.normal(size=(2, cfg.tokenizer().patch_dim(spec)))
+        target = rng.normal(size=(2, model.patch_dim))
 
         def f():
             pred, _, noises = model.forward_tokens(x, 6, collect_noise=True)
@@ -120,7 +120,7 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_moe_routing_contract():
-    cfg = MoEConfig(num_private=4, top_k=2, embed_dim=16, intervals=(6, 12, 24))
+    cfg = ModelConfig(embed_dim=16, moe_num_private=4, moe_top_k=2)
     moe = SharedPrivateMoE(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     z = Tensor(rng.normal(size=(10_000, 16)))

@@ -424,3 +424,63 @@ def test_exit_codes(tmp_path, workdir):
         "--set", "pretrain.steps=30",
         "--data", str(root / "data.grid"), "--out-dir", str(tmp_path / "div"),
     ]) == 3
+
+
+# (command, override, settings of the dataset it runs on beyond the module's,
+# text the error message names); "print-config" cases are rejected while the
+# config loads, before any work
+MALFORMED = [
+    ("print-config", "model.moe_top_k=9", (), "moe_top_k"),
+    ("print-config", "model.moe_alpha=-1", (), "moe_alpha"),
+    ("print-config", "model.num_heads=0", (), "num_heads"),
+    ("print-config", "model.num_blocks=0", (), "num_blocks"),
+    ("print-config", "model.patch_size=0", (), "patch_size"),
+    ("print-config", "model.embed_dim=18", (), "embed_dim"),
+    ("print-config", "model.intervals=[0,6,12]", (), "intervals"),
+    ("print-config", "data.steps=1", (), "steps"),
+    ("print-config", "data.lat_points=1", (), "lat_points"),
+    ("print-config", "data.base_step_hours=0", (), "base_step_hours"),
+    ("print-config", "data.num_vars=3", (), "num_vars"),
+    ("print-config", "data.train_frac=1.5", (), "train_frac"),
+    ("print-config", "pretrain.batch_size=0", (), "batch_size"),
+    ("print-config", "dqn.sync_every=0", (), "sync_every"),
+    ("print-config", "finetune.finetune_episodes=0", (), "finetune_episodes"),
+    ("print-config", "eval.policy=best", (), "policy"),
+    ("pretrain", "model.intervals=[6,12,25]", (), "25"),
+    ("pretrain", "model.patch_size=5", (), "patch 5"),
+    ("pretrain", None, ("data.base_step_hours=12",), "12h base step"),
+    ("finetune", None, ("data.lat_points=12",), "lat_points12.grid"),
+    ("eval", None, ("data.lat_points=12",), "lat_points12.grid"),
+    ("compare-rollouts", None, ("data.lat_points=12",), "lat_points12.grid"),
+    ("finetune", "finetune.lead_times=[7]", (), "finetune.lead_times"),
+    ("eval", "eval.leads=[7]", (), "eval.leads"),
+    ("compare-rollouts", "compare.lead=7", (), "compare.lead"),
+    ("pe-viz", None, (), "--dim"),
+]
+
+
+@pytest.mark.parametrize("command, override, data_sets, named", MALFORMED,
+                         ids=[" ".join(x for x in (c, o, *d) if x) for c, o, d, _ in MALFORMED])
+def test_malformed_settings_exit_2(command, override, data_sets, named, tmp_path, workdir, capsys):
+    root, cfg_path = workdir
+    base = ["--config", str(cfg_path)] + (["--set", override] if override else [])
+    data = root / "data.grid"
+    if data_sets:
+        data = root / (data_sets[0].split(".")[1].replace("=", "") + ".grid")
+        if not data.exists():
+            assert main(["gen-data", "--config", str(cfg_path),
+                         *[a for s in data_sets for a in ("--set", s)], "--out", str(data)]) == 0
+    ckpt = ["--data", str(data), "--checkpoint", str(root / "pre" / "model.ckpt")]
+    argv = {
+        "print-config": ["gen-data", *base, "--print-config", "--out", str(tmp_path / "x")],
+        "pe-viz": ["pe-viz", *base, "--dim", "6", "--out-dir", str(tmp_path / "pe")],
+        "pretrain": ["pretrain", *base, "--set", "pretrain.steps=1", "--data", str(data),
+                     "--out-dir", str(tmp_path / "out")],
+        "finetune": ["finetune", *base, *ckpt, "--out-dir", str(tmp_path / "out")],
+        "eval": ["eval", *base, *ckpt, "--out", str(tmp_path / "out.csv")],
+        "compare-rollouts": ["compare-rollouts", *base, *ckpt, "--out", str(tmp_path / "out.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err

@@ -34,8 +34,20 @@ def test_unknown_keys_rejected_at_any_level():
 
 
 def test_invalid_values_surface_as_config_errors():
-    with pytest.raises(ConfigError):
-        config_from_dict({"model": {"embed_dim": 10, "num_heads": 4}})
+    for model in (
+        {"embed_dim": 10, "num_heads": 4},
+        {"embed_dim": 18, "num_heads": 2},  # the ring table needs a multiple of 4
+        {"num_heads": 0},
+        {"num_blocks": 0},
+        {"patch_size": 0},
+        {"intervals": [0, 6]},
+        {"intervals": [6, 6]},
+        {"moe_top_k": 9},
+        {"moe_top_k": 0},
+        {"moe_alpha": -1},
+    ):
+        with pytest.raises(ConfigError, match="model"):
+            config_from_dict({"model": model})
 
 
 def test_overrides_apply_and_reject_unknown_paths():

@@ -8,7 +8,6 @@ from rollcast.diffcore import Tensor
 from rollcast.encoding import (
     IntervalEmbedding,
     TemporalEmbedding,
-    TokenizerConfig,
     conventional_pe,
     patchify,
     ring_pe_2d,
@@ -16,6 +15,7 @@ from rollcast.encoding import (
     unpatchify,
 )
 from rollcast.gridio import GridSpec
+from rollcast.model import ModelConfig
 
 
 def circular_distance(a, b, w):
@@ -70,14 +70,14 @@ def test_ring_vs_conventional_endpoint_contrast():
 
 
 def test_conventional_row_zero_alternates_zero_one():
-    table = conventional_pe(8, 16).table
+    table = conventional_pe(8, 16)
     np.testing.assert_allclose(table[0, 0::2], 0.0, atol=1e-15)
     np.testing.assert_allclose(table[0, 1::2], 1.0, atol=1e-15)
 
 
 def test_conventional_table_deterministic():
-    a = conventional_pe(16, 32).table
-    b = conventional_pe(16, 32).table
+    a = conventional_pe(16, 32)
+    b = conventional_pe(16, 32)
     np.testing.assert_array_equal(a, b)
 
 
@@ -91,7 +91,8 @@ def test_conventional_similarity_monotone_near_diagonal():
 
 
 SPEC = GridSpec.cell_centered(2, 8, 16)
-CFG = TokenizerConfig(patch_size=4, embed_dim=32)
+CFG = ModelConfig(embed_dim=32, patch_size=4)
+PATCH_DIM = CFG.patch_size * CFG.patch_size * SPEC.num_vars
 
 
 def test_patchify_partition_roundtrip():
@@ -110,7 +111,7 @@ def test_tokenize_one_hot_field_localizes_to_one_token():
     values = np.zeros(SPEC.shape)
     values[1, 5, 9] = 1.0  # token row 5//4=1, col 9//4=2 -> token index 1*4+2=6
     # embed_dim == patch_dim, so an identity weight keeps each patch as its token
-    z = dc.matmul(Tensor(patchify(values, CFG.patch_size)), Tensor(np.eye(CFG.patch_dim(SPEC))))
+    z = dc.matmul(Tensor(patchify(values, CFG.patch_size)), Tensor(np.eye(PATCH_DIM)))
     nonzero_rows = np.flatnonzero(np.any(z.data != 0.0, axis=1))
     assert list(nonzero_rows) == [6]
 
@@ -118,7 +119,7 @@ def test_tokenize_one_hot_field_localizes_to_one_token():
 def test_tokenize_matches_per_patch_matrix_products():
     rng = np.random.default_rng(2)
     values = rng.normal(size=SPEC.shape)
-    w = Tensor(rng.normal(size=(CFG.patch_dim(SPEC), CFG.embed_dim)))
+    w = Tensor(rng.normal(size=(PATCH_DIM, CFG.embed_dim)))
     b = Tensor(rng.normal(size=(1, CFG.embed_dim)))
     z = dc.linear(Tensor(patchify(values, CFG.patch_size)), w, b).data
     P = CFG.patch_size

@@ -294,7 +294,7 @@ def test_micro_model_end_to_end_gradient_check():
     model = ForecastModel(cfg, spec, [0.0], [1.0], seed=12)
     randomize_params(model, 13)
     x = rng.normal(size=(1,) + spec.shape)
-    target = rng.normal(size=(2, cfg.tokenizer().patch_dim(spec)))
+    target = rng.normal(size=(2, model.patch_dim))
 
     def f():
         pred, _, noises = model.forward_tokens(x, 6, collect_noise=True)

@@ -6,8 +6,8 @@ import pytest
 from rollcast import diffcore as dc
 from rollcast.config import read_csv
 from rollcast.diffcore import Tensor
+from rollcast.model import ModelConfig
 from rollcast.moe import (
-    MoEConfig,
     SharedPrivateMoE,
     aux_loss_1,
     aux_loss_2,
@@ -21,7 +21,7 @@ INTERVALS = (6, 12, 24)
 
 
 def make_moe(M=4, k=2, D=16, seed=0, alpha=1.0):
-    cfg = MoEConfig(num_private=M, top_k=k, embed_dim=D, intervals=INTERVALS, alpha=alpha)
+    cfg = ModelConfig(embed_dim=D, intervals=INTERVALS, moe_num_private=M, moe_top_k=k, moe_alpha=alpha)
     return cfg, SharedPrivateMoE(cfg, np.random.default_rng(seed))
 
 
@@ -109,7 +109,7 @@ def test_layer_gradient_passes_fd_with_stable_routing():
     s = dc.sigmoid(dc.matmul(z, moe.params()["moe.gate"]))
     b = moe._noise(z, 6)
     ranked = np.sort(s.data + b.data, axis=1)[:, ::-1]
-    assert np.min(ranked[:, cfg.top_k - 1] - ranked[:, cfg.top_k]) > 1e-3
+    assert np.min(ranked[:, cfg.moe_top_k - 1] - ranked[:, cfg.moe_top_k]) > 1e-3
 
     def f():
         out, _, _ = moe.forward(z, 6)
@@ -126,10 +126,10 @@ def dense_forward(moe, z, delta):
 
     cfg, params, n = moe.cfg, moe.params(), z.shape[0]
     s = dc.sigmoid(dc.matmul(z, params["moe.gate"]))
-    g_prime, selected = gate_decision(s, moe._noise(z, delta), cfg.top_k)
-    dense_weights = dc.scatter_cols(g_prime, selected, cfg.num_private)
+    g_prime, selected = gate_decision(s, moe._noise(z, delta), cfg.moe_top_k)
+    dense_weights = dc.scatter_cols(g_prime, selected, cfg.moe_num_private)
     out = _ffn_forward(params, "moe.shared", z)
-    for m in range(cfg.num_private):
+    for m in range(cfg.moe_num_private):
         col = dc.slice_axis(dense_weights, 1, m, m + 1)
         expert = _ffn_forward(params, f"moe.private.{m}", z)
         out = dc.add(out, dc.mul(dc.broadcast_to(col, (n, cfg.embed_dim)), expert))
@@ -189,12 +189,12 @@ def test_each_private_expert_sees_exactly_its_routed_rows(monkeypatch):
     monkeypatch.setattr(moe_module, "_ffn_forward", recording)
     _, dec, _ = moe.forward(z, 6)
     np.testing.assert_array_equal(seen.pop("moe.shared"), z.data)
-    for m in range(cfg.num_private):
+    for m in range(cfg.moe_num_private):
         routed = np.nonzero((dec.selected == m).any(axis=1))[0]
         if routed.size:
             np.testing.assert_array_equal(seen.pop(f"moe.private.{m}"), z.data[routed])
     assert not seen  # no expert ran on rows it was not routed
-    assert sum(dec.usage_histogram(cfg.num_private)) == 40 * cfg.top_k
+    assert sum(dec.usage_histogram(cfg.moe_num_private)) == 40 * cfg.moe_top_k
 
 
 # -- auxiliary losses ------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_combined_aux_arithmetic():
 def test_training_specializes_per_interval_and_balances_pool():
     rng = np.random.default_rng(0)
     D, M, K = 16, 4, 2
-    cfg = MoEConfig(num_private=M, top_k=K, embed_dim=D, intervals=INTERVALS, alpha=1.0)
+    cfg = ModelConfig(embed_dim=D, intervals=INTERVALS, moe_num_private=M, moe_top_k=K, moe_alpha=1.0)
     moe = SharedPrivateMoE(cfg, rng)
     targets = {d: rng.normal(size=(D, D)) / np.sqrt(D) for d in cfg.intervals}
     mu = rng.normal(size=D)  # fixed token offset, standing in for conditioning shifts
@@ -294,7 +294,7 @@ def test_training_specializes_per_interval_and_balances_pool():
             for dd, t in moe.noise_sums(z).items():
                 noise_pool[dd] = t if dd not in noise_pool else dc.add(noise_pool[dd], t)
         dists = noise_distributions(noise_pool)
-        loss = dc.add(loss_total, combined_aux(aux_loss_1(dists), aux_loss_2(dists), cfg.alpha))
+        loss = dc.add(loss_total, combined_aux(aux_loss_1(dists), aux_loss_2(dists), cfg.moe_alpha))
         dc.backward(loss)
         opt.step()
 
@@ -324,16 +324,16 @@ def test_router_telemetry_csv(tmp_path):
             z = Tensor(rng.normal(size=(20, cfg.embed_dim)))
             with dc.no_grad():
                 _, dec, _ = moe.forward(z, d)
-            rows.append((step, 0, d, dec.usage_histogram(cfg.num_private)))
+            rows.append((step, 0, d, dec.usage_histogram(cfg.moe_num_private)))
     path = tmp_path / "router.csv"
     prov = {"config_hash": "abc123", "seed": 7}
-    write_router_telemetry(path, rows, cfg.num_private, prov)
+    write_router_telemetry(path, rows, cfg.moe_num_private, prov)
     read_prov, header, body = read_csv(path)
     assert read_prov == prov
     assert header == ["step", "block", "interval_hours", "expert_0", "expert_1", "expert_2", "expert_3"]
     assert len(body) == 9
     counts = [int(x) for x in body[0][3:]]
-    assert sum(counts) == 20 * cfg.top_k
+    assert sum(counts) == 20 * cfg.moe_top_k
 
 
 def test_collected_noise_reuses_the_routing_noise(monkeypatch):

@@ -223,17 +223,18 @@ def test_rollout_forecast_fn_rolls_every_pair_out_at_once(monkeypatch, env, mode
     x0s = [dataset.at(t0) for t0, _ in pairs]
     leads = [lead for _, lead in pairs]
     intervals = env.actions.intervals
-    for plan, q_net, action_fn in (
-        (lambda lead: policy_greedy(lead, intervals), None, None),
-        (lambda lead: None, dqn.q_main, lambda s: policy_adaptive(s, dqn)),
+    for policy, q_net, action_fn in (
+        ("greedy", None, None),
+        ("adaptive", dqn.q_main, lambda s: policy_adaptive(s, dqn)),
     ):
         sizes = _count_forecast_rows(monkeypatch, model)
-        finals = rollout_forecast_fn(env, plan, q_net)(x0s, leads)
+        finals = rollout_forecast_fn(env, policy, q_net)(x0s, leads)
         monkeypatch.undo()
         assert max(sizes) > 1  # episodes of both leads share forecaster calls
         for (t0, lead), final in zip(pairs, finals):
             if action_fn is None:
-                expect = model.predict_rollout(dataset.at(t0), plan(lead), lead_hours=lead)[-1]
+                plan = policy_greedy(lead, intervals)
+                expect = model.predict_rollout(dataset.at(t0), plan, lead_hours=lead)[-1]
             else:
                 expect = run_episode(env, EpisodeSpec(t0, lead), action_fn)[2].x_hat
             assert final.timestamp_hours == t0 + lead
