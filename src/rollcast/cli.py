@@ -388,12 +388,13 @@ def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
 
 def cmd_pe_viz(cfg: RunConfig, args) -> int:
     h, w, dim = args.height_tokens, args.width_tokens, args.dim
-    if min(h, w) < 1 or dim < 4 or dim % 4:
-        raise ConfigError(f"pe-viz needs tokens >= 1 and a --dim that is a multiple of 4, got {h}x{w}, {dim}")
+    try:
+        ring = similarity_matrix(ring_pe_2d(h, w, dim))
+        conv = similarity_matrix(conventional_pe(h * w, dim))
+    except ValueError as exc:
+        raise ConfigError(f"pe-viz --dim {dim}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ring = similarity_matrix(ring_pe_2d(h, w, dim))
-    conv = similarity_matrix(conventional_pe(h * w, dim))
     prov = provenance(cfg)
     L = h * w
     header = [f"col_{j}" for j in range(L)]

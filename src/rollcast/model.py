@@ -111,6 +111,16 @@ def _linear(params, prefix, x: Tensor) -> Tensor:
     return dc.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
+def attention_params(rng, D: int, prefix: str) -> dict:
+    """The (D, D) projections `attention` reads, with no key bias: it would
+    add the same q.b to all of a query's scores, which the softmax cancels."""
+    params = {}
+    for name in ("wq", "wk", "wv", "wo"):
+        params.update(_linear_params(rng, D, D, f"{prefix}.{name}"))
+    del params[f"{prefix}.wk.bias"]
+    return params
+
+
 def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads: int,
               queries: Tensor | None = None) -> Tensor:
     """Multi-head attention over (batch*length, D) tokens, all heads at once.
@@ -122,21 +132,20 @@ def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads
     way (class attention). Queries, keys and values move to a
     (batch*heads, rows, dh) layout, so one batched matmul scores every head;
     keys land transposed in the same permute. Projections are
-    `{prefix}.wq/.wk/.wv/.wo`.
+    `{prefix}.wq/.wk/.wv/.wo` (`attention_params`).
     """
     D = h.shape[1]
     dh = D // num_heads
     queries = h if queries is None else queries
     m = queries.shape[0] // batch
 
-    def heads(name, x, rows, axes):
-        x = dc.reshape(_linear(params, f"{prefix}.{name}", x), (batch, rows, num_heads, dh))
-        x = dc.permute(x, axes)
+    def heads(x, rows, axes):
+        x = dc.permute(dc.reshape(x, (batch, rows, num_heads, dh)), axes)
         return dc.reshape(x, (batch * num_heads,) + x.shape[2:])
 
-    q = heads("wq", queries, m, (0, 2, 1, 3))  # (B*H, m, dh)
-    kt = heads("wk", h, length, (0, 2, 3, 1))  # (B*H, dh, L)
-    v = heads("wv", h, length, (0, 2, 1, 3))
+    q = heads(_linear(params, f"{prefix}.wq", queries), m, (0, 2, 1, 3))  # (B*H, m, dh)
+    kt = heads(dc.matmul(h, params[f"{prefix}.wk.weight"]), length, (0, 2, 3, 1))  # (B*H, dh, L)
+    v = heads(_linear(params, f"{prefix}.wv", h), length, (0, 2, 1, 3))
     scores = dc.mul_scalar(dc.matmul(q, kt), 1.0 / np.sqrt(dh))
     ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, m, dh))
     cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * m, D))
@@ -151,8 +160,7 @@ class ArchBlock:
         self.prefix = prefix
         D = cfg.embed_dim
         self._params = {}
-        for name in ("wq", "wk", "wv", "wo"):
-            self._params.update(_linear_params(rng, D, D, f"{prefix}.attn.{name}"))
+        self._params.update(attention_params(rng, D, f"{prefix}.attn"))
         # modulation map starts at zero: the whole block is the identity at init
         self._params.update(_linear_params(rng, D, 6 * D, f"{prefix}.adaln", zero=True))
         self.moe = SharedPrivateMoE(cfg, rng, prefix=f"{prefix}.moe")

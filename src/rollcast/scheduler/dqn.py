@@ -34,7 +34,7 @@ import numpy as np
 from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
-from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention, check_at_least
+from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention, attention_params, check_at_least
 from .env import ActionSet, EnvState, Transition
 
 
@@ -123,8 +123,7 @@ class QNetwork:
             D, cfg.season_length_days, cfg.norm_hours, rng, phase_hours=self.actions.intervals[1:]
         )
         self._params = dict(self.temporal.params())
-        for name in ("wq", "wk", "wv", "wo"):
-            self._params.update(_linear_params(rng, D, D, f"q.attn.{name}"))
+        self._params.update(attention_params(rng, D, "q.attn"))
         self._params.update(_linear_params(rng, D, len(self.actions.intervals), "q.head"))
 
     def params(self) -> dict:

@@ -281,7 +281,7 @@ def test_q_network_matches_manual_attention_arithmetic(model, dataset, env):
     h = (full - mu) / sd
     p = qnet.params()
     q = h @ p["q.attn.wq.weight"].data + p["q.attn.wq.bias"].data
-    k = h @ p["q.attn.wk.weight"].data + p["q.attn.wk.bias"].data
+    k = h @ p["q.attn.wk.weight"].data
     v = h @ p["q.attn.wv.weight"].data + p["q.attn.wv.bias"].data
     D = qnet.embed_dim
     dh = D // qnet.num_heads
@@ -359,7 +359,7 @@ def test_class_attention_matches_full_attention_oracle_at_b48(env, model, datase
         grads.append((q.data, {k: prm.grad.copy() for k, prm in qnet.params().items()}))
     (q_got, g_got), (q_want, g_want) = grads
     np.testing.assert_allclose(q_got, q_want, rtol=0, atol=1e-10)
-    assert set(g_got) == set(g_want) and len(g_got) == 12
+    assert set(g_got) == set(g_want) and len(g_got) == 11
     for k in g_want:
         assert np.any(g_want[k] != 0.0), k
         np.testing.assert_allclose(g_got[k], g_want[k], rtol=0, atol=1e-10, err_msg=k)
