@@ -202,10 +202,6 @@ def _load_model_for(args, ds: Dataset, setting: str, leads) -> ForecastModel:
     return model
 
 
-def _season_days(ds: Dataset) -> int:
-    return int(ds.meta.get("season_length_days") or 365)
-
-
 # -- commands ---------------------------------------------------------------------------
 
 
@@ -287,9 +283,8 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    dqn_cfg = DQNConfig(
-        **{**config_to_dict(cfg)["dqn"], "season_length_days": _season_days(ds), "seed": cfg.seed}
-    )
+    season_days = int(ds.meta.get("season_length_days") or 365)
+    dqn_cfg = dataclasses.replace(cfg.dqn, season_length_days=season_days, seed=cfg.seed)
     dqn = DQN(model, dqn_cfg)
     buffer = ReplayBuffer(capacity=dqn_cfg.buffer_capacity)
     logs = adaptive_rollout_finetune(model, ds, dqn, buffer, cfg.finetune)

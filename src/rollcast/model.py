@@ -112,8 +112,7 @@ def _linear(params, prefix, x: Tensor) -> Tensor:
 
 
 def attention_params(rng, D: int, prefix: str) -> dict:
-    """The (D, D) projections `attention` reads, with no key bias: it would
-    add the same q.b to all of a query's scores, which the softmax cancels."""
+    """The projections `attention` reads; no key bias, which the softmax cancels."""
     params = {}
     for name in ("wq", "wk", "wv", "wo"):
         params.update(_linear_params(rng, D, D, f"{prefix}.{name}"))

@@ -73,9 +73,9 @@ def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
     Returns {policy name: PolicyResult}.
     """
     episodes = list(episodes)
-    intervals = env.actions.intervals
     names = POLICIES if dqn is not None else POLICIES[:-1]
-    plans = [plan for name in names for plan in policy_plans(name, episodes, intervals, random_seed)]
+    plans = [plan for name in names
+             for plan in policy_plans(name, episodes, env.actions.intervals, random_seed)]
     outcomes = run_episodes(env, episodes * len(names),
                             plan_chooser(plans, dqn.q_main if dqn is not None else None),
                             keep_transitions=False)
