@@ -3,7 +3,8 @@ rollout comparison, and positional-encoding similarity dumps.
 
 Exit codes: 0 success, 2 configuration error (a malformed setting, or a model
 and a dataset that do not fit together: another grid, a patch that does not
-tile it, intervals or leads off its steps), 3 numeric divergence, 4 I/O error.
+tile it, intervals or leads off its steps, or a split too short for an
+interval or a lead), 3 numeric divergence, 4 I/O error.
 Every output carries a provenance header (config hash, seed, versions), so two
 runs with the same config and seed produce identical files.
 """
@@ -181,24 +182,35 @@ def _require_dataset(path) -> Dataset:
     return ds
 
 
+def _check_span(ds_path, ds: Dataset, split: str, hours: int, what: str):
+    """ConfigError unless the dataset's `split` holds two states `hours` apart."""
+    lo, hi = ds.splits.get(split, (0, 0))
+    if hi - lo <= hours // ds.spec.base_step_hours:
+        raise ConfigError(f"{what}: the {split} split of {ds_path} holds {hi - lo} states, "
+                          f"too few to span {hours}h")
+
+
 def _check_fit(model_cfg: ModelConfig, ds_path, ds: Dataset, trained_on: GridSpec | None = None):
-    """ConfigError unless a model of model_cfg (trained on `trained_on`) fits the dataset."""
+    """ConfigError unless a model of model_cfg (trained on `trained_on`) fits
+    the dataset: its grid, and a train split that spans the longest interval."""
     try:
         check_grid_fit(model_cfg, ds.spec, trained_on)
     except ValueError as exc:
         raise ConfigError(f"model does not fit dataset {ds_path}: {exc}") from exc
+    _check_span(ds_path, ds, "train", max(model_cfg.intervals), "model.intervals")
 
 
-def _load_model_for(args, ds: Dataset, setting: str, leads) -> ForecastModel:
+def _load_model_for(args, ds: Dataset, setting: str, leads, split: str) -> ForecastModel:
     """The --checkpoint model, checked against the --data dataset it runs on
     and against the leads of `setting`: each must be a multiple of the
-    model's smallest interval."""
+    model's smallest interval, and `split` must span the longest."""
     model, _ = load_model_checkpoint(args.checkpoint)
     _check_fit(model.cfg, args.data, ds, model.spec)
     step = min(model.cfg.intervals)
     off = [lead for lead in leads if lead % step]
     if off:
         raise ConfigError(f"{setting}: leads {off} are not multiples of the smallest interval {step}h")
+    _check_span(args.data, ds, split, max(leads), setting)
     return model
 
 
@@ -236,8 +248,10 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         trainer = PretrainTrainer(model, ds, cfg.pretrain)
 
     def checkpoint_and_reload(step_done: int):
-        # write-through: parameters pass through f32 storage at every save,
-        # so a run resumed from this file is bit-identical to continuing
+        # write-through: parameters and moments pass through f32 storage at
+        # every save, and the optimizer's float64 masters restart from the
+        # stored parameters, so a run resumed from this file is bit-identical
+        # to continuing
         extra = dict(trainer.optimizer.state_tensors())
         extra["trainer.step"] = np.array([float(step_done)])
         save_model_checkpoint(ckpt_path, model, cfg, extra_arrays=extra)
@@ -279,7 +293,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
 
 def cmd_finetune(cfg: RunConfig, args) -> int:
     ds = _require_dataset(args.data)
-    model = _load_model_for(args, ds, "finetune.lead_times", cfg.finetune.lead_times)
+    model = _load_model_for(args, ds, "finetune.lead_times", cfg.finetune.lead_times, "train")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -320,7 +334,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     ds = _require_dataset(args.data)
-    model = _load_model_for(args, ds, "eval.leads", cfg.eval.leads)
+    model = _load_model_for(args, ds, "eval.leads", cfg.eval.leads, "test")
     climatology = Climatology.from_dataset(ds, "train")
     weights = lat_weights(ds.spec)
 
@@ -345,7 +359,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
     ds = _require_dataset(args.data)
-    model = _load_model_for(args, ds, "compare.lead", [cfg.compare.lead])
+    model = _load_model_for(args, ds, "compare.lead", [cfg.compare.lead], "test")
     dqn = load_dqn_checkpoint(args.dqn, model) if args.dqn else None
     weights = lat_weights(ds.spec)
 

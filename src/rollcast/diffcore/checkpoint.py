@@ -10,8 +10,10 @@ Layout (all little-endian):
         f32  payload, C order
     u32     CRC32 of every preceding byte
 
-Payloads are stored as float32; a write/read round-trip restores the float32
-bits exactly. Loading returns float64 arrays upcast from those bits.
+Payloads are stored as float32, the compute dtype, so a write/read round
+trip restores a model's parameters bit for bit. Loading returns float64
+arrays upcast from those bits; models cast them back to the compute dtype,
+and the optimizer keeps them as its float64 moments.
 """
 
 from __future__ import annotations

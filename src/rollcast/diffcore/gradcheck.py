@@ -7,7 +7,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, float64
 
 
 @dataclass
@@ -62,14 +62,24 @@ def check_gradients(
     """Compare backward() adjoints against central finite differences.
 
     f must be a deterministic closure over params returning a scalar Tensor.
+    Both run in float64: f is called inside `float64()`, with each parameter
+    upcast for the duration and its own array restored afterwards.
     """
-    for p in params.values():
-        p.zero_grad()
-    backward(f())
+    saved = {name: p.data for name, p in params.items()}
     report = GradReport(tol=tol)
-    for name, p in params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = finite_difference_grad(f, p, step=step)
-        report.errors[name] = _max_rel_error(np.asarray(analytic), numeric)
-        p.zero_grad()
+    try:
+        with float64():
+            for p in params.values():
+                p.data = p.data.astype(np.float64)
+                p.zero_grad()
+            backward(f())
+            for name, p in params.items():
+                analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+                numeric = finite_difference_grad(f, p, step=step)
+                report.errors[name] = _max_rel_error(np.asarray(analytic), numeric)
+                p.zero_grad()
+    finally:
+        for name, p in params.items():
+            p.data = saved[name]
+            p.zero_grad()
     return report

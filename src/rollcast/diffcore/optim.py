@@ -20,8 +20,13 @@ def cosine_lr(base_lr: float, final_fraction: float, step: int, total_steps: int
 class AdamW:
     """Decoupled-weight-decay adaptive moments (beta1=0.9, beta2=0.999).
 
-    Moments are kept in float64 alongside the parameters. State round-trips
-    through checkpoints via state_tensors().
+    Mixed precision (arXiv:1710.03740): the parameters compute in their own
+    dtype (float32), while the optimizer keeps a float64 master copy of each
+    and its moments in float64. A step upcasts the gradient, updates the
+    master and writes the parameter back in its dtype. A parameter whose
+    data was replaced from outside since the last step (a checkpoint load)
+    re-seeds its master from that data. State round-trips through
+    checkpoints via state_tensors(); the masters are the loaded parameters.
     """
 
     def __init__(
@@ -40,8 +45,16 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.master: dict = {}
+        self._written: dict = {}  # the p.data each master was last written to
+        self._seed_masters()
+        self.m = {k: np.zeros_like(w) for k, w in self.master.items()}
+        self.v = {k: np.zeros_like(w) for k, w in self.master.items()}
+
+    def _seed_masters(self):
+        for k, p in self.params.items():
+            self.master[k] = p.data.astype(np.float64)
+            self._written[k] = p.data
 
     def zero_grad(self):
         for p in self.params.values():
@@ -53,19 +66,29 @@ class AdamW:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            m = self.m[k]
-            v = self.v[k]
+            if p.data is not self._written[k]:
+                self.master[k] = p.data.astype(np.float64)
+            w, m, v = self.master[k], self.m[k], self.v[k]
+            # in place on one float64 copy of the gradient: the step is memory-bound
+            g = p.grad.astype(np.float64)
             m *= b1
             m += (1.0 - b1) * g
+            g *= g
+            g *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += g
+            step = g  # reuse the buffer: lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=step)
+            np.sqrt(step, out=step)
+            step += self.eps
+            np.divide(m, step, out=step)
+            step *= self.lr / bias1
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * update
+                w *= 1.0 - self.lr * self.weight_decay
+            w -= step
+            p.data = self._written[k] = w.astype(p.data.dtype)
 
     def state_tensors(self) -> dict:
         """Optimizer state as named arrays for checkpointing."""
@@ -76,7 +99,10 @@ class AdamW:
         return out
 
     def load_state_tensors(self, tensors: Mapping[str, np.ndarray]):
+        """Restore the step count and moments; the masters become the
+        parameters as they are now (load those first)."""
         self.t = int(tensors["opt.step"][0])
         for k in self.params:
             self.m[k] = np.asarray(tensors[f"opt.m.{k}"], dtype=np.float64).reshape(self.m[k].shape)
             self.v[k] = np.asarray(tensors[f"opt.v.{k}"], dtype=np.float64).reshape(self.v[k].shape)
+        self._seed_masters()

@@ -1,6 +1,10 @@
-"""Reverse-mode autodiff over dense float64 numpy arrays.
+"""Reverse-mode autodiff over dense float32 numpy arrays.
 
 Design rules:
+  * One compute dtype. Tensor() casts its input to it: float32, or float64
+    inside a `float64()` block, which gradient checks and their tests use.
+    Every op keeps its operands' dtype, so scalars enter as Python floats
+    (NumPy promotes a float32 array times an np.float64 scalar to float64).
   * No implicit broadcasting. Elementwise ops demand identical shapes and
     raise ShapeError otherwise; expansion must go through broadcast_to.
     The one exception is the (1, D) row operands of the fused ops linear
@@ -23,10 +27,28 @@ import numpy as np
 CE_EPS = 1e-12
 
 _GRAD_ENABLED = True
+_DTYPE = np.float32
 
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+def compute_dtype() -> type:
+    """The dtype Tensor() casts to: float32, or float64 inside `float64()`."""
+    return _DTYPE
+
+
+@contextlib.contextmanager
+def float64():
+    """Build tensors in float64 inside the block (gradient checks and their oracles)."""
+    global _DTYPE
+    prev = _DTYPE
+    _DTYPE = np.float64
+    try:
+        yield
+    finally:
+        _DTYPE = prev
 
 
 @contextlib.contextmanager
@@ -46,10 +68,12 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """Dense float64 array plus optional gradient bookkeeping.
+    """Dense array in the compute dtype plus optional gradient bookkeeping.
 
     Attributes:
-        data: the forward value, always a C-contiguous float64 ndarray.
+        data: the forward value, a C-contiguous ndarray of the compute dtype
+            at construction (`compute_dtype()`); op results keep their
+            operands' dtype.
         grad: accumulated adjoint, populated by backward().
         requires_grad: whether this tensor (or anything upstream of it)
             participates in differentiation.
@@ -58,7 +82,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64, order="C")
+        arr = np.asarray(data, dtype=_DTYPE, order="C")
         if not np.isfinite(arr).all():
             raise ValueError("Tensor values must be finite")
         self.data = arr
@@ -171,10 +195,12 @@ def neg(a: Tensor) -> Tensor:
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
+    c = float(c)
     return Tensor._result(a.data + c, (a,), lambda g: (g,))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
+    c = float(c)
     return Tensor._result(a.data * c, (a,), lambda g: (g * c,))
 
 
@@ -186,7 +212,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -341,7 +367,7 @@ def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
             expanded.append(ax)
         else:
             raise ShapeError(f"broadcast_to: cannot expand {a.shape} -> {shape}")
-    out = np.empty(shape)
+    out = np.empty(shape, dtype=a.data.dtype)
     out[...] = a.data
 
     def vjp(g):
@@ -406,7 +432,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=g.dtype)
         full[idx] = g
         return (full,)
 
@@ -417,11 +443,13 @@ def _sum_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray
     """(num_rows, D) zeros with values[i] added into row rows[i], in index order.
 
     bincount accumulates each output element in input order, as np.add.at
-    does, and is several times faster on 2D rows.
+    does, and is several times faster on 2D rows. It sums in float64; the
+    result is cast back to values' dtype.
     """
     d = values.shape[1]
     flat = (rows[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=num_rows * d).reshape(num_rows, d)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * d)
+    return sums.astype(values.dtype, copy=False).reshape(num_rows, d)
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
@@ -449,7 +477,7 @@ def gather_cols(a: Tensor, indices) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=g.dtype)
         np.add.at(full, (rows, idx), g)
         return (full,)
 
@@ -464,7 +492,7 @@ def scatter_cols(src: Tensor, indices, num_cols: int) -> Tensor:
     if idx.shape != src.shape:
         raise ShapeError(f"scatter_cols: indices {idx.shape} must match src {src.shape}")
     rows = np.arange(src.shape[0])[:, None]
-    out = np.zeros((src.shape[0], num_cols))
+    out = np.zeros((src.shape[0], num_cols), dtype=src.data.dtype)
     out[rows, idx] = src.data
 
     def vjp(g):

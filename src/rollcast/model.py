@@ -68,6 +68,10 @@ class ModelConfig:
         d = self.intervals
         if not d or min(d) < 1 or len(set(d)) < len(d):
             raise ValueError(f"intervals must be distinct positive hours, got {list(d)}")
+        # every lead is a multiple of the smallest interval, so any interval
+        # must leave such a multiple behind for the rollout to finish
+        if any(x % min(d) for x in d):
+            raise ValueError(f"intervals must be multiples of the smallest, {min(d)}h, got {list(d)}")
         if not 1 <= self.moe_top_k <= self.moe_num_private:
             raise ValueError(f"moe_top_k {self.moe_top_k} outside [1, moe_num_private={self.moe_num_private}]")
         check_at_least(self, moe_alpha=0)
@@ -88,11 +92,12 @@ def check_grid_fit(cfg: ModelConfig, spec: GridSpec, trained_on: GridSpec | None
 
 
 # Most states in one forecaster or Q-network call. Measured forecast cost per
-# state on the desk-scale model, one BLAS thread: 1.11-1.19 ms at B=16,
-# 1.17-1.32 at B=32, 1.40 at B=48, 1.47-1.63 at B=64 and 1.56-1.73 at B=128,
-# against 2.4-2.8 ms at B=1. Past 32 a larger batch costs more per state, and
-# its working memory grows with it (one no_grad Q-network call on 200 new
-# states peaked at 20.5 MB under tracemalloc, its cached weather rows included).
+# state on the desk-scale model in float32, one BLAS thread (min-max of five
+# runs): 0.49-0.56 ms at B=16, 0.52-0.68 at B=32, 0.60-0.81 at B=48,
+# 0.76-0.84 at B=64 and 0.85-0.92 at B=128, against 1.58-1.69 ms at B=1.
+# Past 32 a larger batch costs more per state, and its working memory grows
+# with it (one no_grad Q-network call on 200 new states peaked at 10.2 MB
+# under tracemalloc, its cached weather rows included).
 MAX_BATCH = 32
 
 
@@ -249,10 +254,10 @@ class ForecastModel:
         for k, p in self._params.items():
             if k not in arrays:
                 raise KeyError(f"checkpoint missing parameter {k}")
-            arr = np.asarray(arrays[k], dtype=np.float64)
+            arr = np.array(arrays[k], dtype=dc.compute_dtype())
             if arr.shape != p.data.shape:
                 raise ValueError(f"parameter {k}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
+            p.data = arr
 
     @property
     def norm_mean(self) -> np.ndarray:

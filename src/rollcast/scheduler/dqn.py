@@ -134,10 +134,10 @@ class QNetwork:
 
     def load_state_arrays(self, arrays: dict):
         for k, p in self._params.items():
-            arr = np.asarray(arrays[k], dtype=np.float64)
+            arr = np.array(arrays[k], dtype=dc.compute_dtype())
             if arr.shape != p.data.shape:
                 raise ValueError(f"parameter {k}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
+            p.data = arr
 
     def copy_from(self, other: "QNetwork"):
         for k, p in self._params.items():

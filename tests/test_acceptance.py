@@ -119,6 +119,7 @@ def test_criterion_3_gradient_correctness():
 # -- 4: MoE routing contract -------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_4_moe_routing_contract():
     cfg = ModelConfig(embed_dim=16, moe_num_private=4, moe_top_k=2)
     moe = SharedPrivateMoE(cfg, np.random.default_rng(0))
@@ -143,6 +144,7 @@ def test_criterion_4_moe_routing_contract():
 # -- 5: auxiliary-loss oracles --------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_5_aux_loss_oracles():
     u = Tensor(np.array([0.5, 0.5]))
     a1 = aux_loss_1({6: u, 12: u, 24: u})

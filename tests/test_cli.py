@@ -437,6 +437,7 @@ MALFORMED = [
     ("print-config", "model.patch_size=0", (), "patch_size"),
     ("print-config", "model.embed_dim=18", (), "embed_dim"),
     ("print-config", "model.intervals=[0,6,12]", (), "intervals"),
+    ("print-config", "model.intervals=[12,18]", (), "multiples of the smallest, 12h"),
     ("print-config", "data.steps=1", (), "steps"),
     ("print-config", "data.lat_points=1", (), "lat_points"),
     ("print-config", "data.base_step_hours=0", (), "base_step_hours"),
@@ -447,6 +448,8 @@ MALFORMED = [
     ("print-config", "finetune.finetune_episodes=0", (), "finetune_episodes"),
     ("print-config", "eval.policy=best", (), "policy"),
     ("pretrain", "model.intervals=[6,12,25]", (), "25"),
+    ("pretrain", "model.intervals=[9,18]", (), "intervals [9] are not multiples of the 6h base step"),
+    ("pretrain", None, ("data.steps=2",), "too few to span 24h"),
     ("pretrain", "model.patch_size=5", (), "patch 5"),
     ("pretrain", None, ("data.base_step_hours=12",), "12h base step"),
     ("finetune", None, ("data.lat_points=12",), "lat_points12.grid"),
@@ -455,6 +458,9 @@ MALFORMED = [
     ("finetune", "finetune.lead_times=[7]", (), "finetune.lead_times"),
     ("eval", "eval.leads=[7]", (), "eval.leads"),
     ("compare-rollouts", "compare.lead=7", (), "compare.lead"),
+    ("finetune", "finetune.lead_times=[6000]", (), "finetune.lead_times: the train split"),
+    ("eval", "eval.leads=[6,6000]", (), "eval.leads: the test split"),
+    ("compare-rollouts", "compare.lead=6000", (), "compare.lead: the test split"),
     ("pe-viz", None, (), "--dim"),
 ]
 

@@ -19,6 +19,7 @@ def test_softmax_uniform_on_equal_inputs():
     np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
 
+@pytest.mark.usefixtures("float64")
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -53,6 +54,7 @@ def test_shape_mismatch_names_both_shapes():
         dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.usefixtures("float64")
 def test_fused_ops_match_their_unfused_graphs():
     rng = np.random.default_rng(12)
     x, w = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 4)))
@@ -289,6 +291,17 @@ def test_adamw_descends_a_quadratic():
         dc.backward(loss)
         opt.step()
     assert float(loss.data) < 1e-3 * first
+
+
+def test_adamw_steps_from_parameters_loaded_after_it_was_made():
+    # as after a checkpoint load: the float64 master follows the new data
+    p = Tensor(np.zeros(3), requires_grad=True)
+    opt = dc.AdamW({"p": p}, lr=0.1)
+    p.data = Tensor(np.full(3, 5.0)).data
+    p.grad = np.ones(3, dtype=np.float32)
+    opt.step()
+    assert p.data.dtype == np.float32 and opt.master["p"].dtype == np.float64
+    np.testing.assert_allclose(p.data, 4.9, rtol=1e-6)
 
 
 def test_cosine_lr_runs_from_the_base_rate_to_the_floor():

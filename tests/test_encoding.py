@@ -116,6 +116,7 @@ def test_tokenize_one_hot_field_localizes_to_one_token():
     assert list(nonzero_rows) == [6]
 
 
+@pytest.mark.usefixtures("float64")
 def test_tokenize_matches_per_patch_matrix_products():
     rng = np.random.default_rng(2)
     values = rng.normal(size=SPEC.shape)

@@ -44,7 +44,7 @@ def randomize_params(model, seed):
     """Break the zero inits so gradients flow everywhere (for grad checks)."""
     rng = np.random.default_rng(seed)
     for name, p in model.trainable_params().items():
-        p.data = rng.normal(scale=0.3, size=p.data.shape)
+        p.data = rng.normal(scale=0.3, size=p.data.shape).astype(p.data.dtype)
 
 
 # -- arch block ---------------------------------------------------------------------
@@ -60,6 +60,7 @@ def test_zeroed_modulation_makes_block_identity():
     np.testing.assert_array_equal(out.data, z.data)
 
 
+@pytest.mark.usefixtures("float64")
 def test_block_is_permutation_equivariant():
     model = tiny_model()
     randomize_params(model, 2)
@@ -73,6 +74,7 @@ def test_block_is_permutation_equivariant():
     np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-10)
 
 
+@pytest.mark.usefixtures("float64")
 def test_single_head_attention_matches_manual_computation():
     cfg = ModelConfig(
         embed_dim=4, num_blocks=1, num_heads=1, patch_size=2,
@@ -118,6 +120,7 @@ def numpy_attention(params, prefix, h, batch, length, num_heads):
     return lin("wo", out.reshape(batch * length, D))
 
 
+@pytest.mark.usefixtures("float64")
 def test_batched_attention_matches_per_head_oracle_and_gradients():
     from rollcast.model import attention
 
@@ -368,6 +371,7 @@ def change_rms_oracle(dataset, intervals) -> np.ndarray:
     return out
 
 
+@pytest.mark.usefixtures("float64")
 def test_from_dataset_stores_per_interval_change_rms(small_dataset):
     cfg = ModelConfig(embed_dim=8, num_blocks=1, num_heads=2, patch_size=4,
                       moe_num_private=2, moe_top_k=1)
@@ -384,6 +388,7 @@ def test_default_change_scale_is_the_state_std():
     np.testing.assert_array_equal(model.normalize_delta(np.full(TINY_SPEC.shape, 4.0), 12), 2.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
     cfg = ModelConfig(embed_dim=8, num_blocks=1, num_heads=2, patch_size=4,
                       moe_num_private=2, moe_top_k=1)
@@ -448,6 +453,7 @@ def test_trained_model_conditions_on_interval(small_dataset):
     assert m < p
 
 
+@pytest.mark.usefixtures("float64")
 def test_one_step_summary_matches_the_single_window_formula(small_dataset):
     cfg = ModelConfig(embed_dim=8, num_blocks=1, num_heads=2, patch_size=4,
                       moe_num_private=2, moe_top_k=1)

@@ -68,6 +68,7 @@ def test_zeroed_private_experts_leave_only_shared():
     np.testing.assert_allclose(out.data, shared.data, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_exactly_k_selected_and_weights_sum_to_one():
     cfg, moe = make_moe(M=5, k=3)
     rng = np.random.default_rng(3)
@@ -146,6 +147,7 @@ def _grads(moe, z, cot, forward):
     return out.data, grads
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("M,k", [(4, 2), (3, 3)])
 def test_dispatch_matches_dense_oracle(M, k):
     cfg, moe = make_moe(M=M, k=k, D=8, seed=11)
@@ -221,6 +223,7 @@ def test_aux1_disjoint_supports_is_huge():
     assert float(aux_loss_1(dists).data) > 20.0
 
 
+@pytest.mark.usefixtures("float64")
 def test_aux1_matches_direct_summation_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -258,6 +261,7 @@ def test_aux2_strictly_above_ln_m_off_balance():
         assert float(aux_loss_2(dists).data) > np.log(4.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_combined_aux_arithmetic():
     a1, a2 = Tensor(1.3), Tensor(0.4)
     assert float(combined_aux(a1, a2, 0.0).data) == pytest.approx(-1.3)

@@ -60,6 +60,18 @@ def env(model, dataset):
     return ForecastEnv(model, dataset, omega=-0.1)
 
 
+@pytest.fixture(scope="module")
+def model64(dataset):
+    """The `model` fixture's forecaster built in float64, for float64 oracles."""
+    with dc.float64():
+        return ForecastModel.from_dataset(MODEL_CFG, dataset, seed=21)
+
+
+@pytest.fixture()
+def env64(model64, dataset):
+    return ForecastEnv(model64, dataset, omega=-0.1)
+
+
 # -- environment -----------------------------------------------------------------
 
 
@@ -266,10 +278,11 @@ def test_q_network_reads_weather_anomalies(model, dataset):
     assert qnet.temporal.phase_hours == (12.0, 24.0)
 
 
-def test_q_network_matches_manual_attention_arithmetic(model, dataset, env):
-    dqn = DQN(model, DQNConfig(seed=4))
+@pytest.mark.usefixtures("float64")
+def test_q_network_matches_manual_attention_arithmetic(model64, dataset, env64):
+    dqn = DQN(model64, DQNConfig(seed=4))
     qnet = dqn.q_main
-    state = env.reset(EpisodeSpec(dataset.fields[2].timestamp_hours, 24))
+    state = env64.reset(EpisodeSpec(dataset.fields[2].timestamp_hours, 24))
 
     # independent numpy replay of the network math
     weather = qnet._weather_tokens(state.x_hat.values)  # (L, D)
@@ -340,13 +353,14 @@ def _td_loss(q, batch, targets, actions):
     return dc.tensor_mean(dc.mul(diff, diff))
 
 
-def test_class_attention_matches_full_attention_oracle_at_b48(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=9, gamma=0.9))
+@pytest.mark.usefixtures("float64")
+def test_class_attention_matches_full_attention_oracle_at_b48(env64, model64, dataset):
+    dqn = DQN(model64, DQNConfig(seed=9, gamma=0.9))
     qnet = dqn.q_main
     rng = np.random.default_rng(10)
     for prm in qnet.params().values():
         prm.data = prm.data + rng.normal(scale=0.3, size=prm.data.shape)
-    batch = td_batch_48(env, dataset)
+    batch = td_batch_48(env64, dataset)
     targets = td_targets(batch, dqn)
     states = [t.state for t in batch]
 
@@ -568,12 +582,13 @@ def test_buffer_capacity_counts_relabelled_segments(env, dataset):
     assert buf.transitions[0].state.travel_h == 0 and buf.transitions[0].steps == 2
 
 
-def test_td_update_loss_matches_direct_formula(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=7))
-    state = env.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 24))
+@pytest.mark.usefixtures("float64")
+def test_td_update_loss_matches_direct_formula(env64, model64, dataset):
+    dqn = DQN(model64, DQNConfig(seed=7))
+    state = env64.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 24))
     batch = []
     while state.remaining_h > 0:
-        tr, state = env.step(state, 6)
+        tr, state = env64.step(state, 6)
         batch.append(tr)
     targets = td_targets(batch, dqn)
     with dc.no_grad():
@@ -779,9 +794,10 @@ def test_stop_gradient_beyond_t_max(env, dataset):
         p.zero_grad()
 
 
-def test_rollout_loss_value_covers_all_steps(env, dataset):
+@pytest.mark.usefixtures("float64")
+def test_rollout_loss_value_covers_all_steps(env64, dataset):
     episode = EpisodeSpec(dataset.fields[0].timestamp_hours, 36)
-    parts = rollout_finetune_loss(env, episode, follow([12, 12, 12]), t_max=2)
+    parts = rollout_finetune_loss(env64, episode, follow([12, 12, 12]), t_max=2)
     assert parts.total_value == pytest.approx(sum(parts.per_step))
     assert len(parts.per_step) == 3
     np.testing.assert_allclose(float(parts.grad_loss.data), sum(parts.per_step[:2]), rtol=1e-12)
@@ -792,7 +808,7 @@ def _model_with_random_head(dataset, seed):
     model = ForecastModel.from_dataset(MODEL_CFG, dataset, seed=21)
     rng = np.random.default_rng(seed)
     for p in model.head_params().values():
-        p.data = rng.normal(scale=0.05, size=p.data.shape)
+        p.data = rng.normal(scale=0.05, size=p.data.shape).astype(p.data.dtype)
     return model
 
 
