@@ -4,7 +4,9 @@ rollout comparison, and positional-encoding similarity dumps.
 Exit codes: 0 success, 2 configuration error (a malformed setting, or a model
 and a dataset that do not fit together: another grid, a patch that does not
 tile it, intervals or leads off its steps, or a split too short for an
-interval or a lead), 3 numeric divergence, 4 I/O error.
+interval or a lead), 3 numeric divergence, 4 I/O error (a missing or
+malformed file: a grid file or its manifest, a checkpoint or its sidecar, or a
+checkpoint tensor that is missing or misshapen).
 Every output carries a provenance header (config hash, seed, versions), so two
 runs with the same config and seed produce identical files.
 """
@@ -29,7 +31,7 @@ from .config import (
     provenance,
     write_csv,
 )
-from .diffcore import CheckpointError, load_checkpoint, save_checkpoint
+from .diffcore import CheckpointError, checkpoint_tensor, load_checkpoint, load_parameters, save_checkpoint
 from .encoding import conventional_pe, ring_pe_2d, similarity_matrix
 from .evaluation import eval_initial_times, evaluate_leads
 from .fileio import atomic_open
@@ -51,7 +53,6 @@ from .model import (
     check_grid_fit,
     evaluate_one_step_loss,
 )
-from .moe import write_router_telemetry
 from .scheduler import (
     DQN,
     DQNConfig,
@@ -62,6 +63,7 @@ from .scheduler import (
     evaluate_policies,
     rollout_forecast_fn,
 )
+from .scheduler.finetune import resolve_omega
 
 
 # -- checkpoint helpers -------------------------------------------------------------
@@ -92,9 +94,6 @@ def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arra
     _write_json(str(path) + ".meta.json", meta)
 
 
-_NORM_KEYS = ("norm.mean", "norm.std", "norm.delta_scale")
-
-
 def _read_sidecar(path, build):
     """build(meta) over the parsed .meta.json sidecar of a checkpoint; a
     missing sidecar, bad JSON, or a missing, unknown or invalid key in it
@@ -120,18 +119,15 @@ def _model_sidecar(meta) -> tuple:
 def load_model_checkpoint(path) -> tuple:
     """(model, arrays) reconstructed from a checkpoint and its .meta.json sidecar.
 
-    The normalization statistics, per-interval change scales included, are
-    read from the checkpoint; one that lacks any of them is rejected rather
-    than rebuilt with defaults that would change what the model predicts.
+    Every parameter, the normalization statistics and per-interval change
+    scales included, is read from the checkpoint; one that is missing or
+    misshapen raises CheckpointError rather than being left at a default
+    that would change what the model predicts.
     """
     arrays = load_checkpoint(path)
-    missing = [k for k in _NORM_KEYS if k not in arrays]
-    if missing:
-        raise CheckpointError(f"checkpoint {path} lacks normalization statistics {missing}")
     model_cfg, spec = _read_sidecar(path, _model_sidecar)
-    model = ForecastModel(model_cfg, spec, arrays["norm.mean"], arrays["norm.std"],
-                          delta_scale=arrays["norm.delta_scale"])
-    model.load_state_arrays(arrays)
+    model = ForecastModel(model_cfg, spec, np.zeros(spec.num_vars), np.ones(spec.num_vars))
+    load_parameters(model.params(), arrays)
     return model, arrays
 
 
@@ -167,7 +163,7 @@ def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
             f"DQN checkpoint {path} was trained on another forecaster: its tokenizer "
             "or normalization differ from the given checkpoint's"
         )
-    dqn.q_main.load_state_arrays(arrays)
+    load_parameters(dqn.q_main.params(), arrays)
     dqn.sync_target()
     return dqn
 
@@ -175,19 +171,12 @@ def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
 # -- dataset plumbing ------------------------------------------------------------------
 
 
-def _require_dataset(path) -> Dataset:
-    ds = read_grid_file(path)
-    if "train" not in ds.splits:
-        raise ConfigError(f"dataset {path} has no train split in its manifest")
-    return ds
-
-
 def _check_span(ds_path, ds: Dataset, split: str, hours: int, what: str):
-    """ConfigError unless the dataset's `split` holds two states `hours` apart."""
-    lo, hi = ds.splits.get(split, (0, 0))
-    if hi - lo <= hours // ds.spec.base_step_hours:
-        raise ConfigError(f"{what}: the {split} split of {ds_path} holds {hi - lo} states, "
-                          f"too few to span {hours}h")
+    """ConfigError unless the dataset has a `split` that holds two states `hours` apart."""
+    try:
+        ds.window_starts(split, hours)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc} (dataset {ds_path})") from exc
 
 
 def _check_fit(model_cfg: ModelConfig, ds_path, ds: Dataset, trained_on: GridSpec | None = None):
@@ -229,8 +218,16 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
+def write_router_telemetry(path, rows, num_experts: int, prov: dict):
+    """Per-step expert-usage CSV under a provenance header: step, block,
+    interval, then one count per expert."""
+    header = ["step", "block", "interval_hours"] + [f"expert_{m}" for m in range(num_experts)]
+    body = [[step, block, delta] + [int(c) for c in counts] for step, block, delta, counts in rows]
+    write_csv(path, header, body, prov)
+
+
 def cmd_pretrain(cfg: RunConfig, args) -> int:
-    ds = _require_dataset(args.data)
+    ds = read_grid_file(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "model.ckpt"
@@ -241,7 +238,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         _check_fit(model.cfg, args.data, ds, model.spec)
         trainer = PretrainTrainer(model, ds, cfg.pretrain)
         trainer.optimizer.load_state_tensors(arrays)
-        start_step = int(arrays["trainer.step"][0])
+        start_step = int(checkpoint_tensor(arrays, "trainer.step", (1,))[0])
     else:
         _check_fit(cfg.model, args.data, ds)
         model = ForecastModel.from_dataset(cfg.model, ds, seed=cfg.seed)
@@ -256,7 +253,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         extra["trainer.step"] = np.array([float(step_done)])
         save_model_checkpoint(ckpt_path, model, cfg, extra_arrays=extra)
         arrays = load_checkpoint(ckpt_path)
-        model.load_state_arrays(arrays)
+        load_parameters(model.params(), arrays)
         trainer.optimizer.load_state_tensors(arrays)
 
     end_step = cfg.pretrain.steps
@@ -292,14 +289,13 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
 
 
 def cmd_finetune(cfg: RunConfig, args) -> int:
-    ds = _require_dataset(args.data)
+    ds = read_grid_file(args.data)
     model = _load_model_for(args, ds, "finetune.lead_times", cfg.finetune.lead_times, "train")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    season_days = int(ds.meta.get("season_length_days") or 365)
-    dqn_cfg = dataclasses.replace(cfg.dqn, season_length_days=season_days, seed=cfg.seed)
-    dqn = DQN(model, dqn_cfg)
+    dqn_cfg = dataclasses.replace(cfg.dqn, season_length_days=ds.season_length_days)
+    dqn = DQN(model, dqn_cfg, seed=cfg.seed)
     buffer = ReplayBuffer(capacity=dqn_cfg.buffer_capacity)
     logs = adaptive_rollout_finetune(model, ds, dqn, buffer, cfg.finetune)
 
@@ -333,7 +329,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    ds = _require_dataset(args.data)
+    ds = read_grid_file(args.data)
     model = _load_model_for(args, ds, "eval.leads", cfg.eval.leads, "test")
     climatology = Climatology.from_dataset(ds, "train")
     weights = lat_weights(ds.spec)
@@ -358,13 +354,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
-    ds = _require_dataset(args.data)
+    ds = read_grid_file(args.data)
     model = _load_model_for(args, ds, "compare.lead", [cfg.compare.lead], "test")
     dqn = load_dqn_checkpoint(args.dqn, model) if args.dqn else None
     weights = lat_weights(ds.spec)
-
-    from .scheduler.finetune import resolve_omega
-
     omega = cfg.finetune.omega
     if omega is None:
         omega = resolve_omega(model, ds, weights, seed=cfg.seed)

@@ -13,7 +13,9 @@ Layout (all little-endian):
 Payloads are stored as float32, the compute dtype, so a write/read round
 trip restores a model's parameters bit for bit. Loading returns float64
 arrays upcast from those bits; models cast them back to the compute dtype,
-and the optimizer keeps them as its float64 moments.
+and the optimizer keeps them as its float64 moments. `checkpoint_tensor`
+and `load_parameters` read a loaded container: a tensor that is missing or
+shaped otherwise than expected raises CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from ..fileio import atomic_open
+from .tensor import Tensor, compute_dtype
 
 MAGIC = b"RCKP"
 VERSION = 1
@@ -91,3 +94,20 @@ def load_checkpoint(path) -> dict:
     if off != end:
         raise CheckpointError(f"trailing bytes after tensor records at offset {off}")
     return out
+
+
+def checkpoint_tensor(arrays: Mapping[str, np.ndarray], name: str, shape) -> np.ndarray:
+    """arrays[name] of a loaded checkpoint; CheckpointError unless it is there with `shape`."""
+    if name not in arrays:
+        raise CheckpointError(f"checkpoint lacks tensor {name}")
+    arr = arrays[name]
+    if arr.shape != tuple(shape):
+        raise CheckpointError(f"checkpoint tensor {name} has shape {arr.shape}, expected {tuple(shape)}")
+    return arr
+
+
+def load_parameters(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]):
+    """Set every parameter's data to a compute-dtype copy of its same-named,
+    same-shaped array of a loaded checkpoint."""
+    for name, p in params.items():
+        p.data = np.array(checkpoint_tensor(arrays, name, p.data.shape), dtype=compute_dtype())

@@ -7,7 +7,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor import Tensor, backward, float64
+from .tensor import Tensor, backward, float64, no_grad
 
 
 @dataclass
@@ -32,19 +32,23 @@ class GradReport:
 
 
 def finite_difference_grad(f: Callable[[], Tensor], param: Tensor, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f with respect to one parameter."""
+    """Central-difference gradient of scalar f with respect to one parameter.
+
+    f runs without graph recording: only its values are read.
+    """
     base = param.data
     grad = np.zeros_like(base)
     flat = base.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = float(f().data)
-        flat[i] = orig - step
-        lo = float(f().data)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float(f().data)
+            flat[i] = orig - step
+            lo = float(f().data)
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * step)
     return grad
 
 

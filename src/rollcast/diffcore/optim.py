@@ -6,6 +6,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .checkpoint import checkpoint_tensor
 from .tensor import Tensor
 
 
@@ -100,9 +101,11 @@ class AdamW:
 
     def load_state_tensors(self, tensors: Mapping[str, np.ndarray]):
         """Restore the step count and moments; the masters become the
-        parameters as they are now (load those first)."""
-        self.t = int(tensors["opt.step"][0])
+        parameters as they are now (load those first). A missing or misshapen
+        tensor raises CheckpointError."""
+        self.t = int(checkpoint_tensor(tensors, "opt.step", (1,))[0])
         for k in self.params:
-            self.m[k] = np.asarray(tensors[f"opt.m.{k}"], dtype=np.float64).reshape(self.m[k].shape)
-            self.v[k] = np.asarray(tensors[f"opt.v.{k}"], dtype=np.float64).reshape(self.v[k].shape)
+            for name, moments in (("m", self.m), ("v", self.v)):
+                stored = checkpoint_tensor(tensors, f"opt.{name}.{k}", moments[k].shape)
+                moments[k] = np.asarray(stored, dtype=np.float64)
         self._seed_masters()

@@ -11,15 +11,10 @@ from .metrics import Climatology, WeightTable, acc, lat_weights, rmse
 def eval_initial_times(dataset: Dataset, split: str, lead_h: int, episodes: int,
                        seed: int) -> list:
     """Deterministic sample of initial timestamps with room for the lead."""
-    lo, hi = dataset.splits[split]
-    step_h = dataset.spec.base_step_hours
-    last_valid = hi - 1 - lead_h // step_h
-    if last_valid < lo:
-        raise ValueError(f"split {split!r} too short for lead {lead_h}h")
+    starts = dataset.window_starts(split, lead_h)
     rng = np.random.default_rng([seed, lead_h])
-    idxs = sorted(int(i) for i in rng.choice(np.arange(lo, last_valid + 1),
-                                             size=min(episodes, last_valid + 1 - lo),
-                                             replace=False))
+    idxs = sorted(int(i) for i in rng.choice(np.arange(starts.start, starts.stop),
+                                             size=min(episodes, len(starts)), replace=False))
     return [dataset.fields[i].timestamp_hours for i in idxs]
 
 

@@ -163,6 +163,26 @@ class Dataset:
     def at(self, t_hours: int) -> GridField:
         return self.fields[self.index_of(t_hours)]
 
+    @property
+    def season_length_days(self) -> int:
+        """Length of the data's year in days; 365 when the metadata records none."""
+        return int(self.meta.get("season_length_days") or 365)
+
+    def window_starts(self, split: str, hours: int) -> range:
+        """Indices of `split` whose state `hours` later still lies in the split.
+
+        `hours` counts whole base steps (a remainder is dropped). With 0 hours
+        this is the split itself. Raises ValueError when the split is missing
+        or holds too few states to span `hours`.
+        """
+        if split not in self.splits:
+            raise ValueError(f"the dataset has no {split} split")
+        lo, hi = self.splits[split]
+        starts = range(lo, hi - hours // self.spec.base_step_hours)
+        if not starts:
+            raise ValueError(f"the {split} split holds {hi - lo} states, too few to span {hours}h")
+        return starts
+
     def values_array(self) -> np.ndarray:
         """All frames stacked as (T, V, H, W)."""
         return np.stack([f.values for f in self.fields])

@@ -75,10 +75,9 @@ class ClimatologyError(KeyError):
 class Climatology:
     """Mean field per (day-of-season, hour-of-day) bucket, training split only."""
 
-    def __init__(self, buckets: dict, season_length_days: int, step_hours: int):
+    def __init__(self, buckets: dict, season_length_days: int):
         self.buckets = buckets
         self.season_length_days = season_length_days
-        self.step_hours = step_hours
 
     @staticmethod
     def bucket_key(t_hours: int, season_length_days: int):
@@ -88,11 +87,11 @@ class Climatology:
 
     @staticmethod
     def from_dataset(dataset: Dataset, split: str = "train") -> "Climatology":
-        season = int(dataset.meta.get("season_length_days") or 365)
-        lo, hi = dataset.splits[split]
+        season = dataset.season_length_days
+        split_states = dataset.window_starts(split, 0)
         sums: dict = {}
         counts: dict = {}
-        for f in dataset.fields[lo:hi]:
+        for f in dataset.fields[split_states.start : split_states.stop]:
             key = Climatology.bucket_key(f.timestamp_hours, season)
             if key in sums:
                 sums[key] += f.values
@@ -101,7 +100,7 @@ class Climatology:
                 sums[key] = f.values.copy()
                 counts[key] = 1
         buckets = {k: sums[k] / counts[k] for k in sums}
-        return Climatology(buckets, season, dataset.spec.base_step_hours)
+        return Climatology(buckets, season)
 
     def at(self, t_hours: int) -> np.ndarray:
         key = self.bucket_key(t_hours, self.season_length_days)

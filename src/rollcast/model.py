@@ -250,15 +250,6 @@ class ForecastModel:
     def state_arrays(self) -> dict:
         return {k: p.data for k, p in self._params.items()}
 
-    def load_state_arrays(self, arrays: dict):
-        for k, p in self._params.items():
-            if k not in arrays:
-                raise KeyError(f"checkpoint missing parameter {k}")
-            arr = np.array(arrays[k], dtype=dc.compute_dtype())
-            if arr.shape != p.data.shape:
-                raise ValueError(f"parameter {k}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr
-
     @property
     def norm_mean(self) -> np.ndarray:
         return self._params["norm.mean"].data
@@ -278,17 +269,14 @@ class ForecastModel:
         The change scale of interval d is the per-variable RMS of
         x[t + d] - x[t] over every pair of train-split states d apart.
         """
-        lo, hi = dataset.splits.get("train", (0, len(dataset)))
-        arr = np.stack([f.values for f in dataset.fields[lo:hi]])
+        arr = np.stack([dataset.fields[i].values for i in dataset.window_starts("train", 0)])
         mean = arr.mean(axis=(0, 2, 3))
         std = arr.std(axis=(0, 2, 3))
         std = np.maximum(std, 1e-6)
-        step_h = dataset.spec.base_step_hours
         delta_scale = []
         for d in cfg.intervals:
-            change = arr[d // step_h:] - arr[: len(arr) - d // step_h]
-            if not len(change):
-                raise ValueError(f"train split too short for the {d}h interval")
+            n = len(dataset.window_starts("train", d))
+            change = arr[len(arr) - n:] - arr[:n]
             delta_scale.append(np.sqrt(np.mean(change**2, axis=(0, 2, 3))))
         delta_scale = np.maximum(np.array(delta_scale), 1e-6)
         return ForecastModel(cfg, dataset.spec, mean, std, seed=seed, delta_scale=delta_scale)
@@ -414,23 +402,20 @@ class PretrainTrainer:
         )
         w_field = self.weights.field_weights(dataset.spec.shape)
         self._weight_patches = patchify(w_field, model.cfg.patch_size)
-        lo, hi = dataset.splits.get("train", (0, len(dataset)))
-        self._train_range = (lo, hi)
 
     def sample_batch(self, step_idx: int):
         """Deterministic batch for a step: [(x0 values, target delta, interval), ...]."""
         cfg = self.cfg
         model_cfg = self.model.cfg
         rng = np.random.default_rng([cfg.seed, step_idx])
-        lo, hi = self._train_range
         step_h = self.dataset.spec.base_step_hours
-        max_delta = max(model_cfg.intervals)
+        # every window leaves room for the longest interval, whichever it draws
+        starts = self.dataset.window_starts("train", max(model_cfg.intervals))
         uniform = [1.0 / len(model_cfg.intervals)] * len(model_cfg.intervals)
         out = []
         for _ in range(cfg.batch_size):
             delta = int(rng.choice(model_cfg.intervals, p=uniform))
-            last_valid = hi - 1 - max_delta // step_h
-            idx = int(rng.integers(lo, last_valid + 1))
+            idx = int(rng.integers(starts.start, starts.stop))
             x0 = self.dataset.fields[idx]
             x1 = self.dataset.fields[idx + delta // step_h]
             out.append((x0.values, x1.values - x0.values, delta))
@@ -509,10 +494,10 @@ def evaluate_one_step_loss(model: ForecastModel, dataset: Dataset, split: str, d
     spec = dataset.spec
     V, H, W = spec.shape
     w_field = weights.field_weights(spec.shape)
-    lo, hi = dataset.splits[split]
+    starts = dataset.window_starts(split, delta)
     k = delta // spec.base_step_hours
     rng = np.random.default_rng(seed)
-    idxs = rng.integers(lo, hi - k, size=num_samples)  # the target must lie in the split
+    idxs = rng.integers(starts.start, starts.stop, size=num_samples)
     x0 = np.stack([dataset.fields[int(i)].values for i in idxs])
     x1 = np.stack([dataset.fields[int(i) + k].values for i in idxs])
     target = model.normalize_delta(x1 - x0, delta)

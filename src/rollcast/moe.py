@@ -206,12 +206,3 @@ def combined_aux(aux1: Tensor, aux2: Tensor, alpha: float) -> Tensor:
     """Total auxiliary objective: -aux1 + alpha * aux2 (to be minimized)."""
     return dc.add(dc.neg(aux1), dc.mul_scalar(aux2, alpha))
 
-
-def write_router_telemetry(path, rows, num_experts: int, prov: dict):
-    """Per-step expert-usage CSV under a provenance header: step, block,
-    interval, then one count per expert."""
-    from .config import write_csv  # local import: config imports the model, which imports this
-
-    header = ["step", "block", "interval_hours"] + [f"expert_{m}" for m in range(num_experts)]
-    body = [[step, block, delta] + [int(c) for c in counts] for step, block, delta, counts in rows]
-    write_csv(path, header, body, prov)

@@ -35,7 +35,7 @@ from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
 from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention, attention_params, check_at_least
-from .env import ActionSet, EnvState, Transition
+from .env import ActionSet, EnvState, Transition, run_episode
 
 
 @dataclass
@@ -50,7 +50,6 @@ class DQNConfig:
     eps_end: float = 0.05
     season_length_days: int = 60
     norm_hours: float = 240.0
-    seed: int = 0
 
     def __post_init__(self):
         check_at_least(self, sync_every=1, buffer_capacity=1, batch_size=1, season_length_days=1)
@@ -132,13 +131,6 @@ class QNetwork:
     def state_arrays(self) -> dict:
         return {k: p.data for k, p in self._params.items()}
 
-    def load_state_arrays(self, arrays: dict):
-        for k, p in self._params.items():
-            arr = np.array(arrays[k], dtype=dc.compute_dtype())
-            if arr.shape != p.data.shape:
-                raise ValueError(f"parameter {k}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr
-
     def copy_from(self, other: "QNetwork"):
         for k, p in self._params.items():
             p.data = other._params[k].data.copy()
@@ -199,12 +191,15 @@ class QNetwork:
 
 
 class DQN:
-    """Main/target pair; the target only ever changes by copying the main."""
+    """Main/target pair; the target only ever changes by copying the main.
 
-    def __init__(self, model: ForecastModel, cfg: DQNConfig):
+    `seed` draws the main network's initial weights, which the target copies.
+    """
+
+    def __init__(self, model: ForecastModel, cfg: DQNConfig, seed: int = 0):
         self.cfg = cfg
-        self.q_main = QNetwork(model, cfg, seed=cfg.seed)
-        self.q_target = QNetwork(model, cfg, seed=cfg.seed, weather=self.q_main.weather)
+        self.q_main = QNetwork(model, cfg, seed=seed)
+        self.q_target = QNetwork(model, cfg, seed=seed, weather=self.q_main.weather)
         self.q_target.copy_from(self.q_main)
         self.optimizer = dc.AdamW(self.q_main.params(), lr=cfg.lr)
 
@@ -316,8 +311,6 @@ class ReplayBuffer:
         current_epoch were collected from the environment as it is now, so
         they are kept as stored: a replay would repeat every forecast.
         """
-        from .env import run_episode  # local import to avoid a cycle
-
         self.episodes = [e for e in self.episodes if current_epoch - e["epoch"] <= max_age]
         self.transitions = []
         for e in self.episodes:

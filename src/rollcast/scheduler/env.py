@@ -27,7 +27,7 @@ import numpy as np
 
 from ..gridio import Dataset, GridField
 from ..metrics import WeightTable, lat_weights, step_reward, trajectory_return
-from ..model import MAX_BATCH, ForecastModel  # noqa: F401  (MAX_BATCH: re-exported)
+from ..model import ForecastModel
 
 NEG_INF = -1e30  # mask value for illegal actions
 

@@ -22,7 +22,7 @@ from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import patchify
 from ..gridio import Dataset
-from ..metrics import WeightTable, lat_weights
+from ..metrics import WeightTable, lat_weights, rmse
 from ..model import DivergenceError, ForecastModel, check_at_least, weighted_patch_loss
 from .dqn import DQN, ReplayBuffer, td_update
 from .env import EpisodeSpec, ForecastEnv, run_episode
@@ -59,13 +59,11 @@ class RolloutLossParts:
 def resolve_omega(model: ForecastModel, dataset: Dataset, weights: WeightTable,
                   num_samples: int = 32, seed: int = 0) -> float:
     """-0.05 times the typical single-step RMSE of the current model."""
-    from ..metrics import rmse
-
     rng = np.random.default_rng(seed)
-    lo, hi = dataset.splits.get("train", (0, len(dataset)))
     delta = min(model.cfg.intervals)
+    starts = dataset.window_starts("train", delta)
     step = delta // dataset.spec.base_step_hours
-    idxs = [int(rng.integers(lo, hi - step)) for _ in range(num_samples)]
+    idxs = [int(rng.integers(starts.start, starts.stop)) for _ in range(num_samples)]
     preds = model.forecast_batch(np.stack([dataset.fields[i].values for i in idxs]), delta)
     vals = [rmse(p, dataset.fields[i + step].values, weights) for p, i in zip(preds, idxs)]
     return -0.05 * float(np.mean(vals))
@@ -117,12 +115,8 @@ def sample_episode(dataset: Dataset, lead_times, rng: np.random.Generator,
                    split: str = "train") -> EpisodeSpec:
     """Uniform initial time from a split, lead drawn from the configured set."""
     lead = int(rng.choice(list(lead_times)))
-    lo, hi = dataset.splits[split]
-    step_h = dataset.spec.base_step_hours
-    last_valid = hi - 1 - lead // step_h
-    if last_valid < lo:
-        raise ValueError(f"split {split} too short for lead {lead}h")
-    idx = int(rng.integers(lo, last_valid + 1))
+    starts = dataset.window_starts(split, lead)
+    idx = int(rng.integers(starts.start, starts.stop))
     return EpisodeSpec(dataset.fields[idx].timestamp_hours, lead)
 
 

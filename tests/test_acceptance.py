@@ -200,7 +200,7 @@ def test_criterion_7_td_arithmetic():
                             moe_num_private=2, moe_top_k=1)
     model = ForecastModel.from_dataset(model_cfg, ds, seed=4)
     env = ForecastEnv(model, ds, omega=-0.1)
-    dqn = DQN(model, DQNConfig(seed=4, gamma=0.9))
+    dqn = DQN(model, DQNConfig(gamma=0.9), seed=4)
 
     rng = np.random.default_rng(5)
     batch = []

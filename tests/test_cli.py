@@ -218,7 +218,7 @@ def test_finetune_eval_compare_pipeline(workdir, tmp_path):
     assert (fin / "model_finetuned.ckpt").exists() and (fin / "dqn.ckpt").exists()
     # the sidecar records every DQN config field of the run
     dqn_meta = json.loads((fin / "dqn.ckpt.meta.json").read_text())
-    expected_dqn = dataclasses.asdict(DQNConfig(**TINY["dqn"], seed=TINY["seed"]))
+    expected_dqn = dataclasses.asdict(DQNConfig(**TINY["dqn"]))
     assert dqn_meta["dqn_config"] == expected_dqn
     # head fine-tuning leaves the frozen embedding the DQN was trained on alone
     finetuned, _ = load_model_checkpoint(fin / "model_finetuned.ckpt")
@@ -373,6 +373,44 @@ def test_exit_codes(tmp_path, workdir):
         "finetune", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(stale), "--out-dir", str(tmp_path / "stale_out"),
     ]) == 4
+    # 4: model checkpoints with a missing or misshapen tensor; a checkpoint
+    # without optimizer state (as fine-tuning writes) or step count to resume
+    model_meta = (root / "pre" / "model.ckpt.meta.json").read_text()
+
+    def variant(name, edit):
+        arrays = load_checkpoint(root / "pre" / "model.ckpt")
+        edit(arrays)
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(path, arrays)
+        (tmp_path / f"{name}.ckpt.meta.json").write_text(model_meta)
+        return str(path)
+
+    for name, edit, command in (
+        ("no_head_bias", lambda a: a.pop("head.bias"), "eval"),
+        ("wide_head_bias", lambda a: a.update({"head.bias": np.zeros((1, 3))}), "eval"),
+        ("no_opt", lambda a: [a.pop(k) for k in list(a) if k.startswith("opt.")], "resume"),
+        ("no_step", lambda a: a.pop("trainer.step"), "resume"),
+    ):
+        ckpt = variant(name, edit)
+        argv = {
+            "eval": ["eval", "--data", str(root / "data.grid"), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / f"{name}.csv")],
+            "resume": ["pretrain", "--data", str(root / "data.grid"), "--resume", ckpt,
+                       "--out-dir", str(tmp_path / f"{name}_out")],
+        }[command]
+        assert main(argv[:1] + ["--config", str(cfg_path)] + argv[1:]) == 4, name
+    # 4: DQN checkpoint without one of its tensors
+    model, _ = load_model_checkpoint(root / "pre" / "model.ckpt")
+    headless = tmp_path / "headless_dqn.ckpt"
+    save_dqn_checkpoint(headless, DQN(model, DQNConfig()), RunConfig())
+    arrays = load_checkpoint(headless)
+    del arrays["q.head.bias"]
+    save_checkpoint(headless, arrays)
+    assert main([
+        "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+        "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(headless),
+        "--out", str(tmp_path / "headless.csv"),
+    ]) == 4
     # 4: malformed model sidecar, with an unknown config key or truncated JSON
     meta_text = (root / "pre" / "model.ckpt.meta.json").read_text()
     meta = json.loads(meta_text)
@@ -386,7 +424,6 @@ def test_exit_codes(tmp_path, workdir):
             "--checkpoint", str(bad), "--out", str(tmp_path / f"{name}.csv"),
         ]) == 4
     # 4: DQN sidecar with an unknown config key
-    model, _ = load_model_checkpoint(root / "pre" / "model.ckpt")
     bad_dqn = tmp_path / "bad_dqn.ckpt"
     save_dqn_checkpoint(bad_dqn, DQN(model, DQNConfig()), RunConfig())
     meta = json.loads((tmp_path / "bad_dqn.ckpt.meta.json").read_text())
@@ -445,6 +482,7 @@ MALFORMED = [
     ("print-config", "data.train_frac=1.5", (), "train_frac"),
     ("print-config", "pretrain.batch_size=0", (), "batch_size"),
     ("print-config", "dqn.sync_every=0", (), "sync_every"),
+    ("print-config", "dqn.seed=3", (), "unknown config key 'dqn.seed'"),
     ("print-config", "finetune.finetune_episodes=0", (), "finetune_episodes"),
     ("print-config", "eval.policy=best", (), "policy"),
     ("pretrain", "model.intervals=[6,12,25]", (), "25"),

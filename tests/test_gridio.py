@@ -164,3 +164,41 @@ def test_grid_field_validates_shape_and_finiteness():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         GridField(SMALL_SPEC, bad, 0)
+
+
+# -- split windows -------------------------------------------------------------------
+
+
+def _split_dataset():
+    """12 states at 6h steps: train [0, 8), test [8, 12)."""
+    return generate_synthetic(SMALL_SPEC, 12, seed=2, splits={"train": (0, 8), "test": (8, 12)})
+
+
+def test_window_starts_exact_fit_reaches_the_last_state_of_the_split():
+    ds = _split_dataset()
+    # four test states span 18h exactly: only the first start has room
+    assert ds.window_starts("test", 18) == range(8, 9)
+    assert ds.window_starts("test", 6) == range(8, 11)
+    # 0h is the split itself
+    assert ds.window_starts("train", 0) == range(0, 8)
+    for i in ds.window_starts("train", 24):
+        assert i + 24 // 6 < 8
+
+
+def test_window_starts_one_state_short_raises():
+    ds = _split_dataset()
+    with pytest.raises(ValueError, match="the test split holds 4 states, too few to span 24h"):
+        ds.window_starts("test", 24)
+
+
+def test_window_starts_missing_split_raises():
+    ds = _split_dataset()
+    with pytest.raises(ValueError, match="no val split"):
+        ds.window_starts("val", 6)
+
+
+def test_season_length_days_comes_from_the_metadata():
+    ds = _split_dataset()
+    assert ds.season_length_days == RegimeConfig().season_length_days
+    ds.meta.pop("season_length_days")
+    assert ds.season_length_days == 365

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rollcast import diffcore as dc
+from rollcast.cli import write_router_telemetry
 from rollcast.config import read_csv
 from rollcast.diffcore import Tensor
 from rollcast.model import ModelConfig
@@ -14,7 +15,6 @@ from rollcast.moe import (
     combined_aux,
     gate_decision,
     noise_distributions,
-    write_router_telemetry,
 )
 
 INTERVALS = (6, 12, 24)

@@ -94,7 +94,7 @@ def test_forecast_runs_in_float32(desk_dataset, monkeypatch):
 def test_td_update_runs_in_float32(desk_dataset, monkeypatch):
     model = desk_model(desk_dataset)
     env = ForecastEnv(model, desk_dataset, omega=-0.1)
-    dqn = DQN(model, DQNConfig(seed=0))
+    dqn = DQN(model, DQNConfig(), seed=0)
     episode = EpisodeSpec(desk_dataset.fields[0].timestamp_hours, 48)
     _, transitions, _ = run_episode(env, episode, lambda s: 6 if s.remaining_h % 12 else 12)
     losses = capture_backward(monkeypatch)

@@ -11,7 +11,7 @@ from rollcast import diffcore as dc
 from rollcast.diffcore import Tensor
 from rollcast.gridio import Dataset, GridField, GridSpec, generate_synthetic, default_splits
 from rollcast.metrics import lat_weights
-from rollcast.model import ForecastModel, ModelConfig, attention
+from rollcast.model import MAX_BATCH, ForecastModel, ModelConfig, attention
 from rollcast.scheduler import (
     DQN,
     DQNConfig,
@@ -34,7 +34,7 @@ from rollcast.scheduler import (
     td_update,
 )
 from rollcast.scheduler.dqn import QNetwork, hindsight_transitions
-from rollcast.scheduler.env import MAX_BATCH, EnvState
+from rollcast.scheduler.env import EnvState
 from rollcast.scheduler import finetune
 from rollcast.scheduler.finetune import FinetuneConfig, sample_episode
 
@@ -156,7 +156,7 @@ def _assert_same_outcome(batched, single):
 
 
 def test_run_episodes_matches_one_run_episode_per_episode(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=15))
+    dqn = DQN(model, DQNConfig(), seed=15)
     lo, _ = dataset.splits["test"]
     t0s = [dataset.fields[lo + 3 * i].timestamp_hours for i in range(3)]
     intervals = env.actions.intervals
@@ -228,7 +228,7 @@ def test_shared_prefix_costs_one_forecast_per_shared_step(monkeypatch, env, mode
 
 
 def test_rollout_forecast_fn_rolls_every_pair_out_at_once(monkeypatch, env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=16))
+    dqn = DQN(model, DQNConfig(), seed=16)
     lo, _ = dataset.splits["test"]
     starts = [dataset.fields[lo + i].timestamp_hours for i in (0, 4)]
     pairs = [(t0, lead) for lead in (24, 72) for t0 in starts]
@@ -257,7 +257,7 @@ def test_rollout_forecast_fn_rolls_every_pair_out_at_once(monkeypatch, env, mode
 
 
 def test_q_values_deterministic_and_masked_argmax_legal(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=3))
+    dqn = DQN(model, DQNConfig(), seed=3)
     state = env.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 18))
     a = dqn.q_main.q_values(state)
     b = dqn.q_main.q_values(state)
@@ -271,7 +271,7 @@ def test_q_values_deterministic_and_masked_argmax_legal(env, model, dataset):
 
 
 def test_q_network_reads_weather_anomalies(model, dataset):
-    qnet = DQN(model, DQNConfig(seed=4)).q_main
+    qnet = DQN(model, DQNConfig(), seed=4).q_main
     values = dataset.fields[3].values
     shifted = values + np.array([2.5, -1.0])[:, None, None]
     np.testing.assert_allclose(qnet._weather_tokens(shifted), qnet._weather_tokens(values), atol=1e-12)
@@ -280,7 +280,7 @@ def test_q_network_reads_weather_anomalies(model, dataset):
 
 @pytest.mark.usefixtures("float64")
 def test_q_network_matches_manual_attention_arithmetic(model64, dataset, env64):
-    dqn = DQN(model64, DQNConfig(seed=4))
+    dqn = DQN(model64, DQNConfig(), seed=4)
     qnet = dqn.q_main
     state = env64.reset(EpisodeSpec(dataset.fields[2].timestamp_hours, 24))
 
@@ -355,7 +355,7 @@ def _td_loss(q, batch, targets, actions):
 
 @pytest.mark.usefixtures("float64")
 def test_class_attention_matches_full_attention_oracle_at_b48(env64, model64, dataset):
-    dqn = DQN(model64, DQNConfig(seed=9, gamma=0.9))
+    dqn = DQN(model64, DQNConfig(gamma=0.9), seed=9)
     qnet = dqn.q_main
     rng = np.random.default_rng(10)
     for prm in qnet.params().values():
@@ -381,7 +381,7 @@ def test_class_attention_matches_full_attention_oracle_at_b48(env64, model64, da
 
 def test_td_update_embeds_each_distinct_field_once(env, model, dataset, monkeypatch):
     batch = td_batch_48(env, dataset)
-    dqn = DQN(model, DQNConfig(seed=11))
+    dqn = DQN(model, DQNConfig(), seed=11)
     assert dqn.q_target.weather is dqn.q_main.weather
     embedded = []
     original = QNetwork._weather_tokens
@@ -402,7 +402,7 @@ def test_td_update_embeds_each_distinct_field_once(env, model, dataset, monkeypa
 
 
 def test_weather_rows_are_freed_with_their_field(model, dataset):
-    qnet = DQN(model, DQNConfig(seed=12)).q_main
+    qnet = DQN(model, DQNConfig(), seed=12).q_main
     before = len(qnet.weather.rows)
     field = GridField(SPEC, dataset.fields[7].values + 0.5, dataset.fields[7].timestamp_hours)
     state = EnvState(field, field.timestamp_hours, 0, 24, 24)
@@ -416,7 +416,7 @@ def test_weather_rows_are_freed_with_their_field(model, dataset):
 
 
 def test_weather_cache_never_returns_a_stale_entry(model, dataset):
-    qnet = DQN(model, DQNConfig(seed=13)).q_main
+    qnet = DQN(model, DQNConfig(), seed=13).q_main
     rng = np.random.default_rng(14)
     ids = []
     for _ in range(20):
@@ -437,7 +437,7 @@ def test_weather_cache_never_returns_a_stale_entry(model, dataset):
 
 def test_td_update_at_b48_creates_at_most_60_op_results(env, model, dataset, monkeypatch):
     batch = td_batch_48(env, dataset)
-    dqn = DQN(model, DQNConfig(seed=15))
+    dqn = DQN(model, DQNConfig(), seed=15)
     count = [0]
     make = Tensor.__dict__["_result"].__func__
 
@@ -459,7 +459,7 @@ def test_td_target_arithmetic():
 
 
 def test_td_targets_match_independent_computation(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=5, gamma=0.9))
+    dqn = DQN(model, DQNConfig(gamma=0.9), seed=5)
     rng = np.random.default_rng(6)
     batch = []
     for lead in (30, 24, 18, 12):
@@ -497,7 +497,7 @@ def _hand_n_step_targets(rewards, next_states, n, gamma, dqn, env):
 
 
 def test_n_step_targets_match_hand_computation(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=15, gamma=0.9))
+    dqn = DQN(model, DQNConfig(gamma=0.9), seed=15)
     buf = ReplayBuffer(capacity=100, n_step=3, hindsight_steps=0)
     episode = EpisodeSpec(dataset.fields[3].timestamp_hours, 48)
     actions = iter([6, 12, 6, 12, 6, 6])
@@ -515,7 +515,7 @@ def test_n_step_targets_match_hand_computation(env, model, dataset):
 
 def test_buffer_refresh_rebuilds_n_step_targets_from_replayed_rewards(model, dataset):
     env = ForecastEnv(model, dataset, omega=-0.1)
-    dqn = DQN(model, DQNConfig(seed=16, gamma=0.9))
+    dqn = DQN(model, DQNConfig(gamma=0.9), seed=16)
     buf = ReplayBuffer(capacity=100, n_step=2, hindsight_steps=0)
     episode = EpisodeSpec(dataset.fields[5].timestamp_hours, 36)
     actions = [12, 6, 6, 12]
@@ -542,7 +542,7 @@ def test_buffer_refresh_rebuilds_n_step_targets_from_replayed_rewards(model, dat
 
 
 def test_hindsight_segments_are_exact_shorter_episodes(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=17, gamma=0.9))
+    dqn = DQN(model, DQNConfig(gamma=0.9), seed=17)
     buf = ReplayBuffer(capacity=100, n_step=1, hindsight_steps=2)
     episode = EpisodeSpec(dataset.fields[4].timestamp_hours, 48)
     actions = [6, 12, 6, 12, 6, 6]
@@ -584,7 +584,7 @@ def test_buffer_capacity_counts_relabelled_segments(env, dataset):
 
 @pytest.mark.usefixtures("float64")
 def test_td_update_loss_matches_direct_formula(env64, model64, dataset):
-    dqn = DQN(model64, DQNConfig(seed=7))
+    dqn = DQN(model64, DQNConfig(), seed=7)
     state = env64.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 24))
     batch = []
     while state.remaining_h > 0:
@@ -600,7 +600,7 @@ def test_td_update_loss_matches_direct_formula(env64, model64, dataset):
 
 
 def test_target_network_changes_only_on_sync(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=8))
+    dqn = DQN(model, DQNConfig(), seed=8)
     before = {k: v.copy() for k, v in dqn.q_target.state_arrays().items()}
     state = env.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 12))
     batch = []
@@ -745,7 +745,7 @@ def test_policy_random_first_action_frequencies_uniform():
 
 
 def test_policy_adaptive_masking_and_epsilon(env, model, dataset):
-    dqn = DQN(model, DQNConfig(seed=10))
+    dqn = DQN(model, DQNConfig(), seed=10)
     state = env.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 6))
     assert policy_adaptive(state, dqn) == 6  # only legal action
     state18 = env.reset(EpisodeSpec(dataset.fields[0].timestamp_hours, 18))
@@ -882,7 +882,7 @@ def test_head_updates_forecast_each_step_once(monkeypatch, dataset):
     wrap(finetune, "rollout_finetune_loss",
          after=lambda parts: counts.update(steps=counts["steps"] + len(parts.per_step)))
 
-    dqn = DQN(model, DQNConfig(seed=33, sync_every=10, batch_size=8))
+    dqn = DQN(model, DQNConfig(sync_every=10, batch_size=8), seed=33)
     cfg = FinetuneConfig(epochs=2, episodes_per_epoch=3, iterations_per_epoch=20,
                          finetune_episodes=2, t_max=2, lead_times=(24, 36), seed=33)
     phase["head"] = False  # the DQN's constructor syncs its target once
@@ -897,7 +897,7 @@ def test_head_updates_forecast_each_step_once(monkeypatch, dataset):
 
 
 def test_adaptive_rollout_finetune_smoke(model, dataset):
-    dqn = DQN(model, DQNConfig(seed=12, sync_every=10, batch_size=8))
+    dqn = DQN(model, DQNConfig(sync_every=10, batch_size=8), seed=12)
     buf = ReplayBuffer(capacity=500)
     cfg = FinetuneConfig(
         epochs=2, episodes_per_epoch=3, iterations_per_epoch=20,
@@ -936,7 +936,7 @@ def test_evaluate_policies_shapes_and_adaptive_row(env, model, dataset):
     assert all(len(r.returns) == 3 for r in res.values())
     assert res["naive"].mean_length == 8.0
     assert res["greedy"].mean_length == 2.0
-    dqn = DQN(model, DQNConfig(seed=14))
+    dqn = DQN(model, DQNConfig(), seed=14)
     res2 = evaluate_policies(env, episodes, dqn=dqn)
     assert "adaptive" in res2
     # fixed policies are unaffected by the dqn and reproduce exactly
