@@ -205,4 +205,3 @@ def aux_loss_2(noise_dists: dict) -> Tensor:
 def combined_aux(aux1: Tensor, aux2: Tensor, alpha: float) -> Tensor:
     """Total auxiliary objective: -aux1 + alpha * aux2 (to be minimized)."""
     return dc.add(dc.neg(aux1), dc.mul_scalar(aux2, alpha))
-
