@@ -31,7 +31,6 @@ import numpy as np  # noqa: E402
 from rollcast.cli import load_dqn_checkpoint, load_model_checkpoint, main  # noqa: E402
 from rollcast.evaluation import eval_initial_times  # noqa: E402
 from rollcast.gridio import read_grid_file  # noqa: E402
-from rollcast.metrics import lat_weights  # noqa: E402
 from rollcast.scheduler import EpisodeSpec, ForecastEnv, evaluate_policies  # noqa: E402
 from rollcast.scheduler.finetune import resolve_omega  # noqa: E402
 
@@ -65,8 +64,7 @@ def compare(root: Path) -> dict:
     ds = read_grid_file(root / "data.grid")
     model, _ = load_model_checkpoint(root / "fin" / "model_finetuned.ckpt")
     dqn = load_dqn_checkpoint(root / "fin" / "dqn.ckpt", model)
-    weights = lat_weights(ds.spec)
-    env = ForecastEnv(model, ds, omega=resolve_omega(model, ds, weights, seed=0), weights=weights)
+    env = ForecastEnv(model, ds, omega=resolve_omega(model, ds, seed=0))
     starts = eval_initial_times(ds, "test", LEAD_H, EPISODES, seed=0)
     res = evaluate_policies(env, [EpisodeSpec(t, LEAD_H) for t in starts], dqn=dqn, random_seed=0)
     adaptive = np.array(res["adaptive"].returns)

@@ -44,7 +44,6 @@ from .gridio import (
     read_grid_file,
     write_grid_file,
 )
-from .metrics import Climatology, lat_weights
 from .model import (
     DivergenceError,
     ForecastModel,
@@ -331,10 +330,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
 def cmd_eval(cfg: RunConfig, args) -> int:
     ds = read_grid_file(args.data)
     model = _load_model_for(args, ds, "eval.leads", cfg.eval.leads, "test")
-    climatology = Climatology.from_dataset(ds, "train")
-    weights = lat_weights(ds.spec)
-
-    env = ForecastEnv(model, ds, omega=0.0, weights=weights)
+    env = ForecastEnv(model, ds, omega=0.0)
     q_net = None
     if cfg.eval.policy == "adaptive":
         if not args.dqn:
@@ -342,10 +338,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         q_net = load_dqn_checkpoint(args.dqn, model).q_main
     forecast_fn = rollout_forecast_fn(env, cfg.eval.policy, q_net, random_seed=cfg.seed)
 
-    rows = evaluate_leads(
-        forecast_fn, ds, "test", cfg.eval.leads, cfg.eval.episodes, cfg.seed,
-        climatology=climatology, weights=weights,
-    )
+    rows = evaluate_leads(forecast_fn, ds, "test", cfg.eval.leads, cfg.eval.episodes, cfg.seed)
     out_rows = [(name, lead, f"{r:.8f}", f"{a:.8f}") for name, lead, r, a in rows]
     write_csv(args.out, ["variable", "lead_hours", "rmse", "acc"], out_rows, provenance(cfg))
     for name, lead, r, a in rows:
@@ -357,11 +350,10 @@ def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
     ds = read_grid_file(args.data)
     model = _load_model_for(args, ds, "compare.lead", [cfg.compare.lead], "test")
     dqn = load_dqn_checkpoint(args.dqn, model) if args.dqn else None
-    weights = lat_weights(ds.spec)
     omega = cfg.finetune.omega
     if omega is None:
-        omega = resolve_omega(model, ds, weights, seed=cfg.seed)
-    env = ForecastEnv(model, ds, omega=omega, weights=weights)
+        omega = resolve_omega(model, ds, seed=cfg.seed)
+    env = ForecastEnv(model, ds, omega=omega)
     t0s = eval_initial_times(ds, "test", cfg.compare.lead, cfg.compare.episodes, cfg.seed)
     episodes = [EpisodeSpec(t, cfg.compare.lead) for t in t0s]
     results = evaluate_policies(env, episodes, dqn=dqn, random_seed=cfg.seed)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gridio import Dataset
-from .metrics import Climatology, WeightTable, acc, lat_weights, rmse
+from .metrics import Climatology, acc, lat_weights, rmse
 
 
 def eval_initial_times(dataset: Dataset, split: str, lead_h: int, episodes: int,
@@ -19,18 +19,17 @@ def eval_initial_times(dataset: Dataset, split: str, lead_h: int, episodes: int,
 
 
 def evaluate_leads(forecast_fn, dataset: Dataset, split: str, leads, episodes: int,
-                   seed: int, climatology: Climatology | None = None,
-                   weights: WeightTable | None = None) -> list:
+                   seed: int) -> list:
     """Score a forecaster at several lead times.
 
     forecast_fn(starts, leads) gets every (initial state, lead) pair of all
     leads in one call, as a list of GridFields and a list of lead hours, and
     must return the predicted GridField at start.timestamp + lead for each
     pair, in order. Returns rows of (variable name, lead_hours, rmse, acc)
-    averaged over initial times.
+    averaged over initial times, against the train-split climatology.
     """
-    weights = weights or lat_weights(dataset.spec)
-    climatology = climatology or Climatology.from_dataset(dataset, "train")
+    lat_weight = lat_weights(dataset.spec)
+    climatology = Climatology.from_dataset(dataset)
     names = dataset.meta.get("variables") or [f"var{v}" for v in range(dataset.spec.num_vars)]
     t0s = [eval_initial_times(dataset, split, lead, episodes, seed) for lead in leads]
     pair_leads = [int(lead) for lead, starts in zip(leads, t0s) for _ in starts]
@@ -43,8 +42,8 @@ def evaluate_leads(forecast_fn, dataset: Dataset, split: str, leads, episodes: i
         p = np.stack([next(preds).values for _ in starts])
         t = np.stack([dataset.at(t0 + lead).values for t0 in starts])
         c = np.stack([climatology.at(t0 + lead) for t0 in starts])
-        accs = acc(p, t, c, weights)
+        accs = acc(p, t, c, lat_weight)
         for v, name in enumerate(names):
-            r = rmse(p[:, v : v + 1], t[:, v : v + 1], weights)
+            r = rmse(p[:, v : v + 1], t[:, v : v + 1], lat_weight)
             rows.append((name, int(lead), r, float(accs[v])))
     return rows

@@ -9,42 +9,16 @@ correlation of climatology anomalies, computed per variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gridio import Dataset, GridSpec, HOURS_PER_DAY
 
 
-@dataclass
-class WeightTable:
-    """Latitude weights (mean 1) and per-variable loss weights."""
-
-    lat_weight: np.ndarray  # (H,)
-    var_weight: np.ndarray  # (V,)
-
-    def __post_init__(self):
-        self.lat_weight = np.asarray(self.lat_weight, dtype=np.float64)
-        self.var_weight = np.asarray(self.var_weight, dtype=np.float64)
-        if np.any(self.lat_weight <= 0) or np.any(self.var_weight <= 0):
-            raise ValueError("weights must be positive")
-
-    def field_weights(self, shape) -> np.ndarray:
-        """Combined w(v) * L(i) broadcast to a (V, H, W) grid."""
-        V, H, W = shape
-        return (
-            self.var_weight[:V, None, None]
-            * self.lat_weight[None, :H, None]
-            * np.ones((1, 1, W))
-        )
-
-
-def lat_weights(spec: GridSpec, var_weight=None) -> WeightTable:
-    """cos-latitude weights normalized to mean 1; variable weights default to 1."""
+def lat_weights(spec: GridSpec) -> np.ndarray:
+    """(H,) cos-latitude weights normalized to mean 1: the one weighting of
+    every score and loss."""
     cosines = np.cos(np.radians(np.asarray(spec.lat_degrees)))
-    lw = cosines / cosines.mean()
-    vw = np.ones(spec.num_vars) if var_weight is None else np.asarray(var_weight, float)
-    return WeightTable(lw, vw)
+    return cosines / cosines.mean()
 
 
 def _as_time_batch(arr) -> np.ndarray:
@@ -56,14 +30,14 @@ def _as_time_batch(arr) -> np.ndarray:
     raise ValueError(f"expected (V,H,W) or (T,V,H,W), got shape {a.shape}")
 
 
-def rmse(pred, truth, weights: WeightTable) -> float:
+def rmse(pred, truth, lat_weight: np.ndarray) -> float:
     """Latitude-weighted RMSE; (T,V,H,W) inputs are averaged over T."""
     p = _as_time_batch(pred)
     t = _as_time_batch(truth)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
     _, V, H, W = p.shape
-    lw = weights.lat_weight[None, None, :, None]
+    lw = lat_weight[None, None, :, None]
     per_time = np.sqrt(np.sum(lw * (p - t) ** 2, axis=(1, 2, 3)) / (V * H * W))
     return float(per_time.mean())
 
@@ -86,9 +60,9 @@ class Climatology:
         return (int(day), int(hour))
 
     @staticmethod
-    def from_dataset(dataset: Dataset, split: str = "train") -> "Climatology":
+    def from_dataset(dataset: Dataset) -> "Climatology":
         season = dataset.season_length_days
-        split_states = dataset.window_starts(split, 0)
+        split_states = dataset.window_starts("train", 0)
         sums: dict = {}
         counts: dict = {}
         for f in dataset.fields[split_states.start : split_states.stop]:
@@ -109,7 +83,7 @@ class Climatology:
         return self.buckets[key]
 
 
-def acc(pred, truth, climatology, weights: WeightTable) -> np.ndarray:
+def acc(pred, truth, climatology, lat_weight: np.ndarray) -> np.ndarray:
     """Anomaly correlation per variable.
 
     pred/truth: (V,H,W) or (T,V,H,W); climatology: matching array of means.
@@ -122,27 +96,27 @@ def acc(pred, truth, climatology, weights: WeightTable) -> np.ndarray:
     if not (p.shape == t.shape == c.shape):
         raise ValueError(f"shape mismatch {p.shape} vs {t.shape} vs {c.shape}")
     T, V, _, _ = p.shape
-    lw = weights.lat_weight[None, :, None]
+    lw = lat_weight[:, None]
     out = np.zeros(V)
     for v in range(V):
         vals = np.zeros(T)
         for ti in range(T):
             pa = p[ti, v] - c[ti, v]
             ta = t[ti, v] - c[ti, v]
-            num = np.sum(lw[0] * pa * ta)
-            denom = np.sqrt(np.sum(lw[0] * pa**2) * np.sum(lw[0] * ta**2))
+            num = np.sum(lw * pa * ta)
+            denom = np.sqrt(np.sum(lw * pa**2) * np.sum(lw * ta**2))
             vals[ti] = num / denom if denom > 0 else 0.0
         out[v] = vals.mean()
     return out
 
 
-def step_reward(pred_field, truth_field, weights: WeightTable, omega: float) -> float:
+def step_reward(pred_field, truth_field, lat_weight: np.ndarray, omega: float) -> float:
     """Per-step reward: negative latitude-weighted RMSE plus the length penalty.
 
     omega is an additive constant applied at every step; configure it negative
     so longer trajectories pay for their extra steps.
     """
-    return -rmse(pred_field, truth_field, weights) + omega
+    return -rmse(pred_field, truth_field, lat_weight) + omega
 
 
 def trajectory_return(step_rewards) -> float:

@@ -23,7 +23,7 @@ from . import diffcore as dc
 from .diffcore import Tensor
 from .encoding import IntervalEmbedding, patchify, ring_pe_2d, unpatchify
 from .gridio import Dataset, GridField, GridSpec
-from .metrics import WeightTable, lat_weights
+from .metrics import lat_weights
 from .moe import (
     SharedPrivateMoE,
     aux_loss_1,
@@ -212,6 +212,8 @@ class ForecastModel:
         self.patch_dim = P * P * spec.num_vars
         self.num_tokens = self.token_grid[0] * self.token_grid[1]
         self.positional = ring_pe_2d(*self.token_grid, cfg.embed_dim)  # (L, D)
+        # (L, P*P*V) latitude weight of every head output, for the training losses
+        self.loss_weight_patches = patchify(np.broadcast_to(lat_weights(spec)[:, None], spec.shape), P)
 
         rng = np.random.default_rng(seed)
         self._params = {}
@@ -391,17 +393,13 @@ class PretrainConfig:
 class PretrainTrainer:
     """Randomized-interval one-step training over the train split."""
 
-    def __init__(self, model: ForecastModel, dataset: Dataset, cfg: PretrainConfig,
-                 weights: WeightTable | None = None):
+    def __init__(self, model: ForecastModel, dataset: Dataset, cfg: PretrainConfig):
         self.model = model
         self.dataset = dataset
         self.cfg = cfg
-        self.weights = weights or lat_weights(dataset.spec)
         self.optimizer = dc.AdamW(
             model.trainable_params(), lr=cfg.lr, weight_decay=cfg.weight_decay
         )
-        w_field = self.weights.field_weights(dataset.spec.shape)
-        self._weight_patches = patchify(w_field, model.cfg.patch_size)
 
     def sample_batch(self, step_idx: int):
         """Deterministic batch for a step: [(x0 values, target delta, interval), ...]."""
@@ -446,7 +444,7 @@ class PretrainTrainer:
             pred, decisions, noises = model.forward_tokens(xb, delta, collect_noise=True)
             usage += [(delta, bi, dec.usage_histogram(model.cfg.moe_num_private))
                       for bi, dec in enumerate(decisions)]
-            wp = np.tile(self._weight_patches, (len(items), 1))
+            wp = np.tile(model.loss_weight_patches, (len(items), 1))
             part = weighted_patch_loss(pred, targets.reshape(pred.shape), wp, denom=B * V * H * W)
             l_delta = part if l_delta is None else dc.add(l_delta, part)
             for bi, noise in enumerate(noises):
@@ -488,12 +486,11 @@ class PretrainTrainer:
 
 
 def evaluate_one_step_loss(model: ForecastModel, dataset: Dataset, split: str, delta: int,
-                           num_samples: int, seed: int, weights: WeightTable | None = None):
+                           num_samples: int, seed: int):
     """(model loss, persistence loss) for one interval over sampled windows."""
-    weights = weights or lat_weights(dataset.spec)
     spec = dataset.spec
     V, H, W = spec.shape
-    w_field = weights.field_weights(spec.shape)
+    w_field = lat_weights(spec)[:, None]
     starts = dataset.window_starts(split, delta)
     k = delta // spec.base_step_hours
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gridio import Dataset, GridField
-from ..metrics import WeightTable, lat_weights, step_reward, trajectory_return
+from ..metrics import lat_weights, step_reward, trajectory_return
 from ..model import ForecastModel
 
 NEG_INF = -1e30  # mask value for illegal actions
@@ -146,11 +146,11 @@ class ForecastEnv:
     """Couples a forecast model with the dataset it is scored against."""
 
     def __init__(self, model: ForecastModel, dataset: Dataset, omega: float,
-                 weights: WeightTable | None = None):
+                 weights: np.ndarray | None = None):
         self.model = model
         self.dataset = dataset
         self.omega = float(omega)
-        self.weights = weights or lat_weights(dataset.spec)
+        self.weights = lat_weights(dataset.spec) if weights is None else weights
         self.actions = ActionSet(model.cfg.intervals)
 
     def reset(self, episode: EpisodeSpec) -> EnvState:

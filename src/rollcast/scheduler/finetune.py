@@ -22,7 +22,7 @@ from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import patchify
 from ..gridio import Dataset
-from ..metrics import WeightTable, lat_weights, rmse
+from ..metrics import lat_weights, rmse
 from ..model import DivergenceError, ForecastModel, check_at_least, weighted_patch_loss
 from .dqn import DQN, ReplayBuffer, td_update
 from .env import EpisodeSpec, ForecastEnv, run_episode
@@ -56,8 +56,8 @@ class RolloutLossParts:
     per_step: list = field(default_factory=list)
 
 
-def resolve_omega(model: ForecastModel, dataset: Dataset, weights: WeightTable,
-                  num_samples: int = 32, seed: int = 0) -> float:
+def resolve_omega(model: ForecastModel, dataset: Dataset, num_samples: int = 32,
+                  seed: int = 0) -> float:
     """-0.05 times the typical single-step RMSE of the current model."""
     rng = np.random.default_rng(seed)
     delta = min(model.cfg.intervals)
@@ -65,7 +65,8 @@ def resolve_omega(model: ForecastModel, dataset: Dataset, weights: WeightTable,
     step = delta // dataset.spec.base_step_hours
     idxs = [int(rng.integers(starts.start, starts.stop)) for _ in range(num_samples)]
     preds = model.forecast_batch(np.stack([dataset.fields[i].values for i in idxs]), delta)
-    vals = [rmse(p, dataset.fields[i + step].values, weights) for p, i in zip(preds, idxs)]
+    lat_weight = lat_weights(dataset.spec)
+    vals = [rmse(p, dataset.fields[i + step].values, lat_weight) for p, i in zip(preds, idxs)]
     return -0.05 * float(np.mean(vals))
 
 
@@ -80,7 +81,7 @@ def rollout_finetune_loss(env: ForecastEnv, episode: EpisodeSpec, action_fn,
     next state (`EnvState.advance`), so the walk visits the states
     `run_episode` would. Once the walk ends, each step scores its predicted
     change against the change that would have made the forecast exact (truth
-    minus the incoming state), weighted by latitude and variable and
+    minus the incoming state), weighted by latitude (`loss_weight_patches`) and
     normalized by trajectory length and grid size.
     """
     model, spec = env.model, env.dataset.spec
@@ -101,10 +102,9 @@ def rollout_finetune_loss(env: ForecastEnv, episode: EpisodeSpec, action_fn,
         state = state.advance(action, state.x_hat.values + change)
 
     denom = len(steps) * V * H * W
-    w_patches = patchify(env.weights.field_weights(spec.shape), model.cfg.patch_size)
     grad_loss, per_step = None, []
     for t, (pred, target) in enumerate(steps, start=1):
-        term = weighted_patch_loss(pred, target, w_patches, denom)  # graph-free past t_max
+        term = weighted_patch_loss(pred, target, model.loss_weight_patches, denom)  # graph-free past t_max
         if t <= t_max:
             grad_loss = term if grad_loss is None else dc.add(grad_loss, term)
         per_step.append(float(term.data))
@@ -130,16 +130,14 @@ def _greedy_on_target(dqn: DQN):
 
 
 def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
-                              buffer: ReplayBuffer, cfg: FinetuneConfig,
-                              weights: WeightTable | None = None) -> dict:
+                              buffer: ReplayBuffer, cfg: FinetuneConfig) -> dict:
     """Alternate TD updates of the scheduler with head fine-tuning of the model.
 
     Returns a log dict: per-episode rows, TD losses, and per-sync rollout
     losses. The model and DQN are updated in place.
     """
-    weights = weights or lat_weights(dataset.spec)
-    omega = cfg.omega if cfg.omega is not None else resolve_omega(model, dataset, weights, seed=cfg.seed)
-    env = ForecastEnv(model, dataset, omega, weights)
+    omega = cfg.omega if cfg.omega is not None else resolve_omega(model, dataset, seed=cfg.seed)
+    env = ForecastEnv(model, dataset, omega)
     head_opt = dc.AdamW(model.head_params(), lr=cfg.head_lr)
     logs = {"episodes": [], "td_losses": [], "rollout_losses": [], "omega": omega}
     global_iter = 0

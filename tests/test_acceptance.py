@@ -177,12 +177,12 @@ def test_criterion_6_metric_oracles():
         truth = rng.normal(size=spec.shape)
         clim = rng.normal(size=spec.shape)
         np.testing.assert_allclose(
-            rmse(pred, truth, w), rmse_oracle(pred, truth, w.lat_weight), rtol=1e-12
+            rmse(pred, truth, w), rmse_oracle(pred, truth, w), rtol=1e-12
         )
         got = acc(pred, truth, clim, w)
         for v in range(2):
             np.testing.assert_allclose(
-                got[v], acc_oracle(pred, truth, clim, w.lat_weight, v), rtol=1e-12
+                got[v], acc_oracle(pred, truth, clim, w, v), rtol=1e-12
             )
     x = rng.normal(size=spec.shape)
     assert rmse(x, x, w) == 0.0
@@ -302,7 +302,7 @@ def test_criterion_10_rollout_ablation_ordering(pipeline):
     model, _ = load_model_checkpoint(root / "fin" / "model_finetuned.ckpt")
     dqn = load_dqn_checkpoint(root / "fin" / "dqn.ckpt", model)
     weights = lat_weights(ds.spec)
-    omega = resolve_omega(model, ds, weights, seed=0)
+    omega = resolve_omega(model, ds, seed=0)
     env = ForecastEnv(model, ds, omega=omega, weights=weights)
     t0s = eval_initial_times(ds, "test", 138, 200, seed=0)
     assert len(t0s) >= 200

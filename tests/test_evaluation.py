@@ -45,14 +45,13 @@ def test_perfect_oracle_scores_rmse_zero_acc_one():
 
 def test_climatology_predictor_has_near_zero_acc():
     ds = make_dataset()
-    clim = Climatology.from_dataset(ds, "train")
+    clim = Climatology.from_dataset(ds)
 
     def clim_predictor(starts, leads):
         times = [x0.timestamp_hours + lead for x0, lead in zip(starts, leads)]
         return [GridField(ds.spec, clim.at(t), t) for t in times]
 
-    rows = evaluate_leads(clim_predictor, ds, "test", leads=(24,), episodes=10, seed=2,
-                          climatology=clim)
+    rows = evaluate_leads(clim_predictor, ds, "test", leads=(24,), episodes=10, seed=2)
     for _, _, r, a in rows:
         assert r > 0.0  # the climatology is not the truth
         assert abs(a) < 1e-12  # anomalies of the predictor are identically zero

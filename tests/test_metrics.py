@@ -7,7 +7,6 @@ from rollcast.gridio import Dataset, GridField, GridSpec, generate_synthetic
 from rollcast.metrics import (
     Climatology,
     ClimatologyError,
-    WeightTable,
     acc,
     lat_weights,
     rmse,
@@ -43,20 +42,20 @@ def acc_oracle(pred, truth, clim, lat_w, v):
 def test_lat_weights_all_equator_is_ones():
     spec = GridSpec(1, 3, 4, (1e-6, 0.0, -1e-6))
     w = lat_weights(spec)
-    np.testing.assert_allclose(w.lat_weight, 1.0, atol=1e-9)
+    np.testing.assert_allclose(w, 1.0, atol=1e-9)
 
 
 def test_lat_weights_hand_case_60_and_0_degrees():
     spec = GridSpec(1, 2, 4, (60.0, 0.0))
     w = lat_weights(spec)
-    np.testing.assert_allclose(w.lat_weight, [2.0 / 3.0, 4.0 / 3.0], atol=1e-12)
+    np.testing.assert_allclose(w, [2.0 / 3.0, 4.0 / 3.0], atol=1e-12)
 
 
 def test_lat_weights_mean_is_one_for_any_spec():
     for h in (2, 7, 16, 64):
         spec = GridSpec.cell_centered(1, h, 4)
         w = lat_weights(spec)
-        assert abs(w.lat_weight.mean() - 1.0) < 1e-12
+        assert abs(w.mean() - 1.0) < 1e-12
 
 
 def test_rmse_zero_on_identical_and_symmetric():
@@ -72,7 +71,7 @@ def test_rmse_zero_on_identical_and_symmetric():
 def test_rmse_single_cell_uniform_weight():
     # one grid cell with unit weight and error 3 -> RMSE 3
     spec = GridSpec(1, 2, 2, (1e-3, -1e-3))
-    w = WeightTable(np.ones(2), np.ones(1))
+    w = np.ones(2)
     pred = np.zeros((1, 2, 2))
     truth = np.zeros((1, 2, 2))
     pred += 3.0
@@ -87,7 +86,7 @@ def test_rmse_matches_triple_loop_oracle():
         pred = rng.normal(size=spec.shape)
         truth = rng.normal(size=spec.shape)
         np.testing.assert_allclose(
-            rmse(pred, truth, w), rmse_oracle(pred, truth, w.lat_weight), rtol=1e-12
+            rmse(pred, truth, w), rmse_oracle(pred, truth, w), rtol=1e-12
         )
 
 
@@ -123,7 +122,7 @@ def test_acc_matches_direct_formula_oracle():
         got = acc(pred, truth, clim, w)
         for v in range(2):
             np.testing.assert_allclose(
-                got[v], acc_oracle(pred, truth, clim, w.lat_weight, v), rtol=1e-12
+                got[v], acc_oracle(pred, truth, clim, w, v), rtol=1e-12
             )
 
 
@@ -143,7 +142,7 @@ def test_acc_invariant_to_shifting_both_by_climatology_offset():
 def test_climatology_buckets_and_missing_bucket_error():
     spec = GridSpec.cell_centered(1, 4, 8)
     ds = generate_synthetic(spec, 240, seed=7, splits={"train": (0, 200), "test": (200, 240)})
-    clim = Climatology.from_dataset(ds, "train")
+    clim = Climatology.from_dataset(ds)
     season_h = clim.season_length_days * 24
     # two timestamps one season apart share a bucket
     a = clim.at(ds.start_hours)

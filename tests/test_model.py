@@ -403,8 +403,7 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
     spec = small_dataset.spec
     V, H, W = spec.shape
     scale = change_rms_oracle(small_dataset, cfg.intervals)
-    w_lat = trainer.weights.lat_weight
-    w_var = trainer.weights.var_weight
+    w_lat = lat_weights(spec)
     total = 0.0
     for x0, dvals, delta in batch:
         change = model.predict_change(x0[None], delta)[0]
@@ -414,7 +413,7 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
                 for j in range(W):
                     pred_norm = change[v, i, j] / s[v]
                     target_norm = dvals[v, i, j] / s[v]
-                    total += w_var[v] * w_lat[i] * (pred_norm - target_norm) ** 2
+                    total += w_lat[i] * (pred_norm - target_norm) ** 2
     expected = total / (len(batch) * V * H * W)
     np.testing.assert_allclose(float(l_delta.data), expected, rtol=1e-9)
 
@@ -461,7 +460,7 @@ def test_one_step_summary_matches_the_single_window_formula(small_dataset):
     randomize_params(model, 19)
     spec = small_dataset.spec
     V, H, W = spec.shape
-    w_field = lat_weights(spec).field_weights(spec.shape)
+    w_field = lat_weights(spec)[:, None]
     lo, hi = small_dataset.splits["train"]
     num_samples = MAX_BATCH + 8  # two forecaster chunks
     for delta in cfg.intervals:
