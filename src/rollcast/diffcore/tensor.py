@@ -30,10 +30,6 @@ _GRAD_ENABLED = True
 _DTYPE = np.float32
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def compute_dtype() -> type:
     """The dtype Tensor() casts to: float32, or float64 inside `float64()`."""
     return _DTYPE
