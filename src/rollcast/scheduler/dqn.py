@@ -34,7 +34,16 @@ import numpy as np
 from .. import diffcore as dc
 from ..diffcore import Tensor
 from ..encoding import TemporalEmbedding, patchify
-from ..model import MAX_BATCH, ForecastModel, _linear, _linear_params, attention, attention_params, check_at_least
+from ..model import (
+    MAX_BATCH,
+    DivergenceError,
+    ForecastModel,
+    _linear,
+    _linear_params,
+    attention,
+    attention_params,
+    check_at_least,
+)
 from .env import ActionSet, EnvState, Transition, run_episode
 
 
@@ -354,7 +363,8 @@ def td_targets(batch, dqn: DQN) -> np.ndarray:
 
 
 def td_update(batch, dqn: DQN) -> float:
-    """One gradient step of q_main toward the TD targets; returns the loss."""
+    """One gradient step of q_main toward the TD targets; returns the loss.
+    A non-finite loss raises DivergenceError before the step."""
     targets = td_targets(batch, dqn)
     dqn.optimizer.zero_grad()
     q = dqn.q_main.q_values_batch([t.state for t in batch])  # (B, A)
@@ -362,6 +372,8 @@ def td_update(batch, dqn: DQN) -> float:
     q_taken = dc.gather_cols(q, idx)  # (B, 1)
     diff = dc.sub(q_taken, Tensor(targets[:, None]))
     loss = dc.tensor_mean(dc.mul(diff, diff))
+    if not np.isfinite(loss.data):
+        raise DivergenceError("non-finite TD loss")
     dc.backward(loss)
     dqn.optimizer.step()
     return float(loss.data)
