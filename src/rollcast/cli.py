@@ -4,9 +4,11 @@ rollout comparison, and positional-encoding similarity dumps.
 Exit codes: 0 success, 2 configuration error (a malformed setting, or a model
 and a dataset that do not fit together: another grid, a patch that does not
 tile it, intervals or leads off its steps, or a split too short for an
-interval or a lead), 3 numeric divergence, 4 I/O error (a missing or
-malformed file: a grid file or its manifest, a checkpoint or its sidecar, or a
-checkpoint tensor that is missing or misshapen).
+interval or a lead), 3 numeric divergence (a non-finite pre-training, TD or
+head fine-tuning loss), 4 I/O error (a missing or malformed file: a grid file
+or its manifest, a checkpoint or its sidecar, a sidecar of the other kind of
+checkpoint, or a checkpoint tensor that is missing, misshapen or non-finite;
+the message names the file).
 Every output carries a provenance header (config hash, seed, versions), so two
 runs with the same config and seed produce identical files.
 """
@@ -93,15 +95,18 @@ def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arra
     _write_json(str(path) + ".meta.json", meta)
 
 
-def _read_sidecar(path, build):
-    """build(meta) over the parsed .meta.json sidecar of a checkpoint; a
-    missing sidecar, bad JSON, or a missing, unknown or invalid key in it
-    raises CheckpointError."""
+def _read_sidecar(path, kind: str, build):
+    """build(meta) over the parsed .meta.json sidecar of a `kind` checkpoint;
+    a missing sidecar, bad JSON, a sidecar of another kind, or a missing,
+    unknown or invalid key in it raises CheckpointError."""
     meta_path = Path(str(path) + ".meta.json")
     if not meta_path.exists():
         raise CheckpointError(f"missing checkpoint sidecar {meta_path}")
     try:
-        return build(json.loads(meta_path.read_text()))
+        meta = json.loads(meta_path.read_text())
+        if meta["kind"] != kind:
+            raise CheckpointError(f"checkpoint {path} is of kind {meta['kind']!r}, not {kind!r}")
+        return build(meta)
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint sidecar {meta_path}: {exc}") from exc
 
@@ -124,7 +129,7 @@ def load_model_checkpoint(path) -> tuple:
     that would change what the model predicts.
     """
     arrays = load_checkpoint(path)
-    model_cfg, spec = _read_sidecar(path, _model_sidecar)
+    model_cfg, spec = _read_sidecar(path, "forecast_model", _model_sidecar)
     model = ForecastModel(model_cfg, spec, np.zeros(spec.num_vars), np.ones(spec.num_vars))
     load_parameters(model.params(), arrays)
     return model, arrays
@@ -149,7 +154,7 @@ def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
     than the sidecar records, or a sidecar without one, raises CheckpointError.
     """
     arrays = load_checkpoint(path)
-    dqn_cfg, fingerprint = _read_sidecar(path, lambda meta: (
+    dqn_cfg, fingerprint = _read_sidecar(path, "dqn", lambda meta: (
         _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"), meta.get("forecaster_fingerprint")))
     if fingerprint is None:
         raise CheckpointError(

@@ -15,7 +15,8 @@ trip restores a model's parameters bit for bit. Loading returns float64
 arrays upcast from those bits; models cast them back to the compute dtype,
 and the optimizer keeps them as its float64 moments. `checkpoint_tensor`
 and `load_parameters` read a loaded container: a tensor that is missing or
-shaped otherwise than expected raises CheckpointError naming it.
+shaped otherwise than expected raises CheckpointError naming it. Every error
+names the file; a non-finite tensor is rejected when the file is read.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ class CheckpointError(IOError):
     """Malformed or corrupt checkpoint file."""
 
 
+class CheckpointArrays(dict):
+    """{name: float64 array} read from the checkpoint file at `path`."""
+
+    def __init__(self, path, arrays: dict):
+        super().__init__(arrays)
+        self.path = path
+
+
 def save_checkpoint(path, tensors: Mapping[str, np.ndarray]):
     """Write named arrays (cast to float32) to a checksummed container, atomically."""
     chunks = [MAGIC, struct.pack("<HI", VERSION, len(tensors))]
@@ -55,20 +64,25 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray]):
         fh.write(blob)
 
 
-def load_checkpoint(path) -> dict:
-    """Read a container back into {name: float64 array}; validates the checksum."""
+def load_checkpoint(path) -> CheckpointArrays:
+    """Read a container back into {name: float64 array}; validates the
+    checksum and that every value is finite."""
+
+    def bad(msg: str) -> CheckpointError:
+        return CheckpointError(f"checkpoint {path}: {msg}")
+
     blob = Path(path).read_bytes()
     if len(blob) < 14:
-        raise CheckpointError(f"checkpoint truncated: {len(blob)} bytes")
+        raise bad(f"truncated: {len(blob)} bytes")
     if blob[:4] != MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {blob[:4]!r} at offset 0")
+        raise bad(f"bad magic {blob[:4]!r} at offset 0")
     stored = struct.unpack("<I", blob[-4:])[0]
     actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
     if stored != actual:
-        raise CheckpointError(f"checksum mismatch: stored {stored:#x}, computed {actual:#x}")
+        raise bad(f"checksum mismatch: stored {stored:#x}, computed {actual:#x}")
     version, count = struct.unpack_from("<HI", blob, 4)
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise bad(f"unsupported checkpoint version {version}")
     off = 10
     end = len(blob) - 4
     out: dict[str, np.ndarray] = {}
@@ -85,28 +99,31 @@ def load_checkpoint(path) -> dict:
             size = int(np.prod(dims)) if ndim else 1
             nbytes = 4 * size
             if off + nbytes > end:
-                raise CheckpointError(f"payload for {name!r} truncated at offset {off}")
+                raise bad(f"payload for {name!r} truncated at offset {off}")
             payload = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(dims)
             off += nbytes
         except (struct.error, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"corrupt tensor record at offset {off}: {exc}") from exc
+            raise bad(f"corrupt tensor record at offset {off}: {exc}") from exc
+        if not np.isfinite(payload).all():
+            raise bad(f"tensor {name} holds non-finite values")
         out[name] = payload.astype(np.float64)
     if off != end:
-        raise CheckpointError(f"trailing bytes after tensor records at offset {off}")
-    return out
+        raise bad(f"trailing bytes after tensor records at offset {off}")
+    return CheckpointArrays(path, out)
 
 
-def checkpoint_tensor(arrays: Mapping[str, np.ndarray], name: str, shape) -> np.ndarray:
+def checkpoint_tensor(arrays: CheckpointArrays, name: str, shape) -> np.ndarray:
     """arrays[name] of a loaded checkpoint; CheckpointError unless it is there with `shape`."""
     if name not in arrays:
-        raise CheckpointError(f"checkpoint lacks tensor {name}")
+        raise CheckpointError(f"checkpoint {arrays.path} lacks tensor {name}")
     arr = arrays[name]
     if arr.shape != tuple(shape):
-        raise CheckpointError(f"checkpoint tensor {name} has shape {arr.shape}, expected {tuple(shape)}")
+        raise CheckpointError(f"checkpoint {arrays.path}: tensor {name} has shape {arr.shape}, "
+                              f"expected {tuple(shape)}")
     return arr
 
 
-def load_parameters(params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]):
+def load_parameters(params: Mapping[str, Tensor], arrays: CheckpointArrays):
     """Set every parameter's data to a compute-dtype copy of its same-named,
     same-shaped array of a loaded checkpoint."""
     for name, p in params.items():

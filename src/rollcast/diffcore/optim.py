@@ -6,7 +6,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .checkpoint import checkpoint_tensor
+from .checkpoint import CheckpointArrays, checkpoint_tensor
 from .tensor import Tensor
 
 
@@ -99,7 +99,7 @@ class AdamW:
             out[f"opt.v.{k}"] = self.v[k]
         return out
 
-    def load_state_tensors(self, tensors: Mapping[str, np.ndarray]):
+    def load_state_tensors(self, tensors: CheckpointArrays):
         """Restore the step count and moments; the masters become the
         parameters as they are now (load those first). A missing or misshapen
         tensor raises CheckpointError."""

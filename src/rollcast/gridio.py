@@ -417,37 +417,42 @@ def _read_manifest(path, num_steps: int) -> dict:
 def read_grid_file(path) -> Dataset:
     """Read a grid file (and its sidecar manifest when present) back to a Dataset.
 
-    Any malformed input, in the file or its manifest, raises GridFileError."""
+    Any malformed input, in the file or its manifest, raises GridFileError
+    naming the file."""
+
+    def bad(msg: str) -> GridFileError:
+        return GridFileError(f"grid file {path}: {msg}")
+
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != GRID_MAGIC:
-        raise GridFileError(f"bad magic {blob[:4]!r} at offset 0")
+        raise bad(f"bad magic {blob[:4]!r} at offset 0")
     header_len = 4 + struct.calcsize("<HHHHII")
     if len(blob) < header_len:
-        raise GridFileError(f"header truncated at offset {len(blob)}")
+        raise bad(f"header truncated at offset {len(blob)}")
     version, V, H, W, num_steps, base_step = struct.unpack_from("<HHHHII", blob, 4)
     if version != GRID_VERSION:
-        raise GridFileError(f"unsupported version {version} at offset 4")
+        raise bad(f"unsupported version {version} at offset 4")
     if num_steps < 1:
-        raise GridFileError(f"header declares no frames at offset {header_len - 8}")
+        raise bad(f"header declares no frames at offset {header_len - 8}")
     off = header_len
     lat_bytes = 8 * H
     if len(blob) < off + lat_bytes:
-        raise GridFileError(f"latitude block truncated at offset {off}")
+        raise bad(f"latitude block truncated at offset {off}")
     lats = np.frombuffer(blob, dtype="<f8", count=H, offset=off)
     off += lat_bytes
     try:
         spec = GridSpec(V, H, W, tuple(lats), base_step)
     except ValueError as exc:
-        raise GridFileError(f"bad grid header at offset 4: {exc}") from exc
+        raise bad(f"bad grid header at offset 4: {exc}") from exc
     frame_len = 4 * V * H * W
     need = off + frame_len * num_steps
     if len(blob) < need:
-        raise GridFileError(
+        raise bad(
             f"payload truncated at offset {len(blob)}: header declares {num_steps} frames "
             f"({need} bytes total)"
         )
     if len(blob) > need:
-        raise GridFileError(f"{len(blob) - need} trailing bytes at offset {need}")
+        raise bad(f"{len(blob) - need} trailing bytes at offset {need}")
 
     manifest = _read_manifest(path, num_steps)
     start_hours = manifest.get("start_hours", 0)
@@ -455,7 +460,7 @@ def read_grid_file(path) -> Dataset:
     for t in range(num_steps):
         frame = np.frombuffer(blob, dtype="<f4", count=V * H * W, offset=off).reshape(V, H, W)
         if not np.all(np.isfinite(frame)):
-            raise GridFileError(f"non-finite value in frame {t} at offset {off}")
+            raise bad(f"non-finite value in frame {t} at offset {off}")
         off += frame_len
         fields.append(GridField(spec, frame.astype(np.float64), start_hours + t * base_step))
 
