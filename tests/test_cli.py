@@ -296,6 +296,26 @@ def test_finetune_eval_compare_pipeline(workdir, tmp_path):
     assert [r[1:] for r in rows_a] == [r[1:] for r in rows_b[:3]]
 
 
+def test_adaptive_eval_matches_the_adaptive_compare_row(workdir, tmp_path):
+    root, cfg_path = workdir
+    fin = tmp_path / "fin"
+    base = ["--config", str(cfg_path), "--data", str(root / "data.grid")]
+    assert main(["finetune", *base, "--checkpoint", str(root / "pre" / "model.ckpt"),
+                 "--out-dir", str(fin)]) == 0
+    pair = ["--checkpoint", str(fin / "model_finetuned.ckpt"), "--dqn", str(fin / "dqn.ckpt")]
+    # eval at the compare lead draws the compare episodes' initial times
+    assert main(["eval", *base, *pair, "--set", "eval.policy=adaptive", "--set", "eval.leads=[48]",
+                 "--set", "eval.episodes=5", "--out", str(tmp_path / "eval.csv")]) == 0
+    assert main(["compare-rollouts", *base, *pair, "--out", str(tmp_path / "cmp.csv")]) == 0
+    _, _, eval_rows = read_csv(tmp_path / "eval.csv")
+    _, header, cmp_rows = read_csv(tmp_path / "cmp.csv")
+    adaptive = dict(zip(header, next(r for r in cmp_rows if r[0] == "adaptive")))
+    assert len(eval_rows) == 2
+    for name, lead, rmse, _ in eval_rows:
+        assert lead == "48"
+        assert rmse == adaptive[f"rmse_{name}"], name
+
+
 def test_pe_viz_matrices(tmp_path, workdir):
     _, cfg_path = workdir
     out = tmp_path / "pe"
@@ -319,8 +339,14 @@ def test_pe_viz_matrices(tmp_path, workdir):
     assert conv[0, w - 1] < conv[0, 1]
 
 
-def test_exit_codes(tmp_path, workdir):
+def test_exit_codes(tmp_path, workdir, capsys):
     root, cfg_path = workdir
+
+    def io_error_naming(path, argv):
+        """argv exits 4 with a message that names `path`."""
+        assert main(argv) == 4, path
+        assert str(path) in capsys.readouterr().err, path
+
     # 2: config error (unknown key)
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"nope": 1}))
@@ -331,17 +357,17 @@ def test_exit_codes(tmp_path, workdir):
         "--out", str(tmp_path / "y.grid"),
     ]) == 2
     # 4: missing data file
-    assert main([
+    io_error_naming(tmp_path / "missing.grid", [
         "pretrain", "--config", str(cfg_path), "--data", str(tmp_path / "missing.grid"),
         "--out-dir", str(tmp_path / "out"),
-    ]) == 4
+    ])
     # 4: corrupt grid file
     corrupt = tmp_path / "corrupt.grid"
     corrupt.write_bytes(b"JUNKJUNKJUNK")
-    assert main([
+    io_error_naming(corrupt, [
         "pretrain", "--config", str(cfg_path), "--data", str(corrupt),
         "--out-dir", str(tmp_path / "out2"),
-    ]) == 4
+    ])
     # 4: malformed grid files: trailing bytes, a manifest that is not JSON,
     # a header with no variables, a non-finite frame value
     grid = (root / "data.grid").read_bytes()
@@ -359,22 +385,23 @@ def test_exit_codes(tmp_path, workdir):
     ):
         (tmp_path / f"{name}.grid").write_bytes(blob)
         (tmp_path / f"{name}.grid.json").write_text(text)
-        assert main([
+        io_error_naming(tmp_path / f"{name}.grid", [
             "pretrain", "--config", str(cfg_path), "--set", "pretrain.steps=1",
             "--data", str(tmp_path / f"{name}.grid"), "--out-dir", str(tmp_path / f"{name}_out"),
-        ]) == 4, name
+        ])
     # 4: model checkpoint without its per-interval change scales
     arrays = load_checkpoint(root / "pre" / "model.ckpt")
     del arrays["norm.delta_scale"]
     stale = tmp_path / "stale.ckpt"
     save_checkpoint(stale, arrays)
     (tmp_path / "stale.ckpt.meta.json").write_text((root / "pre" / "model.ckpt.meta.json").read_text())
-    assert main([
+    io_error_naming(stale, [
         "finetune", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(stale), "--out-dir", str(tmp_path / "stale_out"),
-    ]) == 4
-    # 4: model checkpoints with a missing or misshapen tensor; a checkpoint
-    # without optimizer state (as fine-tuning writes) or step count to resume
+    ])
+    # 4: model checkpoints with a missing, misshapen or non-finite tensor; a
+    # checkpoint without optimizer state (as fine-tuning writes) or step count
+    # to resume
     model_meta = (root / "pre" / "model.ckpt.meta.json").read_text()
 
     def variant(name, edit):
@@ -388,6 +415,7 @@ def test_exit_codes(tmp_path, workdir):
     for name, edit, command in (
         ("no_head_bias", lambda a: a.pop("head.bias"), "eval"),
         ("wide_head_bias", lambda a: a.update({"head.bias": np.zeros((1, 3))}), "eval"),
+        ("nan_head_bias", lambda a: a["head.bias"].fill(np.nan), "eval"),
         ("no_opt", lambda a: [a.pop(k) for k in list(a) if k.startswith("opt.")], "resume"),
         ("no_step", lambda a: a.pop("trainer.step"), "resume"),
     ):
@@ -398,7 +426,7 @@ def test_exit_codes(tmp_path, workdir):
             "resume": ["pretrain", "--data", str(root / "data.grid"), "--resume", ckpt,
                        "--out-dir", str(tmp_path / f"{name}_out")],
         }[command]
-        assert main(argv[:1] + ["--config", str(cfg_path)] + argv[1:]) == 4, name
+        io_error_naming(ckpt, argv[:1] + ["--config", str(cfg_path)] + argv[1:])
     # 4: DQN checkpoint without one of its tensors
     model, _ = load_model_checkpoint(root / "pre" / "model.ckpt")
     headless = tmp_path / "headless_dqn.ckpt"
@@ -406,11 +434,30 @@ def test_exit_codes(tmp_path, workdir):
     arrays = load_checkpoint(headless)
     del arrays["q.head.bias"]
     save_checkpoint(headless, arrays)
-    assert main([
+    io_error_naming(headless, [
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(headless),
         "--out", str(tmp_path / "headless.csv"),
+    ])
+    # 4: DQN checkpoint whose checksum fails, and a DQN checkpoint given as
+    # the forecaster
+    corrupt_dqn = tmp_path / "corrupt_dqn.ckpt"
+    save_dqn_checkpoint(corrupt_dqn, DQN(model, DQNConfig()), RunConfig())
+    blob = bytearray(corrupt_dqn.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    corrupt_dqn.write_bytes(bytes(blob))
+    io_error_naming(corrupt_dqn, [
+        "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+        "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(corrupt_dqn),
+        "--out", str(tmp_path / "corrupt_dqn.csv"),
+    ])
+    dqn_only = tmp_path / "dqn_only.ckpt"
+    save_dqn_checkpoint(dqn_only, DQN(model, DQNConfig()), RunConfig())
+    assert main([
+        "eval", "--config", str(cfg_path), "--data", str(root / "data.grid"),
+        "--checkpoint", str(dqn_only), "--out", str(tmp_path / "dqn_only.csv"),
     ]) == 4
+    assert f"checkpoint {dqn_only} is of kind 'dqn'" in capsys.readouterr().err
     # 4: malformed model sidecar, with an unknown config key or truncated JSON
     meta_text = (root / "pre" / "model.ckpt.meta.json").read_text()
     meta = json.loads(meta_text)
@@ -419,21 +466,21 @@ def test_exit_codes(tmp_path, workdir):
         bad = tmp_path / f"{name}.ckpt"
         bad.write_bytes((root / "pre" / "model.ckpt").read_bytes())
         (tmp_path / f"{name}.ckpt.meta.json").write_text(text)
-        assert main([
+        io_error_naming(bad, [
             "eval", "--config", str(cfg_path), "--data", str(root / "data.grid"),
             "--checkpoint", str(bad), "--out", str(tmp_path / f"{name}.csv"),
-        ]) == 4
+        ])
     # 4: DQN sidecar with an unknown config key
     bad_dqn = tmp_path / "bad_dqn.ckpt"
     save_dqn_checkpoint(bad_dqn, DQN(model, DQNConfig()), RunConfig())
     meta = json.loads((tmp_path / "bad_dqn.ckpt.meta.json").read_text())
     meta["dqn_config"]["nope"] = 1
     (tmp_path / "bad_dqn.ckpt.meta.json").write_text(json.dumps(meta))
-    assert main([
+    io_error_naming(bad_dqn, [
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(bad_dqn),
         "--out", str(tmp_path / "bad_dqn.csv"),
-    ]) == 4
+    ])
     # 4: DQN trained on another forecaster (its frozen tokenizer differs)
     good_dqn = tmp_path / "good_dqn.ckpt"
     save_dqn_checkpoint(good_dqn, DQN(model, DQNConfig()), RunConfig())
@@ -442,25 +489,33 @@ def test_exit_codes(tmp_path, workdir):
     other = tmp_path / "other.ckpt"
     save_checkpoint(other, arrays)
     (tmp_path / "other.ckpt.meta.json").write_text((root / "pre" / "model.ckpt.meta.json").read_text())
-    assert main([
+    io_error_naming(good_dqn, [
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(other), "--dqn", str(good_dqn), "--out", str(tmp_path / "other.csv"),
-    ]) == 4
+    ])
     # 4: DQN sidecar written before fingerprints were recorded
     meta = json.loads((tmp_path / "good_dqn.ckpt.meta.json").read_text())
     del meta["forecaster_fingerprint"]
     (tmp_path / "good_dqn.ckpt.meta.json").write_text(json.dumps(meta))
-    assert main([
+    io_error_naming(good_dqn, [
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(root / "pre" / "model.ckpt"), "--dqn", str(good_dqn),
         "--out", str(tmp_path / "no_fingerprint.csv"),
-    ]) == 4
+    ])
     # 3: numeric divergence (absurd learning rate)
     assert main([
         "pretrain", "--config", str(cfg_path), "--set", "pretrain.lr=1e18",
         "--set", "pretrain.steps=30",
         "--data", str(root / "data.grid"), "--out-dir", str(tmp_path / "div"),
     ]) == 3
+    # 3: a diverged TD update, before any checkpoint is written
+    assert main([
+        "finetune", "--config", str(cfg_path), "--set", "dqn.lr=1e6",
+        "--data", str(root / "data.grid"), "--checkpoint", str(root / "pre" / "model.ckpt"),
+        "--out-dir", str(tmp_path / "td_div"),
+    ]) == 3
+    assert "TD loss" in capsys.readouterr().err
+    assert not (tmp_path / "td_div" / "dqn.ckpt").exists()
 
 
 # (command, override, settings of the dataset it runs on beyond the module's,
@@ -498,6 +553,7 @@ MALFORMED = [
     ("compare-rollouts", "compare.lead=7", (), "compare.lead"),
     ("finetune", "finetune.lead_times=[6000]", (), "finetune.lead_times: the train split"),
     ("eval", "eval.leads=[6,6000]", (), "eval.leads: the test split"),
+    ("eval", "eval.policy=adaptive", (), "adaptive evaluation needs --dqn"),
     ("compare-rollouts", "compare.lead=6000", (), "compare.lead: the test split"),
     ("pe-viz", None, (), "--dim"),
 ]
