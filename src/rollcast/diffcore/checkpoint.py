@@ -82,7 +82,7 @@ def load_checkpoint(path) -> CheckpointArrays:
         raise bad(f"checksum mismatch: stored {stored:#x}, computed {actual:#x}")
     version, count = struct.unpack_from("<HI", blob, 4)
     if version != VERSION:
-        raise bad(f"unsupported checkpoint version {version}")
+        raise bad(f"unsupported version {version}")
     off = 10
     end = len(blob) - 4
     out: dict[str, np.ndarray] = {}
