@@ -300,8 +300,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
 
     dqn_cfg = dataclasses.replace(cfg.dqn, season_length_days=ds.season_length_days)
     dqn = DQN(model, dqn_cfg, seed=cfg.seed)
-    buffer = ReplayBuffer(capacity=dqn_cfg.buffer_capacity)
-    logs = adaptive_rollout_finetune(model, ds, dqn, buffer, cfg.finetune)
+    logs = adaptive_rollout_finetune(model, ds, dqn, ReplayBuffer(), cfg.finetune)
 
     prov = provenance(cfg)
     save_model_checkpoint(out_dir / "model_finetuned.ckpt", model, cfg)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .fileio import atomic_open
-from .gridio import RegimeConfig
+from .gridio import VARIABLES, RegimeConfig
 from .model import ModelConfig, PretrainConfig, check_at_least
 from .scheduler.compare import POLICIES
 from .scheduler.dqn import DQNConfig
@@ -42,9 +42,8 @@ class DataConfig:
 
     def __post_init__(self):
         check_at_least(self, num_vars=1, lat_points=2, lon_points=2, base_step_hours=1, steps=2)
-        covered = min(len(self.regime.var_means), len(self.regime.var_scales))
-        if self.num_vars > covered:
-            raise ValueError(f"num_vars {self.num_vars} exceeds the {covered} variables the regime covers")
+        if self.num_vars > len(VARIABLES):
+            raise ValueError(f"num_vars {self.num_vars} exceeds the {len(VARIABLES)} variables the generator makes")
         if not (self.train_frac > 0 and self.val_frac >= 0 and self.train_frac + self.val_frac <= 1):
             raise ValueError(f"need train_frac > 0, val_frac >= 0 and a sum <= 1, got "
                              f"{self.train_frac} and {self.val_frac}")

@@ -10,16 +10,20 @@ from .checkpoint import CheckpointArrays, checkpoint_tensor
 from .tensor import Tensor
 
 
-def cosine_lr(base_lr: float, final_fraction: float, step: int, total_steps: int) -> float:
-    """Cosine decay from base_lr at step 0 to base_lr * final_fraction at step
-    total_steps - 1, held at that floor for every later step."""
+LR_FLOOR_FRACTION = 0.1  # the cosine schedule's floor, as a fraction of the base rate
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator guard
+
+
+def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
+    """Cosine decay from base_lr at step 0 to base_lr * LR_FLOOR_FRACTION at
+    step total_steps - 1, held at that floor for every later step."""
     frac = min(step / max(total_steps - 1, 1), 1.0)
-    floor = base_lr * final_fraction
+    floor = base_lr * LR_FLOOR_FRACTION
     return floor + (base_lr - floor) * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive moments (beta1=0.9, beta2=0.999).
+    """Decoupled-weight-decay adaptive moments (BETA1, BETA2 and EPS).
 
     Mixed precision (arXiv:1710.03740): the parameters compute in their own
     dtype (float32), while the optimizer keeps a float64 master copy of each
@@ -34,16 +38,10 @@ class AdamW:
         self,
         params: Mapping[str, Tensor],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.master: dict = {}
@@ -63,7 +61,7 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k, p in self.params.items():
@@ -83,7 +81,7 @@ class AdamW:
             step = g  # reuse the buffer: lr * (m / bias1) / (sqrt(v / bias2) + eps)
             np.divide(v, bias2, out=step)
             np.sqrt(step, out=step)
-            step += self.eps
+            step += EPS
             np.divide(m, step, out=step)
             step *= self.lr / bias1
             if self.weight_decay:

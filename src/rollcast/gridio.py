@@ -94,6 +94,16 @@ class GridField:
             raise ValueError("field values must be finite")
 
 
+# Storms: peak amplitude in units of the variable's scale, Gaussian width in
+# grid cells, and the steps each one lasts.
+STORM_AMPLITUDE = 2.5
+STORM_WIDTH_CELLS = 2.0
+STORM_DURATION_STEPS = 4
+INIT_MODES = 4  # low-wavenumber modes in each variable's initial anomaly
+# (name, mean, scale) of each variable the generator makes, in order
+VARIABLES = (("temperature", 280.0, 8.0), ("zonal_wind", 0.0, 5.0))
+
+
 @dataclass
 class RegimeConfig:
     """Synthetic dynamics knobs; all pure functions of the seed once fixed.
@@ -103,7 +113,7 @@ class RegimeConfig:
     diffusion: 5-point Laplacian coefficient per step (longitude periodic,
         latitude edges clamped).
     storm_rate: expected storm onsets per base step; each onset injects a
-        localized bump over storm_duration steps.
+        localized bump over STORM_DURATION_STEPS steps.
     seasonal_amplitude / diurnal_amplitude: amplitudes of the deterministic
         cycle added on output, in units of each variable's scale.
     season_length_days: length of the synthetic "year".
@@ -112,16 +122,9 @@ class RegimeConfig:
     zonal_velocity_cells: tuple = (0.7, 1.1)
     diffusion: float = 0.04
     storm_rate: float = 0.04
-    storm_amplitude: float = 2.5
-    storm_width_cells: float = 2.0
-    storm_duration_steps: int = 4
     seasonal_amplitude: float = 0.6
     diurnal_amplitude: float = 0.15
     season_length_days: int = 60
-    var_means: tuple = (280.0, 0.0)
-    var_scales: tuple = (8.0, 5.0)
-    var_names: tuple = ("temperature", "zonal_wind")
-    init_modes: int = 4
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -256,7 +259,6 @@ def generate_synthetic(
     seed: int,
     regime_cfg: RegimeConfig | None = None,
     splits: dict | None = None,
-    start_hours: int = 0,
 ) -> Dataset:
     """Deterministic synthetic dataset; a pure function of (spec, seed, cfg).
 
@@ -267,11 +269,8 @@ def generate_synthetic(
     if num_steps < 2:
         raise ValueError(f"num_steps must be >= 2, got {num_steps}")
     cfg = regime_cfg or RegimeConfig()
-    if len(cfg.var_means) < spec.num_vars or len(cfg.var_scales) < spec.num_vars:
-        raise ValueError(
-            f"regime config covers {min(len(cfg.var_means), len(cfg.var_scales))} variables, "
-            f"spec needs {spec.num_vars}"
-        )
+    if spec.num_vars > len(VARIABLES):
+        raise ValueError(f"the generator makes {len(VARIABLES)} variables, spec needs {spec.num_vars}")
     rng = np.random.default_rng(seed)
     H, W, V = spec.lat_points, spec.lon_points, spec.num_vars
 
@@ -280,7 +279,7 @@ def generate_synthetic(
     lat_axis = np.linspace(0.0, np.pi, H)
     anomaly = np.zeros((V, H, W))
     for v in range(V):
-        for _ in range(cfg.init_modes):
+        for _ in range(INIT_MODES):
             k_lon = rng.integers(1, 4)
             k_lat = rng.integers(1, 3)
             amp = rng.normal(0.5, 0.2)
@@ -309,13 +308,10 @@ def generate_synthetic(
     fields = []
 
     def render(t_step: int) -> GridField:
-        t_hours = start_hours + t_step * spec.base_step_hours
+        t_hours = t_step * spec.base_step_hours
         out = np.empty((V, H, W))
-        for v in range(V):
-            out[v] = (
-                cfg.var_means[v]
-                + cfg.var_scales[v] * (anomaly[v] + _seasonal_cycle(cfg, spec, t_hours, v))
-            )
+        for v, (_, mean, scale) in enumerate(VARIABLES[:V]):
+            out[v] = mean + scale * (anomaly[v] + _seasonal_cycle(cfg, spec, t_hours, v))
         # datasets live at float32 precision (the storage format), internals at float64
         return GridField(spec, out.astype(np.float32).astype(np.float64), t_hours)
 
@@ -324,19 +320,18 @@ def generate_synthetic(
         for v in range(V):
             anomaly[v] = diffuse(advect_zonal(anomaly[v], velocities[v]), cfg.diffusion)
         for o in onsets:
-            if o["step"] <= t < o["step"] + cfg.storm_duration_steps:
+            if o["step"] <= t < o["step"] + STORM_DURATION_STEPS:
                 age = t - o["step"]
-                envelope = np.sin(np.pi * (age + 1) / (cfg.storm_duration_steps + 1))
+                envelope = np.sin(np.pi * (age + 1) / (STORM_DURATION_STEPS + 1))
                 anomaly[o["var"]] += (
-                    o["sign"] * cfg.storm_amplitude * envelope / cfg.storm_duration_steps
-                ) * _storm_bump(spec, o["lat"], o["lon"], cfg.storm_width_cells)
+                    o["sign"] * STORM_AMPLITUDE * envelope / STORM_DURATION_STEPS
+                ) * _storm_bump(spec, o["lat"], o["lon"], STORM_WIDTH_CELLS)
         fields.append(render(t))
 
-    names = [cfg.var_names[v] if v < len(cfg.var_names) else f"var{v}" for v in range(V)]
     meta = {
         "seed": int(seed),
         "generator": cfg.to_dict(),
-        "variables": names,
+        "variables": [name for name, _, _ in VARIABLES[:V]],
         "storm_onsets": [o["step"] for o in onsets],
         "season_length_days": cfg.season_length_days,
     }

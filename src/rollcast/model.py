@@ -376,13 +376,14 @@ def weighted_patch_loss(pred: Tensor, target_patches: np.ndarray, weight_patches
     return dc.mul_scalar(dc.tensor_sum(dc.mul(sq, Tensor(weight_patches))), 1.0 / denom)
 
 
+WEIGHT_DECAY = 0.01  # pretraining's decoupled weight decay
+
+
 @dataclass
 class PretrainConfig:
     steps: int = 1200
     batch_size: int = 16
     lr: float = 3e-3
-    lr_final_fraction: float = 0.1  # cosine decay floor, as a fraction of lr
-    weight_decay: float = 0.01
     seed: int = 0
     checkpoint_every: int = 0  # 0 -> only at the end
 
@@ -397,9 +398,7 @@ class PretrainTrainer:
         self.model = model
         self.dataset = dataset
         self.cfg = cfg
-        self.optimizer = dc.AdamW(
-            model.trainable_params(), lr=cfg.lr, weight_decay=cfg.weight_decay
-        )
+        self.optimizer = dc.AdamW(model.trainable_params(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
 
     def sample_batch(self, step_idx: int):
         """Deterministic batch for a step: [(x0 values, target delta, interval), ...]."""
@@ -468,7 +467,7 @@ class PretrainTrainer:
     def step(self, step_idx: int) -> dict:
         cfg = self.cfg
         batch = self.sample_batch(step_idx)
-        self.optimizer.lr = dc.cosine_lr(cfg.lr, cfg.lr_final_fraction, step_idx, cfg.steps)
+        self.optimizer.lr = dc.cosine_lr(cfg.lr, step_idx, cfg.steps)
         self.optimizer.zero_grad()
         total, l_delta, aux1, aux2, usage = self.loss_on_batch(batch)
         if not np.isfinite(total.data):

@@ -51,17 +51,13 @@ from .env import ActionSet, EnvState, Transition, run_episode
 class DQNConfig:
     gamma: float = 0.99
     sync_every: int = 200  # iterations between target syncs
-    buffer_capacity: int = 50_000  # transitions
     batch_size: int = 48
     lr: float = 1e-3
-    lr_final_fraction: float = 0.1  # cosine decay floor over the fine-tune run
-    eps_start: float = 1.0
-    eps_end: float = 0.05
     season_length_days: int = 60
     norm_hours: float = 240.0
 
     def __post_init__(self):
-        check_at_least(self, sync_every=1, buffer_capacity=1, batch_size=1, season_length_days=1)
+        check_at_least(self, sync_every=1, batch_size=1, season_length_days=1)
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.norm_hours <= 0:
@@ -279,7 +275,7 @@ class ReplayBuffer:
     segments of up to hindsight_steps steps (`hindsight_transitions`).
     """
 
-    def __init__(self, capacity: int, n_step: int = N_STEP, hindsight_steps: int = HINDSIGHT_STEPS):
+    def __init__(self, capacity: int = 50_000, n_step: int = N_STEP, hindsight_steps: int = HINDSIGHT_STEPS):
         if n_step < 1:
             raise ValueError(f"n_step must be >= 1, got {n_step}")
         self.capacity = capacity

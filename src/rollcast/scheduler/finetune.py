@@ -29,22 +29,26 @@ from .env import EpisodeSpec, ForecastEnv, run_episode
 from .policies import policy_adaptive
 
 
+HEAD_LR = 1e-3  # AdamW rate of the head fine-tune
+MAX_EPISODE_AGE = 3  # buffer refresh eviction, in epochs
+EPS_START, EPS_END = 1.0, 0.05  # exploration, from the first epoch to the last
+OMEGA_SAMPLES = 32  # one-step forecasts behind the default step penalty
+
+
 @dataclass
 class FinetuneConfig:
     epochs: int = 6
     episodes_per_epoch: int = 12
     iterations_per_epoch: int = 300
-    head_lr: float = 1e-3
     finetune_episodes: int = 4  # trajectories per head update
     t_max: int = 4  # rollout steps that keep gradient
-    max_episode_age: int = 3  # buffer refresh eviction, in epochs
     lead_times: tuple = (72, 138, 240)
     omega: float | None = None  # None -> -0.05 * typical one-step RMSE
     seed: int = 0
 
     def __post_init__(self):
         check_at_least(self, epochs=1, episodes_per_epoch=1, iterations_per_epoch=0,
-                       finetune_episodes=1, t_max=0, max_episode_age=0)
+                       finetune_episodes=1, t_max=0)
         if not self.lead_times or min(self.lead_times) < 1:
             raise ValueError(f"lead_times must be positive hours, got {list(self.lead_times)}")
 
@@ -56,14 +60,13 @@ class RolloutLossParts:
     per_step: list = field(default_factory=list)
 
 
-def resolve_omega(model: ForecastModel, dataset: Dataset, num_samples: int = 32,
-                  seed: int = 0) -> float:
+def resolve_omega(model: ForecastModel, dataset: Dataset, seed: int = 0) -> float:
     """-0.05 times the typical single-step RMSE of the current model."""
     rng = np.random.default_rng(seed)
     delta = min(model.cfg.intervals)
     starts = dataset.window_starts("train", delta)
     step = delta // dataset.spec.base_step_hours
-    idxs = [int(rng.integers(starts.start, starts.stop)) for _ in range(num_samples)]
+    idxs = [int(rng.integers(starts.start, starts.stop)) for _ in range(OMEGA_SAMPLES)]
     preds = model.forecast_batch(np.stack([dataset.fields[i].values for i in idxs]), delta)
     lat_weight = lat_weights(dataset.spec)
     vals = [rmse(p, dataset.fields[i + step].values, lat_weight) for p, i in zip(preds, idxs)]
@@ -138,14 +141,14 @@ def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
     """
     omega = cfg.omega if cfg.omega is not None else resolve_omega(model, dataset, seed=cfg.seed)
     env = ForecastEnv(model, dataset, omega)
-    head_opt = dc.AdamW(model.head_params(), lr=cfg.head_lr)
+    head_opt = dc.AdamW(model.head_params(), lr=HEAD_LR)
     logs = {"episodes": [], "td_losses": [], "rollout_losses": [], "omega": omega}
     global_iter = 0
     episode_id = 0
 
     for epoch in range(cfg.epochs):
         frac = epoch / max(cfg.epochs - 1, 1)
-        eps = dqn.cfg.eps_start + (dqn.cfg.eps_end - dqn.cfg.eps_start) * frac
+        eps = EPS_START + (EPS_END - EPS_START) * frac
         rng_collect = np.random.default_rng([cfg.seed, 1, epoch])
         for _ in range(cfg.episodes_per_epoch):
             episode = sample_episode(dataset, cfg.lead_times, rng_collect)
@@ -167,12 +170,12 @@ def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
             )
             episode_id += 1
 
-        buffer.refresh(env, epoch, cfg.max_episode_age)
+        buffer.refresh(env, epoch, MAX_EPISODE_AGE)
 
         rng_iter = np.random.default_rng([cfg.seed, 2, epoch])
         total_iters = cfg.epochs * cfg.iterations_per_epoch
         for _ in range(cfg.iterations_per_epoch):
-            dqn.optimizer.lr = dc.cosine_lr(dqn.cfg.lr, dqn.cfg.lr_final_fraction, global_iter, total_iters)
+            dqn.optimizer.lr = dc.cosine_lr(dqn.cfg.lr, global_iter, total_iters)
             batch = buffer.sample(dqn.cfg.batch_size, rng_iter)
             logs["td_losses"].append(td_update(batch, dqn))
             global_iter += 1

@@ -306,13 +306,13 @@ def test_adamw_steps_from_parameters_loaded_after_it_was_made():
 
 def test_cosine_lr_runs_from_the_base_rate_to_the_floor():
     base, fraction, total = 3e-3, 0.1, 50
-    assert dc.cosine_lr(base, fraction, 0, total) == pytest.approx(base, rel=1e-15)
+    assert dc.cosine_lr(base, 0, total) == pytest.approx(base, rel=1e-15)
     floor = base * fraction
     for step in (total - 1, total, 10 * total):
-        assert dc.cosine_lr(base, fraction, step, total) == floor
-    mid = dc.cosine_lr(base, fraction, (total - 1) / 2, total)
+        assert dc.cosine_lr(base, step, total) == floor
+    mid = dc.cosine_lr(base, (total - 1) / 2, total)
     assert mid == pytest.approx((base + floor) / 2, rel=1e-12)
-    rates = [dc.cosine_lr(base, fraction, s, total) for s in range(total)]
+    rates = [dc.cosine_lr(base, s, total) for s in range(total)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
