@@ -93,15 +93,12 @@ class Transition:
 
 @dataclass
 class Trajectory:
-    """Visited timestamps (offsets from episode start), intervals, rewards."""
+    """The intervals an episode took and the rewards they earned."""
 
-    timestamps: list = field(default_factory=list)
     intervals: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
 
     def append(self, interval: int, reward: float):
-        last = self.timestamps[-1] if self.timestamps else 0
-        self.timestamps.append(last + interval)
         self.intervals.append(interval)
         self.rewards.append(reward)
 
