@@ -1,10 +1,11 @@
 """Command-line surface: data generation, training, fine-tuning, evaluation,
 rollout comparison, and positional-encoding similarity dumps.
 
-Exit codes: 0 success, 2 configuration error (a malformed setting, or a model
-and a dataset that do not fit together: another grid, a patch that does not
-tile it, intervals or leads off its steps, or a split too short for an
-interval or a lead), 3 numeric divergence (a non-finite pre-training, TD or
+Exit codes: 0 success, 2 configuration error (a malformed setting: an unknown
+key, a value of the wrong type or a non-finite number, or one out of range;
+or a model and a dataset that do not fit together: another grid, a patch that
+does not tile it, intervals or leads off its steps, or a split too short for
+an interval or a lead), 3 numeric divergence (a non-finite pre-training, TD or
 head fine-tuning loss), 4 I/O error (a missing or malformed file: a grid file
 or its manifest, a checkpoint or its sidecar, a sidecar of the other kind of
 checkpoint, or a checkpoint tensor that is missing, misshapen or non-finite;

@@ -1,8 +1,10 @@
 """Run configuration: strict JSON loading, flag overrides, and provenance headers.
 
-Unknown keys are rejected at every nesting level. Every output file carries a
-machine-readable provenance header (config hash, seed, package and numpy
-versions); nothing time-dependent goes in, so outputs stay bit-reproducible.
+Unknown keys are rejected at every nesting level, and every value must have
+its field's type (`_VALUE_RULES`) before its section checks its range. Every
+output file carries a machine-readable provenance header (config hash, seed,
+package and numpy versions); nothing time-dependent goes in, so outputs stay
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +46,8 @@ class DataConfig:
     def __post_init__(self):
         check_at_least(self, num_vars=1, lat_points=2, lon_points=2, base_step_hours=1, steps=2)
         if self.num_vars > len(VARIABLES):
-            raise ValueError(f"num_vars {self.num_vars} exceeds the {len(VARIABLES)} variables the generator makes")
+            raise ValueError(f"num_vars {self.num_vars} exceeds the {len(VARIABLES)} "
+                             "variables the generator makes")
         if not (self.train_frac > 0 and self.val_frac >= 0 and self.train_frac + self.val_frac <= 1):
             raise ValueError(f"need train_frac > 0, val_frac >= 0 and a sum <= 1, got "
                              f"{self.train_frac} and {self.val_frac}")
@@ -51,7 +55,7 @@ class DataConfig:
 
 @dataclass
 class EvalConfig:
-    leads: tuple = (6, 24, 72, 138)
+    leads: tuple[int, ...] = (6, 24, 72, 138)
     episodes: int = 50
     policy: str = "greedy"
 
@@ -83,6 +87,9 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     compare: CompareConfig = field(default_factory=CompareConfig)
 
+    def __post_init__(self):
+        check_at_least(self, seed=0)
+
 
 # nested section name -> dataclass; annotations are strings under PEP 563
 _NESTED_SECTIONS = {
@@ -94,6 +101,29 @@ _NESTED_SECTIONS = {
     "finetune": FinetuneConfig,
     "eval": EvalConfig,
     "compare": CompareConfig,
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, (list, tuple)) and all(test(x) for x in v)
+
+
+# field annotation -> (the test a loaded value must pass, what it must be)
+_VALUE_RULES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "float | None": (lambda v: v is None or _is_finite(v), "null or a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (_list_of(_is_int), "a list of integers"),
+    "tuple[float, ...]": (_list_of(_is_finite), "a list of finite numbers"),
 }
 
 
@@ -110,6 +140,9 @@ def _from_dict(cls, d: dict, path: str = ""):
         if name in _NESTED_SECTIONS:
             kwargs[name] = _from_dict(_NESTED_SECTIONS[name], value, sub)
         else:
+            test, what = _VALUE_RULES[fields[name].type]
+            if not test(value):
+                raise ConfigError(f"{sub} must be {what}, got {json.dumps(value)}")
             kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)

@@ -119,12 +119,23 @@ class RegimeConfig:
     season_length_days: length of the synthetic "year".
     """
 
-    zonal_velocity_cells: tuple = (0.7, 1.1)
+    zonal_velocity_cells: tuple[float, ...] = (0.7, 1.1)
     diffusion: float = 0.04
     storm_rate: float = 0.04
     seasonal_amplitude: float = 0.6
     diurnal_amplitude: float = 0.15
     season_length_days: int = 60
+
+    def __post_init__(self):
+        if not self.zonal_velocity_cells:
+            raise ValueError("zonal_velocity_cells must hold at least one shift")
+        # the explicit five-point step is stable for coefficients up to 1/4
+        if not 0 <= self.diffusion <= 0.25:
+            raise ValueError(f"diffusion must lie in [0, 0.25], got {self.diffusion}")
+        if not self.storm_rate >= 0:
+            raise ValueError(f"storm_rate must be >= 0, got {self.storm_rate}")
+        if not self.season_length_days >= 1:
+            raise ValueError(f"season_length_days must be >= 1, got {self.season_length_days}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -38,9 +38,10 @@ class DivergenceError(ArithmeticError):
 
 
 def check_at_least(cfg, **least):
-    """Raise ValueError naming the first of cfg's fields that is below its least value."""
+    """Raise ValueError naming the first of cfg's fields that is below its least
+    value (or not comparable with it, as NaN is not)."""
     for name, low in least.items():
-        if getattr(cfg, name) < low:
+        if not getattr(cfg, name) >= low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
 
 
@@ -52,7 +53,7 @@ class ModelConfig:
     num_blocks: int = 2
     num_heads: int = 4
     patch_size: int = 4
-    intervals: tuple = (6, 12, 24)
+    intervals: tuple[int, ...] = (6, 12, 24)
     moe_num_private: int = 4
     moe_top_k: int = 2
     moe_alpha: float = 0.02
@@ -388,7 +389,9 @@ class PretrainConfig:
     checkpoint_every: int = 0  # 0 -> only at the end
 
     def __post_init__(self):
-        check_at_least(self, steps=0, batch_size=1, checkpoint_every=0)
+        check_at_least(self, steps=0, batch_size=1, checkpoint_every=0, seed=0)
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 class PretrainTrainer:

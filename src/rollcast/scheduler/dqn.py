@@ -60,8 +60,9 @@ class DQNConfig:
         check_at_least(self, sync_every=1, batch_size=1, season_length_days=1)
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.norm_hours <= 0:
-            raise ValueError(f"norm_hours must be positive, got {self.norm_hours}")
+        for name in ("lr", "norm_hours"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 # Environment steps folded into each replayed transition. A 138h episode is

@@ -42,15 +42,17 @@ class FinetuneConfig:
     iterations_per_epoch: int = 300
     finetune_episodes: int = 4  # trajectories per head update
     t_max: int = 4  # rollout steps that keep gradient
-    lead_times: tuple = (72, 138, 240)
-    omega: float | None = None  # None -> -0.05 * typical one-step RMSE
+    lead_times: tuple[int, ...] = (72, 138, 240)
+    omega: float | None = None  # a step penalty < 0; None -> -0.05 * typical one-step RMSE
     seed: int = 0
 
     def __post_init__(self):
         check_at_least(self, epochs=1, episodes_per_epoch=1, iterations_per_epoch=0,
-                       finetune_episodes=1, t_max=0)
+                       finetune_episodes=1, t_max=0, seed=0)
         if not self.lead_times or min(self.lead_times) < 1:
             raise ValueError(f"lead_times must be positive hours, got {list(self.lead_times)}")
+        if self.omega is not None and not self.omega < 0:
+            raise ValueError(f"omega must be null or negative, got {self.omega}")
 
 
 @dataclass

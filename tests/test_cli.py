@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from rollcast.cli import load_model_checkpoint, main, save_dqn_checkpoint
-from rollcast.config import RunConfig, apply_overrides, load_config, provenance, read_csv
+from rollcast.config import (
+    _NESTED_SECTIONS,
+    _VALUE_RULES,
+    RunConfig,
+    apply_overrides,
+    load_config,
+    provenance,
+    read_csv,
+)
 from rollcast.gridio import read_grid_file
 from rollcast.model import ForecastModel, PretrainTrainer
 from rollcast.diffcore import load_checkpoint, save_checkpoint
@@ -540,6 +548,43 @@ MALFORMED = [
     ("print-config", "dqn.seed=3", (), "unknown config key 'dqn.seed'"),
     ("print-config", "finetune.finetune_episodes=0", (), "finetune_episodes"),
     ("print-config", "eval.policy=best", (), "policy"),
+    ("print-config", "seed=-1", (), "seed must be >= 0"),
+    ("print-config", "seed=1.5", (), "seed must be an integer"),
+    ("print-config", "data.lon_points=1", (), "lon_points"),
+    ("print-config", "data.val_frac=-0.1", (), "val_frac"),
+    ("print-config", "data.regime.diffusion=10", (), "diffusion must lie in [0, 0.25]"),
+    ("print-config", "data.regime.zonal_velocity_cells=[]", (), "zonal_velocity_cells"),
+    ("print-config", "data.regime.zonal_velocity_cells=[0.7,NaN]", (), "zonal_velocity_cells"),
+    ("print-config", "data.regime.storm_rate=-1", (), "storm_rate"),
+    ("print-config", "data.regime.seasonal_amplitude=Infinity", (), "seasonal_amplitude"),
+    ("print-config", "data.regime.diurnal_amplitude=NaN", (), "diurnal_amplitude"),
+    ("print-config", "data.regime.season_length_days=0", (), "season_length_days"),
+    ("print-config", "model.moe_num_private=0", (), "moe_num_private"),
+    ("print-config", "model.moe_alpha=NaN", (), "model.moe_alpha must be a finite number"),
+    ("print-config", "model.intervals=[6,12,24.5]", (), "model.intervals must be a list of integers"),
+    ("print-config", "pretrain.steps=1.5", (), "pretrain.steps must be an integer"),
+    ("print-config", "pretrain.steps=NaN", (), "pretrain.steps must be an integer"),
+    ("print-config", "pretrain.steps=true", (), "pretrain.steps must be an integer"),
+    ("print-config", "pretrain.batch_size=2.5", (), "pretrain.batch_size must be an integer"),
+    ("print-config", "pretrain.lr=0", (), "lr must be positive"),
+    ("print-config", "pretrain.seed=-1", (), "seed must be >= 0"),
+    ("print-config", "pretrain.checkpoint_every=-1", (), "checkpoint_every"),
+    ("print-config", "dqn.gamma=1.5", (), "gamma"),
+    ("print-config", "dqn.batch_size=0", (), "batch_size"),
+    ("print-config", "dqn.lr=-1", (), "lr must be positive"),
+    ("print-config", "dqn.season_length_days=0", (), "season_length_days"),
+    ("print-config", "dqn.norm_hours=0", (), "norm_hours"),
+    ("print-config", "finetune.epochs=0", (), "epochs"),
+    ("print-config", "finetune.episodes_per_epoch=0", (), "episodes_per_epoch"),
+    ("print-config", "finetune.iterations_per_epoch=-1", (), "iterations_per_epoch"),
+    ("print-config", "finetune.t_max=-1", (), "t_max"),
+    ("print-config", "finetune.lead_times=[138.5]", (), "finetune.lead_times must be a list of integers"),
+    ("print-config", "finetune.omega=5", (), "omega must be null or negative"),
+    ("print-config", "finetune.seed=-1", (), "seed must be >= 0"),
+    ("print-config", "eval.episodes=0", (), "episodes"),
+    ("print-config", "eval.leads=[24,true]", (), "eval.leads must be a list of integers"),
+    ("print-config", "compare.episodes=0", (), "episodes"),
+    ("print-config", "compare.lead=1.5", (), "compare.lead must be an integer"),
     ("pretrain", "model.intervals=[6,12,25]", (), "25"),
     ("pretrain", "model.intervals=[9,18]", (), "intervals [9] are not multiples of the 6h base step"),
     ("pretrain", None, ("data.steps=2",), "too few to span 24h"),
@@ -584,3 +629,19 @@ def test_malformed_settings_exit_2(command, override, data_sets, named, tmp_path
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err, err
+
+
+def _settable_keys(cls, prefix=""):
+    """(dotted key, field annotation) of every value a config file or --set can set."""
+    for f in dataclasses.fields(cls):
+        if f.name in _NESTED_SECTIONS:
+            yield from _settable_keys(_NESTED_SECTIONS[f.name], f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+def test_every_settable_value_has_a_type_rule_and_a_malformed_case():
+    keys = dict(_settable_keys(RunConfig))
+    assert {k: t for k, t in keys.items() if t not in _VALUE_RULES} == {}
+    rejected = {override.split("=", 1)[0] for _, override, _, _ in MALFORMED if override}
+    assert sorted(set(keys) - rejected) == []
