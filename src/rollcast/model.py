@@ -97,7 +97,7 @@ def check_grid_fit(cfg: ModelConfig, spec: GridSpec, trained_on: GridSpec | None
 # runs): 0.49-0.56 ms at B=16, 0.52-0.68 at B=32, 0.60-0.81 at B=48,
 # 0.76-0.84 at B=64 and 0.85-0.92 at B=128, against 1.58-1.69 ms at B=1.
 # Past 32 a larger batch costs more per state, and its working memory grows
-# with it (one no_grad Q-network call on 200 new states peaked at 10.2 MB
+# with it (one no_grad Q-network call on 200 new states peaked at 8.3 MB
 # under tracemalloc, its cached weather rows included).
 MAX_BATCH = 32
 
@@ -131,29 +131,49 @@ def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads
     """Multi-head attention over (batch*length, D) tokens, all heads at once.
 
     Keys and values cover every token of h. Without `queries` every token
-    also queries (self-attention) and the result has h's shape. Given
-    (batch*m, D) query rows, m per sequence, only they query and the result
-    is (batch*m, D): the Q-network's temporal token reads the weather this
-    way (class attention). Queries, keys and values move to a
-    (batch*heads, rows, dh) layout, so one batched matmul scores every head;
-    keys land transposed in the same permute. Projections are
-    `{prefix}.wq/.wk/.wv/.wo` (`attention_params`).
+    also queries (self-attention) and the result has h's shape: queries,
+    keys and values move to a (batch*heads, rows, dh) layout, so one batched
+    matmul scores every head; keys land transposed in the same permute.
+
+    Given (batch*m, D) query rows, m per sequence, only they query and the
+    result is (batch*m, D): the Q-network's temporal token reads the weather
+    this way (class attention). Then the key and value maps are absorbed
+    (as in DeepSeek-V2's MLA, arXiv:2405.04434) rather than applied to every
+    token. Head i scores token x_j as (q_i Wk_iᵀ) · x_j / √dh, and its output
+    is (Σ_j p_ij x_j) Wv_i + bv_i. That equals Σ_j p_ij (x_j Wv_i + bv_i) in
+    exact arithmetic because each head's softmax weights sum to 1. So the key
+    map folds into the few queries, the value map runs on the pooled rows,
+    and no token is projected. Each query row is spread into one row per
+    head, zero outside the head's columns, so one batched matmul serves
+    every head. Projections are `{prefix}.wq/.wk/.wv/.wo` (`attention_params`).
     """
     D = h.shape[1]
     dh = D // num_heads
-    queries = h if queries is None else queries
-    m = queries.shape[0] // batch
+    if queries is not None:
+        n = queries.shape[0]  # batch*m query rows
+        head_mask = Tensor(np.broadcast_to(np.arange(D) // dh == np.arange(num_heads)[:, None],
+                                           (n, num_heads, D)))
+        q = dc.mul_scalar(_linear(params, f"{prefix}.wq", queries), 1.0 / np.sqrt(dh))
+        q = dc.mul(dc.broadcast_to(dc.reshape(q, (n, 1, D)), (n, num_heads, D)), head_mask)
+        qk = dc.matmul(dc.reshape(q, (n * num_heads, D)),
+                       dc.transpose_last2(params[f"{prefix}.wk.weight"]))  # row (query, head)
+        x = dc.reshape(h, (batch, length, D))
+        scores = dc.matmul(dc.reshape(qk, (batch, n * num_heads // batch, D)), dc.permute(x, (0, 2, 1)))
+        pooled = dc.matmul(dc.softmax(scores, axis=-1), x)  # (batch, m*heads, D)
+        values = _linear(params, f"{prefix}.wv", dc.reshape(pooled, (n * num_heads, D)))
+        heads_out = dc.mul(dc.reshape(values, (n, num_heads, D)), head_mask)
+        return _linear(params, f"{prefix}.wo", dc.tensor_sum(heads_out, axis=1))
 
     def heads(x, rows, axes):
         x = dc.permute(dc.reshape(x, (batch, rows, num_heads, dh)), axes)
         return dc.reshape(x, (batch * num_heads,) + x.shape[2:])
 
-    q = heads(_linear(params, f"{prefix}.wq", queries), m, (0, 2, 1, 3))  # (B*H, m, dh)
+    q = heads(_linear(params, f"{prefix}.wq", h), length, (0, 2, 1, 3))  # (B*H, L, dh)
     kt = heads(dc.matmul(h, params[f"{prefix}.wk.weight"]), length, (0, 2, 3, 1))  # (B*H, dh, L)
     v = heads(_linear(params, f"{prefix}.wv", h), length, (0, 2, 1, 3))
     scores = dc.mul_scalar(dc.matmul(q, kt), 1.0 / np.sqrt(dh))
-    ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, m, dh))
-    cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * m, D))
+    ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, length, dh))
+    cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * length, D))
     return _linear(params, f"{prefix}.wo", cat)
 
 

@@ -5,7 +5,12 @@ The Q network reads a state through the forecaster's own weather embedding
 of the state's spatial anomalies, plus a learned temporal token for its date
 and trajectory position. Its one attention block is a class-attention
 readout (CaiT, arXiv:2103.17239): the temporal token is the only query, and
-it attends over the L weather tokens and itself. The attended temporal row,
+it attends over the L weather tokens and itself. With one query, no token
+needs its own key or value (`model.attention`): head i scores a token x as
+(q_i Wk_iᵀ) · x, and maps its attention-pooled rows Σ_j p_ij x_j through
+Wv_i once. That is the full readout in exact arithmetic, since each head's
+softmax weights sum to 1, and it spares a TD update at batch 48 about 80%
+of its attention multiply-adds. The attended temporal row,
 after its residual, maps to one value per interval action. Only the temporal
 row depends on trained weights before the attention, and layer norm works on
 each row alone, so the layer-normed weather rows of a state are fixed: they
