@@ -408,11 +408,18 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def _sum_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
     """(num_rows, D) zeros with values[i] added into row rows[i], in index order.
 
-    bincount accumulates each output element in input order, as np.add.at
-    does, and is several times faster on 2D rows. It sums in float64; the
-    result is cast back to values' dtype.
+    When no row repeats (every MoE gather), each sum is zero plus one value,
+    which one in-place add over the picked rows gives in values' own dtype,
+    the sign of a zero included, at about a third of bincount's cost.
+    Otherwise bincount accumulates each output element in input order, as
+    np.add.at does, and is several times faster on 2D rows. It sums in
+    float64; the result is cast back to values' dtype.
     """
     d = values.shape[1]
+    if np.bincount(rows, minlength=num_rows).max(initial=0) <= 1:
+        out = np.zeros((num_rows, d), dtype=values.dtype)
+        out[rows] += values
+        return out
     flat = (rows[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * d)
     return sums.astype(values.dtype, copy=False).reshape(num_rows, d)

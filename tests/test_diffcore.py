@@ -75,6 +75,21 @@ def test_fused_ops_match_their_unfused_graphs():
     np.testing.assert_allclose(dc.scatter_add_rows(Tensor(src), [2, 0, 2, 1], 3).data, expected, atol=1e-15)
 
 
+def test_row_sums_of_distinct_rows_keep_the_bits_of_the_float64_sum():
+    """Distinct rows take the in-place add, repeated ones the float64 bincount:
+    both give zero plus the value, rounded once, with -0.0 summed to +0.0."""
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(5, 3)).astype(np.float32)
+    values[0, 1] = values[3, 2] = -0.0
+    for rows in ([4, 0, 6, 2, 1], [4, 0, 4, 2, 1]):
+        got = dc.scatter_add_rows(Tensor(values), rows, 7).data
+        want = np.zeros((7, 3))
+        for i, r in enumerate(rows):
+            want[r] += values[i]
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float32).tobytes(), rows
+
+
 def test_new_ops_enforce_their_shape_contracts():
     z = lambda *shape: Tensor(np.zeros(shape))
     with pytest.raises(dc.ShapeError, match="linear"):
