@@ -112,10 +112,11 @@ class RegimeConfig:
         cycled if shorter than V). Fractional shifts use periodic linear interpolation.
     diffusion: 5-point Laplacian coefficient per step (longitude periodic,
         latitude edges clamped).
-    storm_rate: expected storm onsets per base step; each onset injects a
-        localized bump over STORM_DURATION_STEPS steps.
+    storm_rate: expected storm onsets per base step, at most 1; each onset
+        injects a localized bump over STORM_DURATION_STEPS steps.
     seasonal_amplitude / diurnal_amplitude: amplitudes of the deterministic
-        cycle added on output, in units of each variable's scale.
+        cycle added on output, in units of each variable's scale, at most 10
+        in size (temperature then spans 200-360 K).
     season_length_days: length of the synthetic "year".
     """
 
@@ -132,8 +133,12 @@ class RegimeConfig:
         # the explicit five-point step is stable for coefficients up to 1/4
         if not 0 <= self.diffusion <= 0.25:
             raise ValueError(f"diffusion must lie in [0, 0.25], got {self.diffusion}")
-        if not self.storm_rate >= 0:
-            raise ValueError(f"storm_rate must be >= 0, got {self.storm_rate}")
+        # the generator visits every onset at every step
+        if not 0 <= self.storm_rate <= 1:
+            raise ValueError(f"storm_rate must lie in [0, 1], got {self.storm_rate}")
+        for name in ("seasonal_amplitude", "diurnal_amplitude"):
+            if not abs(getattr(self, name)) <= 10:
+                raise ValueError(f"{name} must lie in [-10, 10], got {getattr(self, name)}")
         if not self.season_length_days >= 1:
             raise ValueError(f"season_length_days must be >= 1, got {self.season_length_days}")
 

@@ -556,6 +556,8 @@ MALFORMED = [
     ("print-config", "data.regime.zonal_velocity_cells=[]", (), "zonal_velocity_cells"),
     ("print-config", "data.regime.zonal_velocity_cells=[0.7,NaN]", (), "zonal_velocity_cells"),
     ("print-config", "data.regime.storm_rate=-1", (), "storm_rate"),
+    ("print-config", "data.regime.storm_rate=1e30", (), "storm_rate must lie in"),
+    ("print-config", "data.regime.seasonal_amplitude=1e39", (), "seasonal_amplitude must lie in"),
     ("print-config", "data.regime.seasonal_amplitude=Infinity", (), "seasonal_amplitude"),
     ("print-config", "data.regime.diurnal_amplitude=NaN", (), "diurnal_amplitude"),
     ("print-config", "data.regime.season_length_days=0", (), "season_length_days"),
