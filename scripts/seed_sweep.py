@@ -10,19 +10,26 @@ best fixed policy's.
 
     python3 scripts/seed_sweep.py [--work-dir DIR]
 
-Four seeds take minutes each on a desk machine. This is a study tool, not a
-test: nothing here runs in tier-1.
+Four seeds take minutes each on a desk machine. BLAS runs on one thread, as
+in the benchmark, so the figures repeat. This is a study tool, not a test:
+nothing here runs in tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
-import sys
-import tempfile
-import time
-from pathlib import Path
+import os
+
+# one BLAS/OpenMP thread, set before numpy loads: more threads reorder BLAS sums
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
