@@ -5,8 +5,9 @@ default config with that seed as the run, pretraining and fine-tune seed, then
 the comparison of acceptance criterion 10 on the fine-tuned pair: 200 test
 starts at 138h, evaluated with seed 0 as the test does. It prints, per seed,
 the mean paired return gap of the adaptive policy against greedy, naive and
-random with its standard error, and the adaptive 138h RMSE against 1.02 x the
-best fixed policy's.
+random with its standard error, the share of starts whose adaptive plan
+differs from greedy's, and the adaptive 138h RMSE against 1.02 x the best
+fixed policy's.
 
     python3 scripts/seed_sweep.py [--work-dir DIR]
 
@@ -79,6 +80,8 @@ def compare(root: Path) -> dict:
     for other in ("greedy", "naive", "random"):
         diff = adaptive - np.array(res[other].returns)
         out[other] = (diff.mean(), diff.std(ddof=1) / np.sqrt(len(diff)))
+    plans = zip(res["adaptive"].intervals, res["greedy"].intervals)
+    out["differ"] = float(np.mean([a != g for a, g in plans]))
     bar = 1.02 * min(res["naive"].mean_final_rmse, res["greedy"].mean_final_rmse)
     out["rmse"] = (res["adaptive"].mean_final_rmse, bar)
     return out
@@ -91,7 +94,7 @@ def main_cli(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(args.work_dir or tmp)
         failed = 0
-        print("seed  gap_vs_greedy  se     gap_vs_naive  gap_vs_random  rmse/bar     "
+        print("seed  gap_vs_greedy  se     gap_vs_naive  gap_vs_random  differ  rmse/bar     "
               "pipeline_s  finetune_s")
         for seed in SEEDS:
             root = base / f"seed{seed}"
@@ -103,7 +106,7 @@ def main_cli(argv=None) -> int:
             passed &= r["rmse"][0] <= r["rmse"][1]
             failed += not passed
             print(f"{seed:<5} {gap:+13.3f}  {se:5.3f}  {r['naive'][0]:+12.3f}  {r['random'][0]:+13.3f}"
-                  f"  {r['rmse'][0]:.3f}/{r['rmse'][1]:.3f}  {sum(walls):10.1f}  {walls[-1]:10.1f}"
+                  f"  {r['differ']:6.3f}  {r['rmse'][0]:.3f}/{r['rmse'][1]:.3f}  {sum(walls):10.1f}  {walls[-1]:10.1f}"
                   f"  {'pass' if passed else 'FAIL'}", flush=True)
     print(f"{len(SEEDS) - failed}/{len(SEEDS)} seeds meet criterion 10")
     return 0

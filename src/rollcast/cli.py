@@ -8,8 +8,9 @@ does not tile it, intervals or leads off its steps, or a split too short for
 an interval or a lead), 3 numeric divergence (a non-finite pre-training, TD or
 head fine-tuning loss), 4 I/O error (a missing or malformed file: a grid file
 or its manifest, a checkpoint or its sidecar, a sidecar of the other kind of
-checkpoint, or a checkpoint tensor that is missing, misshapen or non-finite;
-the message names the file).
+checkpoint, a checkpoint tensor that is missing, misshapen or non-finite, or a
+stored training step that is negative or fractional; the message names the
+file).
 Every output carries a provenance header (config hash, seed, versions), so two
 runs with the same config and seed produce identical files.
 """
@@ -232,6 +233,8 @@ def write_router_telemetry(path, rows, num_experts: int, prov: dict):
 
 
 def cmd_pretrain(cfg: RunConfig, args) -> int:
+    if args.stop_after is not None and args.stop_after < 0:
+        raise ConfigError(f"--stop-after must be >= 0, got {args.stop_after}")
     ds = read_grid_file(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,7 +246,11 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         _check_fit(model.cfg, args.data, ds, model.spec)
         trainer = PretrainTrainer(model, ds, cfg.pretrain)
         trainer.optimizer.load_state_tensors(arrays)
-        start_step = int(checkpoint_tensor(arrays, "trainer.step", (1,))[0])
+        stored = checkpoint_tensor(arrays, "trainer.step", (1,))[0]
+        if stored < 0 or stored != int(stored):
+            raise CheckpointError(f"checkpoint {args.resume}: trainer.step {stored} "
+                                  "is not a non-negative whole number")
+        start_step = int(stored)
     else:
         _check_fit(cfg.model, args.data, ds)
         model = ForecastModel.from_dataset(cfg.model, ds, seed=cfg.seed)
@@ -264,6 +271,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
     end_step = cfg.pretrain.steps
     if args.stop_after is not None:
         end_step = min(end_step, args.stop_after)
+    end_step = max(end_step, start_step)  # a resume never rewinds the stored step
 
     curve = []
     router_rows = []
@@ -355,10 +363,7 @@ def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
     ds = read_grid_file(args.data)
     model = _load_model_for(args, ds, "compare.lead", [cfg.compare.lead], "test")
     dqn = load_dqn_checkpoint(args.dqn, model) if args.dqn else None
-    omega = cfg.finetune.omega
-    if omega is None:
-        omega = resolve_omega(model, ds, seed=cfg.seed)
-    env = ForecastEnv(model, ds, omega=omega)
+    env = ForecastEnv(model, ds, omega=resolve_omega(model, ds, seed=cfg.seed, omega=cfg.finetune.omega))
     t0s = eval_initial_times(ds, "test", cfg.compare.lead, cfg.compare.episodes, cfg.seed)
     episodes = [EpisodeSpec(t, cfg.compare.lead) for t in t0s]
     results = evaluate_policies(env, episodes, dqn=dqn, random_seed=cfg.seed)

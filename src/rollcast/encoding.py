@@ -135,6 +135,10 @@ class TemporalEmbedding:
         self.norm_hours = float(norm_hours)
         self.phase_hours = tuple(float(p) for p in phase_hours)
         self.num_features = 7 + 2 * len(self.phase_hours)
+        # each sinusoid's period, and the feature column of each of [sines, cosines, times]
+        self._periods = np.array([HOURS_PER_DAY, season_length_days * HOURS_PER_DAY, *self.phase_hours])
+        n = len(self._periods)
+        self._order = np.r_[0, n, 1, n + 1, 2 * n : 2 * n + 3, 2:n, n + 2 : 2 * n]
         self.weight = Tensor(
             rng.normal(scale=1.0 / np.sqrt(self.num_features), size=(self.num_features, embed_dim)),
             requires_grad=True,
@@ -142,38 +146,31 @@ class TemporalEmbedding:
         )
         self.bias = Tensor(np.zeros((1, embed_dim)), requires_grad=True, name="temporal_embedding.bias")
 
-    def features(self, date_time_hours: int, travel_h: int, remaining_h: int, lead_h: int) -> np.ndarray:
-        if travel_h < 0 or remaining_h < 0 or lead_h < 0:
+    def features(self, date_time_hours, travel_h, remaining_h, lead_h) -> np.ndarray:
+        """Feature rows of the given times in one pass: (F,) for scalars, (B, F) for arrays of B."""
+        given = np.array([date_time_hours, travel_h, remaining_h, lead_h])
+        times = given.reshape(4, -1)
+        clock, travel, remaining, lead = times
+        if times[1:].min() < 0:
             raise ValueError("times must be non-negative")
-        if travel_h + remaining_h != lead_h:
+        mismatch = travel + remaining != lead
+        if mismatch.any():
+            i = np.argmax(mismatch)
             raise ValueError(
-                f"inconsistent times: travel {travel_h} + remaining {remaining_h} != lead {lead_h}"
+                f"inconsistent times: travel {travel[i]} + remaining {remaining[i]} != lead {lead[i]}"
             )
-        season_hours = self.season_length_days * HOURS_PER_DAY
-        day_phase = 2.0 * np.pi * (date_time_hours % HOURS_PER_DAY) / HOURS_PER_DAY
-        season_phase = 2.0 * np.pi * (date_time_hours % season_hours) / season_hours
-        remaining_phase = 2.0 * np.pi * remaining_h / np.array(self.phase_hours)
-        return np.concatenate(
-            [
-                [
-                    np.sin(day_phase),
-                    np.cos(day_phase),
-                    np.sin(season_phase),
-                    np.cos(season_phase),
-                    travel_h / self.norm_hours,
-                    remaining_h / self.norm_hours,
-                    lead_h / self.norm_hours,
-                ],
-                np.sin(remaining_phase),
-                np.cos(remaining_phase),
-            ]
-        )
+        hours = np.empty((times.shape[1], len(self._periods)))  # into each period
+        hours[:, 0] = clock % HOURS_PER_DAY
+        hours[:, 1] = clock % (self.season_length_days * HOURS_PER_DAY)
+        hours[:, 2:] = remaining[:, None]
+        angle = 2.0 * np.pi * hours / self._periods
+        rows = np.concatenate([np.sin(angle), np.cos(angle), times[1:].T / self.norm_hours], axis=1)
+        return rows.take(self._order, axis=1).reshape(given.shape[1:] + (-1,))
 
     def __call__(self, times) -> Tensor:
         """(B, D) embedding of B (date_time_hours, travel_h, remaining_h, lead_h)
-        tuples: one linear map over their stacked feature rows."""
-        feats = Tensor(np.stack([self.features(*t) for t in times]))
-        return dc.linear(feats, self.weight, self.bias)
+        tuples: one linear map over their feature rows."""
+        return dc.linear(Tensor(self.features(*zip(*times))), self.weight, self.bias)
 
     def params(self) -> dict:
         return {"temporal_embedding.weight": self.weight, "temporal_embedding.bias": self.bias}

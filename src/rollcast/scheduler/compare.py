@@ -10,9 +10,9 @@ from ..metrics import rmse
 from .dqn import DQN, QNetwork
 
 # run_episode stays importable here: bench/tracing.py wraps compare.run_episode
-from .env import EpisodeSpec, ForecastEnv, run_episode, run_episodes  # noqa: F401
+from .env import EpisodeSpec, ForecastEnv, plan_chooser, run_episode, run_episodes  # noqa: F401
 # bench/tracing.py wraps the policy_* names here, so policy_plans calls them through this module
-from .policies import plan_chooser, policy_greedy, policy_naive, policy_random
+from .policies import policy_greedy, policy_naive, policy_random
 
 POLICIES = ("naive", "greedy", "random", "adaptive")
 
@@ -23,6 +23,7 @@ class PolicyResult:
     lead_h: int
     returns: list = field(default_factory=list)
     lengths: list = field(default_factory=list)
+    intervals: list = field(default_factory=list)  # each episode's interval plan
     final_rmse: list = field(default_factory=list)  # aggregate over variables
     final_rmse_by_var: dict = field(default_factory=dict)  # var index -> list
 
@@ -91,6 +92,7 @@ def evaluate_policies(env: ForecastEnv, episodes, dqn: DQN | None = None,
             truth = env.dataset.at(episode.t0_hours + episode.lead_h)
             res.returns.append(traj.return_value)
             res.lengths.append(len(traj))
+            res.intervals.append(traj.intervals)
             res.final_rmse.append(rmse(final_state.x_hat.values, truth.values, env.weights))
             for v in range(env.dataset.spec.num_vars):
                 res.final_rmse_by_var[v].append(

@@ -49,7 +49,7 @@ from ..model import (
     attention_params,
     check_at_least,
 )
-from .env import ActionSet, EnvState, Transition, run_episode
+from .env import ActionSet, EnvState, Transition, plan_chooser, run_episodes
 
 
 @dataclass
@@ -273,12 +273,12 @@ def hindsight_transitions(transitions, k: int) -> list:
 class ReplayBuffer:
     """Episode store with uniform transition sampling.
 
-    Episodes are kept as (spec, actions, epoch added, folded transitions) so
-    a refresh can replay them through the current environment; refreshed
-    transitions replace the stale ones and episodes past max_age (or over
-    capacity) are evicted, oldest first. Each episode is stored as one
-    n-step transition per step (`n_step_transitions`) plus its relabelled
-    segments of up to hindsight_steps steps (`hindsight_transitions`).
+    Episodes are kept as (spec, actions, epoch added, folded transitions), so
+    a refresh can replay their action lists through the current environment.
+    Each episode is stored as one n-step transition per step
+    (`n_step_transitions`) plus its relabelled segments of up to
+    hindsight_steps steps (`hindsight_transitions`). Episodes over capacity
+    are evicted oldest first, and a refresh evicts those past max_age.
     """
 
     def __init__(self, capacity: int = 50_000, n_step: int = N_STEP, hindsight_steps: int = HINDSIGHT_STEPS):
@@ -314,22 +314,20 @@ class ReplayBuffer:
         return [self.transitions[i] for i in idx]
 
     def refresh(self, env, current_epoch: int, max_age: int):
-        """Replay stored episodes of earlier epochs through the current environment.
+        """Evict episodes past max_age, and replay the stored episodes of earlier
+        epochs through the current environment in one `run_episodes` call.
 
         The fine-tuned forecaster changes the environment between epochs, so
-        stored rewards/next-states go stale; replaying the same action
-        sequences regenerates them consistently. Episodes added in
-        current_epoch were collected from the environment as it is now, so
-        they are kept as stored: a replay would repeat every forecast.
+        stored rewards and next states go stale; replaying the same action
+        lists regenerates them. Episodes added in current_epoch were collected
+        from the environment as it is now: a replay would repeat every forecast.
         """
         self.episodes = [e for e in self.episodes if current_epoch - e["epoch"] <= max_age]
-        self.transitions = []
-        for e in self.episodes:
-            if e["epoch"] < current_epoch:
-                actions = iter(e["actions"])
-                _, transitions, _ = run_episode(env, e["spec"], lambda s: next(actions))
-                e["folded"] = self._fold(transitions)
-            self.transitions.extend(e["folded"])
+        stale = [e for e in self.episodes if e["epoch"] < current_epoch]
+        outcomes = run_episodes(env, [e["spec"] for e in stale], plan_chooser([e["actions"] for e in stale]))
+        for e, (_, transitions, _) in zip(stale, outcomes):
+            e["folded"] = self._fold(transitions)
+        self.transitions = [t for e in self.episodes for t in e["folded"]]
 
 
 # -- temporal-difference updates -------------------------------------------------------

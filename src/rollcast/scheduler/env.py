@@ -15,8 +15,10 @@ call), the live states are grouped by chosen interval, and each group is
 stepped by one `ForecastEnv.step_batch` call, whose forecast
 (`ForecastModel.forecast_batch`) splits it into chunks of at most
 `MAX_BATCH` states. Episodes with the same start, lead and interval prefix
-hold the same state object and share its forecasts. `run_episode` is the
-engine with one episode, so each of its steps forecasts one state.
+hold the same state object and share its forecasts; `plan_chooser` feeds it
+stored or fixed plans. `run_episode` is the engine with one episode, each step
+forecasting one state. Fine-tune collection keeps it, as its epsilon-greedy
+episodes share one RNG stream, and so do the benchmark's single forecasts.
 """
 
 from __future__ import annotations
@@ -239,3 +241,20 @@ def run_episode(env: ForecastEnv, episode: EpisodeSpec, action_fn):
     Returns (trajectory, transitions, final_state).
     """
     return run_episodes(env, [episode], lambda ids, states: [action_fn(states[0])])[0]
+
+
+def plan_chooser(plans, q_net=None):
+    """A `run_episodes` chooser: episode i takes the intervals of plans[i] in
+    order, or, where plans[i] is None, the greedy legal action of q_net (a
+    `QNetwork`). The states of a tick that q_net decides are valued together."""
+    steps = [None if plan is None else iter(plan) for plan in plans]
+
+    def choose(ids, states):
+        actions = [None if steps[i] is None else next(steps[i]) for i in ids]
+        learned = [k for k, i in enumerate(ids) if steps[i] is None]
+        if learned:
+            for k, action in zip(learned, q_net.greedy_actions([states[k] for k in learned])):
+                actions[k] = action
+        return actions
+
+    return choose

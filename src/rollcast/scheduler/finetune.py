@@ -62,8 +62,12 @@ class RolloutLossParts:
     per_step: list = field(default_factory=list)
 
 
-def resolve_omega(model: ForecastModel, dataset: Dataset, seed: int = 0) -> float:
-    """-0.05 times the typical single-step RMSE of the current model."""
+def resolve_omega(model: ForecastModel, dataset: Dataset, seed: int = 0,
+                  omega: float | None = None) -> float:
+    """The step penalty: omega when it is set, else -0.05 times the typical
+    single-step RMSE of the current model."""
+    if omega is not None:
+        return omega
     rng = np.random.default_rng(seed)
     delta = min(model.cfg.intervals)
     starts = dataset.window_starts("train", delta)
@@ -141,7 +145,7 @@ def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
     Returns a log dict: per-episode rows, TD losses, and per-sync rollout
     losses. The model and DQN are updated in place.
     """
-    omega = cfg.omega if cfg.omega is not None else resolve_omega(model, dataset, seed=cfg.seed)
+    omega = resolve_omega(model, dataset, seed=cfg.seed, omega=cfg.omega)
     env = ForecastEnv(model, dataset, omega)
     head_opt = dc.AdamW(model.head_params(), lr=HEAD_LR)
     logs = {"episodes": [], "td_losses": [], "rollout_losses": [], "omega": omega}

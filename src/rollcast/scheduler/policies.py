@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .env import EnvState
-from .dqn import DQN, QNetwork
+from .dqn import DQN
 
 
 def policy_naive(lead_h: int, intervals=(6, 12, 24)) -> list:
@@ -53,20 +53,3 @@ def policy_adaptive(state: EnvState, dqn: DQN, epsilon: float = 0.0,
         if rng.random() < epsilon:
             return int(rng.choice(legal))
     return dqn.q_main.greedy_actions([state])[0]
-
-
-def plan_chooser(plans, q_net: QNetwork | None = None):
-    """A `run_episodes` chooser: episode i takes the intervals of plans[i] in
-    order, or, where plans[i] is None, q_net's greedy legal action. The
-    states of a tick that q_net decides are valued together."""
-    steps = [None if plan is None else iter(plan) for plan in plans]
-
-    def choose(ids, states):
-        actions = [None if steps[i] is None else next(steps[i]) for i in ids]
-        learned = [k for k, i in enumerate(ids) if steps[i] is None]
-        if learned:
-            for k, action in zip(learned, q_net.greedy_actions([states[k] for k in learned])):
-                actions[k] = action
-        return actions
-
-    return choose

@@ -426,6 +426,8 @@ def test_exit_codes(tmp_path, workdir, capsys):
         ("nan_head_bias", lambda a: a["head.bias"].fill(np.nan), "eval"),
         ("no_opt", lambda a: [a.pop(k) for k in list(a) if k.startswith("opt.")], "resume"),
         ("no_step", lambda a: a.pop("trainer.step"), "resume"),
+        ("negative_step", lambda a: a["trainer.step"].fill(-1), "resume"),
+        ("fractional_step", lambda a: a["trainer.step"].fill(2.5), "resume"),
     ):
         ckpt = variant(name, edit)
         argv = {
@@ -435,6 +437,20 @@ def test_exit_codes(tmp_path, workdir, capsys):
                        "--out-dir", str(tmp_path / f"{name}_out")],
         }[command]
         io_error_naming(ckpt, argv[:1] + ["--config", str(cfg_path)] + argv[1:])
+    # 2: a negative --stop-after, which would write a step no resume can read
+    assert main([
+        "pretrain", "--config", str(cfg_path), "--stop-after", "-1",
+        "--data", str(root / "data.grid"), "--out-dir", str(tmp_path / "negative_stop"),
+    ]) == 2
+    assert "--stop-after" in capsys.readouterr().err
+    # 0: a resume with fewer configured steps than stored keeps the stored step
+    stored = load_checkpoint(root / "pre" / "model.ckpt")["trainer.step"]
+    assert stored[0] == TINY["pretrain"]["steps"]
+    for i, extra in enumerate((["--set", "pretrain.steps=2"], ["--stop-after", "3"])):
+        out = tmp_path / f"short_resume{i}"
+        assert main(["pretrain", "--config", str(cfg_path), *extra, "--data", str(root / "data.grid"),
+                     "--resume", str(root / "pre" / "model.ckpt"), "--out-dir", str(out)]) == 0
+        np.testing.assert_array_equal(load_checkpoint(out / "model.ckpt")["trainer.step"], stored)
     # 4: DQN checkpoint without one of its tensors
     model, _ = load_model_checkpoint(root / "pre" / "model.ckpt")
     headless = tmp_path / "headless_dqn.ckpt"

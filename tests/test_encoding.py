@@ -166,6 +166,25 @@ def test_temporal_embedding_remaining_phase_features():
     np.testing.assert_array_equal(plain.features(1000, 120, 18, 138), f[:7])
 
 
+def test_temporal_embedding_features_of_arrays_are_the_rows_of_scalar_calls():
+    emb = TemporalEmbedding(16, season_length_days=60, norm_hours=240.0,
+                            rng=np.random.default_rng(6), phase_hours=(12, 24))
+    rng = np.random.default_rng(7)
+    clock = rng.integers(0, 50_000, 200)
+    lead = rng.choice([6, 72, 138, 240], 200)
+    travel = rng.integers(0, lead + 1)
+    rows = emb.features(clock, travel, lead - travel, lead)
+    assert rows.shape == (200, 11)
+    expected = np.stack([emb.features(int(c), int(t), int(ld - t), int(ld))
+                         for c, t, ld in zip(clock, travel, lead)])
+    np.testing.assert_array_equal(rows, expected)
+    # one bad row among good ones raises the single-row error
+    with pytest.raises(ValueError, match="inconsistent times: travel 6 \\+ remaining 100 != lead 138"):
+        emb.features(np.array([1000, 1006]), np.array([0, 6]), np.array([138, 100]), np.array([138, 138]))
+    with pytest.raises(ValueError, match="non-negative"):
+        emb.features(np.array([1000, 1006]), np.array([0, -6]), np.array([138, 144]), np.array([138, 138]))
+
+
 def test_temporal_embedding_contract():
     emb = TemporalEmbedding(16, season_length_days=60, norm_hours=240.0, rng=np.random.default_rng(6))
     start, end, mid_a, mid_b = emb(

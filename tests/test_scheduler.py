@@ -36,7 +36,7 @@ from rollcast.scheduler import (
 from rollcast.scheduler.dqn import QNetwork, hindsight_transitions
 from rollcast.scheduler.env import EnvState
 from rollcast.scheduler import finetune
-from rollcast.scheduler.finetune import FinetuneConfig, sample_episode
+from rollcast.scheduler.finetune import FinetuneConfig, resolve_omega, sample_episode
 
 SPEC = GridSpec.cell_centered(2, 8, 16)
 MODEL_CFG = ModelConfig(
@@ -700,6 +700,45 @@ def test_buffer_refresh_keeps_same_epoch_episodes_as_collected(model, dataset, m
         assert a.reward == b.reward and a.action == b.action
 
 
+def test_buffer_refresh_replays_stale_episodes_in_lockstep(model, dataset, monkeypatch):
+    env = ForecastEnv(model, dataset, omega=-0.1)
+    buf = ReplayBuffer(capacity=100, n_step=2, hindsight_steps=1)
+    episodes = [EpisodeSpec(dataset.fields[i].timestamp_hours, 18) for i in (2, 9, 17)]
+    for episode in episodes:
+        traj, transitions, _ = run_episode(env, episode, lambda s: 6)
+        buf.add_episode(episode, traj.intervals, transitions, epoch=0)
+    calls = []
+    step_batch = ForecastEnv.step_batch
+
+    def counting_step_batch(self, states, action):
+        calls.append((action, len(states)))
+        return step_batch(self, states, action)
+
+    head = model.params()["head.weight"]
+    saved = head.data.copy()
+    try:
+        head.data = head.data + 0.05
+        monkeypatch.setattr(ForecastEnv, "step_batch", counting_step_batch)
+        buf.refresh(env, current_epoch=1, max_age=3)
+        assert calls == [(6, 3)] * 3  # one call per tick, holding every stale episode
+        monkeypatch.undo()
+        expected = []
+        for episode in episodes:
+            _, transitions, _ = run_episode(env, episode, lambda s: 6)
+            expected += buf._fold(transitions)
+    finally:
+        head.data = saved
+    assert [e["actions"] for e in buf.episodes] == [[6, 6, 6]] * 3
+    assert [len(e["folded"]) for e in buf.episodes] == [len(expected) // 3] * 3
+    assert len(buf) == len(expected)
+    assert [t.action for t in buf.transitions] == [t.action for t in expected]
+    assert [t.steps for t in buf.transitions] == [t.steps for t in expected]
+    for got, want in zip(buf.transitions, expected):
+        np.testing.assert_allclose(got.rewards, want.rewards, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(got.next_state.x_hat.values, want.next_state.x_hat.values,
+                                   rtol=1e-6, atol=1e-5)
+
+
 def test_buffer_refresh_evicts_aged_episodes(env, dataset):
     buf = ReplayBuffer(capacity=100)
     t0 = dataset.fields[0].timestamp_hours
@@ -930,6 +969,12 @@ def test_adaptive_rollout_finetune_smoke(model, dataset):
     assert not np.array_equal(head_before, model.params()["head.weight"].data)
 
 
+def test_resolve_omega_returns_a_set_omega_and_estimates_a_null_one(model, dataset):
+    assert resolve_omega(model, dataset, seed=0, omega=-0.3) == -0.3
+    estimated = resolve_omega(model, dataset, seed=0)
+    assert estimated < 0 and resolve_omega(model, dataset, seed=0, omega=None) == estimated
+
+
 def test_sample_episode_respects_split_bounds(dataset):
     rng = np.random.default_rng(13)
     for _ in range(200):
@@ -952,9 +997,12 @@ def test_evaluate_policies_shapes_and_adaptive_row(env, model, dataset):
     assert all(len(r.returns) == 3 for r in res.values())
     assert res["naive"].mean_length == 8.0
     assert res["greedy"].mean_length == 2.0
+    assert res["greedy"].intervals == [[24, 24]] * 3
     dqn = DQN(model, DQNConfig(), seed=14)
     res2 = evaluate_policies(env, episodes, dqn=dqn)
     assert "adaptive" in res2
+    assert [sum(plan) for plan in res2["adaptive"].intervals] == [48] * 3
+    assert [len(plan) for plan in res2["adaptive"].intervals] == res2["adaptive"].lengths
     # fixed policies are unaffected by the dqn and reproduce exactly
     assert res2["naive"].returns == res["naive"].returns
     assert res2["random"].returns == res["random"].returns
