@@ -7,9 +7,13 @@ Design rules:
     (NumPy promotes a float32 array times an np.float64 scalar to float64).
   * No implicit broadcasting. Elementwise ops demand identical shapes and
     raise ShapeError otherwise; expansion must go through broadcast_to.
-    The one exception is the (1, D) row operands of the fused ops linear
-    (bias), modulate (scale, shift) and gated_add (gate), which apply to
-    every row of their (n, D) input; their adjoints sum over the rows.
+    The one exception is the row operands of the fused ops linear (bias),
+    modulate (scale, shift) and gated_add (gate). A linear bias is one
+    (1, D) row added to every row of its (n, D) input. The modulate and
+    gated_add rows are (K, D): row k applies to the k-th of K consecutive
+    row segments of the (n, D) input, whose row counts the caller gives.
+    Without counts, K is 1 and the row applies to every row. Their
+    adjoints sum each segment's rows.
   * matmul accepts 2D @ 2D or batched 3D @ 3D (leading batch dim).
   * A recorded graph is confined to one thread; backward visits each node
     exactly once in reverse topological order.
@@ -18,6 +22,7 @@ Design rules:
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -175,7 +180,17 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+    def vjp(g):
+        gx = g * out * (1.0 - out)
+        # flush subnormal adjoints to zero, as a CPU's flush-to-zero mode would:
+        # the saturated MoE auxiliary losses send adjoints of 1e-38 and below
+        # here, and subnormal operands made the noise heads' matmul adjoint
+        # about nine times slower (832 -> 94 us for a (512, 64) @ (64, 12) one)
+        gx[np.abs(gx) < np.finfo(gx.dtype).tiny] = 0.0
+        return (gx,)
+
+    return Tensor._result(out, (a,), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -229,9 +244,34 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 # -- fused row-conditioned ops ---------------------------------------------------
 
 
-def _check_row(op: str, x: Tensor, row: Tensor):
-    if x.ndim != 2 or row.shape != (1, x.shape[1]):
-        raise ShapeError(f"{op}: expects (n, D) and (1, D), got {x.shape} and {row.shape}")
+def _segments(op: str, x: Tensor, rows: Sequence[Tensor], counts):
+    """Check (K, D) rows against the (n, D) input x split into segments of
+    `counts` rows. Returns (counts, first row of each segment), or None for
+    one segment of every row."""
+    k = 1 if counts is None else len(counts)
+    shape = x.data.shape
+    for row in rows:
+        if len(shape) != 2 or row.data.shape != (k, shape[1]):
+            raise ShapeError(f"{op}: expects (n, D) and ({k}, D), got {shape} and {row.shape}")
+    if counts is None or k == 1 and counts[0] == shape[0]:
+        return None
+    counts = [int(c) for c in counts]
+    if min(counts) < 1 or sum(counts) != shape[0]:
+        raise ShapeError(f"{op}: segment counts {counts} do not split {shape[0]} rows")
+    return counts, list(itertools.accumulate(counts[:-1], initial=0))
+
+
+def _spread(row: np.ndarray, segments) -> np.ndarray:
+    """(K, D) rows repeated over their segments' rows, or the one row as it is.
+    Ops spread again in their adjoints rather than keep an (n, D) copy."""
+    return row if segments is None else np.repeat(row, segments[0], axis=0)
+
+
+def _segment_sums(a: np.ndarray, segments) -> np.ndarray:
+    """(K, D) sums of each segment's rows of a."""
+    if segments is None:
+        return np.add.reduce(a, axis=0, keepdims=True)
+    return np.add.reduceat(a, segments[1], axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -250,30 +290,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(xd @ wd + b.data, (x, w, b), vjp)
 
 
-def modulate(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """AdaLN modulation x * (1 + scale) + shift with (1, D) scale and shift rows."""
-    _check_row("modulate", x, scale)
-    _check_row("modulate", x, shift)
-    xd = x.data
-    factor = scale.data + 1.0
+def modulate(x: Tensor, scale: Tensor, shift: Tensor, counts=None) -> Tensor:
+    """AdaLN modulation x * (1 + scale) + shift with (K, D) scale and shift
+    rows, row k for the k-th of the segments of `counts` rows (one segment
+    of every row without counts)."""
+    seg = _segments("modulate", x, (scale, shift), counts)
+    xd, factor = x.data, scale.data + 1.0
 
     def vjp(g):
-        return (g * factor, np.add.reduce(g * xd, axis=0, keepdims=True),
-                np.add.reduce(g, axis=0, keepdims=True))
+        return (g * _spread(factor, seg), _segment_sums(g * xd, seg), _segment_sums(g, seg))
 
-    return Tensor._result(xd * factor + shift.data, (x, scale, shift), vjp)
+    return Tensor._result(xd * _spread(factor, seg) + _spread(shift.data, seg), (x, scale, shift), vjp)
 
 
-def gated_add(z: Tensor, gate: Tensor, y: Tensor) -> Tensor:
-    """Gated residual z + gate * y with a (1, D) gate row."""
+def gated_add(z: Tensor, gate: Tensor, y: Tensor, counts=None) -> Tensor:
+    """Gated residual z + gate * y with (K, D) gate rows over the segments of
+    `counts` rows, as in `modulate`."""
     _check_same_shape("gated_add", z, y)
-    _check_row("gated_add", y, gate)
+    seg = _segments("gated_add", y, (gate,), counts)
     gd, yd = gate.data, y.data
 
     def vjp(g):
-        return (g, np.add.reduce(g * yd, axis=0, keepdims=True), g * gd)
+        return (g, _segment_sums(g * yd, seg), g * _spread(gd, seg))
 
-    return Tensor._result(z.data + gd * yd, (z, gate, y), vjp)
+    return Tensor._result(z.data + _spread(gd, seg) * yd, (z, gate, y), vjp)
 
 
 # -- linear algebra / shape primitives -----------------------------------------

@@ -92,7 +92,8 @@ def similarity_matrix(table: np.ndarray) -> np.ndarray:
 
 
 class IntervalEmbedding:
-    """Lookup table of learned vectors, one per forecast interval."""
+    """Table of learned vectors, one row per forecast interval in `intervals`
+    order; the forecaster's blocks read the whole table (`ArchBlock`)."""
 
     def __init__(self, intervals, embed_dim: int, rng: np.random.Generator):
         self.intervals = tuple(int(d) for d in intervals)
@@ -110,10 +111,6 @@ class IntervalEmbedding:
             raise KeyError(
                 f"unknown interval {delta_hours}h; configured set is {self.intervals}"
             ) from None
-
-    def __call__(self, delta_hours: int) -> Tensor:
-        """(1, D) embedding row for one interval."""
-        return dc.embedding_lookup(self.table, [self.index_of(delta_hours)])
 
     def params(self) -> dict:
         return {"interval_embedding.table": self.table}

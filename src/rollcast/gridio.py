@@ -467,13 +467,15 @@ def read_grid_file(path) -> Dataset:
 
     manifest = _read_manifest(path, num_steps)
     start_hours = manifest.get("start_hours", 0)
-    fields = []
-    for t in range(num_steps):
-        frame = np.frombuffer(blob, dtype="<f4", count=V * H * W, offset=off).reshape(V, H, W)
-        if not np.all(np.isfinite(frame)):
-            raise bad(f"non-finite value in frame {t} at offset {off}")
-        off += frame_len
-        fields.append(GridField(spec, frame.astype(np.float64), start_hours + t * base_step))
+    values = np.frombuffer(blob, dtype="<f4", count=num_steps * V * H * W, offset=off).astype(np.float64)
+    values = values.reshape(num_steps, V, H, W)
+    # a float64 sum of float32 values cannot overflow, so it is finite exactly
+    # when every value of its frame is
+    finite = np.isfinite(values.sum(axis=(1, 2, 3)))
+    if not finite.all():
+        t = int(np.argmin(finite))
+        raise bad(f"non-finite value in frame {t} at offset {off + t * frame_len}")
+    fields = [GridField(spec, values[t], start_hours + t * base_step) for t in range(num_steps)]
 
     splits = manifest.get("splits", {})
     meta = {

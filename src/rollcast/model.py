@@ -11,10 +11,16 @@ normalization of differences. Interval conditioning
 enters through AdaLN modulation (scale/shift before each sub-layer, gate
 after it) computed from a learned interval embedding. All modulation maps
 and the head start at zero, so an untrained model forecasts persistence.
+
+One forward serves states of several intervals: each state's tokens take
+the modulation rows and routing noise of its own interval, as DiT and
+Stormer give each sample its own AdaLN rows. The forward wants the states
+of one interval adjacent; `predict_change` sorts any batch that way.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,7 @@ from .moe import (
     aux_loss_2,
     combined_aux,
     noise_distributions,
+    one_interval,
 )
 
 
@@ -197,24 +204,35 @@ class ArchBlock:
     def _attention(self, h: Tensor, batch: int, length: int) -> Tensor:
         return attention(self._params, f"{self.prefix}.attn", h, batch, length, self.cfg.num_heads)
 
-    def _modulations(self, cond: Tensor):
+    def _modulations(self, table: Tensor, intervals):
+        """The six (K, D) modulation rows of K segments' intervals. Every
+        interval's rows are computed, so a row's bits do not depend on which
+        intervals share the batch."""
         D = self.cfg.embed_dim
-        mods = _linear(self._params, f"{self.prefix}.adaln", dc.gelu(cond))  # (1, 6D)
+        mods = _linear(self._params, f"{self.prefix}.adaln", dc.gelu(table))  # (intervals, 6D)
+        if isinstance(intervals, int):
+            intervals = (intervals,)
+        mods = dc.embedding_lookup(mods, [self.cfg.intervals.index(d) for d in intervals])
         return [dc.slice_axis(mods, 1, i * D, (i + 1) * D) for i in range(6)]
 
-    def forward(self, z: Tensor, cond: Tensor, delta: int, batch: int, length: int, collect_noise: bool = False):
-        """(batch*length, D) tokens -> same shape; cond is the (1, D) interval embedding."""
-        scale1, shift1, gate1, scale2, shift2, gate2 = self._modulations(cond)
+    def forward(self, z: Tensor, table: Tensor, intervals, batch: int, length: int, counts=None,
+                collect_noise: bool = False):
+        """(batch*length, D) tokens -> same shape.
 
-        h = dc.modulate(dc.layer_norm(z), scale1, shift1)
-        z = dc.gated_add(z, gate1, self._attention(h, batch, length))
+        table is the (configured intervals, D) interval embedding. intervals
+        is one interval for every token, or the intervals of K consecutive
+        token segments whose row counts `counts` gives.
+        """
+        scale1, shift1, gate1, scale2, shift2, gate2 = self._modulations(table, intervals)
 
-        h2 = dc.modulate(dc.layer_norm(z), scale2, shift2)
-        moe_out, decision, b = self.moe.forward(h2, delta)
-        z = dc.gated_add(z, gate2, moe_out)
+        h = dc.modulate(dc.layer_norm(z), scale1, shift1, counts)
+        z = dc.gated_add(z, gate1, self._attention(h, batch, length), counts)
 
-        noise = self.moe.noise_sums(h2, delta, b) if collect_noise else None
-        return z, decision, noise
+        h2 = dc.modulate(dc.layer_norm(z), scale2, shift2, counts)
+        moe_out, decision, noise = self.moe.forward(h2, intervals, counts)
+        z = dc.gated_add(z, gate2, moe_out, counts)
+
+        return z, decision, self.moe.noise_sums(noise) if collect_noise else None
 
 
 class ForecastModel:
@@ -309,31 +327,58 @@ class ForecastModel:
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.norm_mean[:, None, None]) / self.norm_std[:, None, None]
 
-    def _delta_scale_of(self, delta: int) -> np.ndarray:
-        return self.delta_scale[self.cfg.intervals.index(delta)][:, None, None]
+    def _delta_scale_of(self, delta) -> np.ndarray:
+        """(V, 1, 1) change scale of one interval, or (B, V, 1, 1) of one interval per state."""
+        if one_interval(delta):
+            return self.delta_scale[self.interval_embedding.index_of(delta)][:, None, None]
+        return self.delta_scale[[self.interval_embedding.index_of(d) for d in delta]][:, :, None, None]
 
-    def normalize_delta(self, delta_values: np.ndarray, delta: int) -> np.ndarray:
+    def normalize_delta(self, delta_values: np.ndarray, delta) -> np.ndarray:
         """Physical change over `delta` hours -> model units."""
         return delta_values / self._delta_scale_of(delta)
 
-    def denormalize_delta(self, delta_norm: np.ndarray, delta: int) -> np.ndarray:
+    def denormalize_delta(self, delta_norm: np.ndarray, delta) -> np.ndarray:
         return delta_norm * self._delta_scale_of(delta)
 
-    def body_tokens(self, x_batch: np.ndarray, delta: int, collect_noise: bool = False):
+    def interval_segments(self, deltas, batch: int):
+        """(intervals, state counts) of the consecutive runs of one interval in
+        `deltas`: one interval for all `batch` states, or one per state.
+
+        Raises KeyError for an interval the model lacks and ValueError when
+        the states of one interval are not adjacent.
+        """
+        if one_interval(deltas):
+            self.interval_embedding.index_of(deltas)
+            return (int(deltas),), (batch,)
+        if len(deltas) != batch:
+            raise ValueError(f"{len(deltas)} intervals for {batch} states")
+        runs = [(int(d), len(list(run))) for d, run in itertools.groupby(deltas)]
+        intervals = tuple(d for d, _ in runs)
+        for d in intervals:
+            self.interval_embedding.index_of(d)
+        if len(set(intervals)) < len(intervals):
+            raise ValueError(f"states of one interval must be adjacent, got intervals {list(deltas)}")
+        return intervals, tuple(n for _, n in runs)
+
+    def body_tokens(self, x_batch: np.ndarray, deltas, collect_noise: bool = False):
         """Run tokenizer + positional + conditioned blocks; stop before the head.
 
-        x_batch: (B, V, H, W) raw states. Returns ((B*L, D) token Tensor,
-        per-block gate decisions, per-block noise sums).
+        x_batch: (B, V, H, W) raw states. deltas: one interval for every
+        state, or one per state with the states of one interval adjacent
+        (see `interval_segments`). Returns ((B*L, D) token Tensor, per-block
+        gate decisions, per-block noise sums).
         """
         B = x_batch.shape[0]
         L = self.num_tokens
+        intervals, counts = self.interval_segments(deltas, B)
+        token_counts = None if len(counts) == 1 else [c * L for c in counts]
         patches = np.stack([patchify(self.normalize(x), self.cfg.patch_size) for x in x_batch])
         z = _linear(self._params, "tokenizer", Tensor(patches.reshape(B * L, self.patch_dim)))
         z = dc.add(z, Tensor(np.tile(self.positional, (B, 1))))
-        cond = self.interval_embedding(delta)
+        table = self.interval_embedding.table
         decisions, noises = [], []
         for block in self.blocks:
-            z, dec, noise = block.forward(z, cond, delta, B, L, collect_noise=collect_noise)
+            z, dec, noise = block.forward(z, table, intervals, B, L, token_counts, collect_noise)
             decisions.append(dec)
             noises.append(noise)
         return z, decisions, noises
@@ -341,32 +386,46 @@ class ForecastModel:
     def apply_head(self, tokens: Tensor) -> Tensor:
         return _linear(self._params, "head", tokens)
 
-    def forward_tokens(self, x_batch: np.ndarray, delta: int, collect_noise: bool = False):
-        """Predict normalized change patches for a batch sharing one interval."""
-        z, decisions, noises = self.body_tokens(x_batch, delta, collect_noise=collect_noise)
+    def forward_tokens(self, x_batch: np.ndarray, deltas, collect_noise: bool = False):
+        """Predict normalized change patches for a batch, one interval per state
+        or one for all (as in `body_tokens`)."""
+        z, decisions, noises = self.body_tokens(x_batch, deltas, collect_noise=collect_noise)
         return self.apply_head(z), decisions, noises
 
-    def predict_change(self, x_batch: np.ndarray, delta: int) -> np.ndarray:
-        """Physical change of each (V, H, W) state of x_batch over `delta` hours.
+    def predict_change(self, x_batch: np.ndarray, delta) -> np.ndarray:
+        """Physical change of each (V, H, W) state of x_batch over its interval:
+        `delta` hours for every state, or delta[i] hours for state i.
 
-        Returns the (B, V, H, W) changes. The states go through `forward_tokens`
-        in chunks of at most MAX_BATCH; no autodiff graph is kept.
+        Returns the (B, V, H, W) changes in the order of x_batch. The states
+        go through `forward_tokens` sorted stably by interval, in chunks of at
+        most MAX_BATCH that may mix intervals; no autodiff graph is kept.
         """
-        if delta not in self.cfg.intervals:
-            raise KeyError(f"unknown interval {delta}h; configured set is {self.cfg.intervals}")
+        order = None
+        if not one_interval(delta):
+            if len(delta) != len(x_batch):
+                raise ValueError(f"{len(delta)} intervals for {len(x_batch)} states")
+            if len(set(delta)) == 1:
+                delta = delta[0]
+            else:
+                order = np.argsort(delta, kind="stable")
+                delta, x_batch = np.asarray(delta)[order], x_batch[order]
         with dc.no_grad():
-            preds = [self.forward_tokens(x_batch[lo : lo + MAX_BATCH], delta)[0].data
+            preds = [self.forward_tokens(x_batch[lo : lo + MAX_BATCH],
+                                         delta if order is None else delta[lo : lo + MAX_BATCH])[0].data
                      for lo in range(0, len(x_batch), MAX_BATCH)]
-        return self.change_from_patches(np.concatenate(preds), delta)
+        change = self.change_from_patches(np.concatenate(preds), delta)
+        return change if order is None else change[np.argsort(order)]
 
-    def change_from_patches(self, patches: np.ndarray, delta: int) -> np.ndarray:
-        """(B*L, patch_dim) head output -> the (B, V, H, W) physical changes over `delta` hours."""
+    def change_from_patches(self, patches: np.ndarray, delta) -> np.ndarray:
+        """(B*L, patch_dim) head output -> the (B, V, H, W) physical changes over
+        `delta` hours, or over delta[i] hours for state i."""
         patches = patches.reshape(-1, self.num_tokens, self.patch_dim)
         delta_norm = np.stack([unpatchify(p, self.spec.shape, self.cfg.patch_size) for p in patches])
         return self.denormalize_delta(delta_norm, delta)
 
-    def forecast_batch(self, x_batch: np.ndarray, delta: int) -> np.ndarray:
-        """(B, V, H, W) states -> the (B, V, H, W) states `delta` hours later."""
+    def forecast_batch(self, x_batch: np.ndarray, delta) -> np.ndarray:
+        """(B, V, H, W) states -> the (B, V, H, W) states `delta` hours later,
+        or delta[i] hours later for state i."""
         return x_batch + self.predict_change(x_batch, delta)
 
     def predict_rollout(self, x0: GridField, intervals, lead_hours: int | None = None) -> list:
@@ -444,39 +503,33 @@ class PretrainTrainer:
     def loss_on_batch(self, batch):
         """(total, l_delta, aux1, aux2, usage) for a list of (x0, delta_target, interval).
 
-        usage holds the routing of this forward: one (interval, block, expert
-        counts) per interval group of the batch and block of the model.
+        The batch runs as one forward, its samples sorted stably by interval.
+        usage holds the routing of that forward: one (interval, block, expert
+        counts) per interval of the batch and block of the model.
         """
         model = self.model
-        spec = self.dataset.spec
-        V, H, W = spec.shape
-        B = len(batch)
-        groups: dict = {}
-        for x0, dvals, delta in batch:
-            groups.setdefault(delta, []).append((x0, dvals))
+        V, H, W = self.dataset.spec.shape
+        B, L = len(batch), model.num_tokens
+        batch = sorted(batch, key=lambda item: item[2])
+        deltas = [delta for _, _, delta in batch]
+        xb = np.stack([x for x, _, _ in batch])
+        targets = np.concatenate(
+            [patchify(model.normalize_delta(d, delta), model.cfg.patch_size) for _, d, delta in batch]
+        )
+        pred, decisions, noises = model.forward_tokens(xb, deltas, collect_noise=True)
+        wp = np.tile(model.loss_weight_patches, (B, 1))
+        l_delta = weighted_patch_loss(pred, targets, wp, denom=B * V * H * W)
 
-        l_delta = None
-        usage = []
-        noise_pool = [dict() for _ in model.blocks]
-        for delta, items in sorted(groups.items()):
-            xb = np.stack([x for x, _ in items])
-            targets = np.stack(
-                [patchify(model.normalize_delta(d, delta), model.cfg.patch_size) for _, d in items]
-            )
-            pred, decisions, noises = model.forward_tokens(xb, delta, collect_noise=True)
-            usage += [(delta, bi, dec.usage_histogram(model.cfg.moe_num_private))
+        usage, lo = [], 0
+        for delta, count in zip(*model.interval_segments(deltas, B)):
+            rows = slice(lo * L, (lo + count) * L)
+            usage += [(delta, bi, dec.usage_histogram(model.cfg.moe_num_private, rows))
                       for bi, dec in enumerate(decisions)]
-            wp = np.tile(model.loss_weight_patches, (len(items), 1))
-            part = weighted_patch_loss(pred, targets.reshape(pred.shape), wp, denom=B * V * H * W)
-            l_delta = part if l_delta is None else dc.add(l_delta, part)
-            for bi, noise in enumerate(noises):
-                for d, t in noise.items():
-                    pool = noise_pool[bi]
-                    pool[d] = t if d not in pool else dc.add(pool[d], t)
+            lo += count
 
         aux1 = aux2 = None
-        for pool in noise_pool:
-            dists = noise_distributions(pool)
+        for noise in noises:
+            dists = noise_distributions(noise)
             a1 = aux_loss_1(dists)
             a2 = aux_loss_2(dists)
             aux1 = a1 if aux1 is None else dc.add(aux1, a1)

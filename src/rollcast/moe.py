@@ -4,6 +4,8 @@ Every token always passes through the shared expert; additionally the top-k
 private experts by perturbed gate score contribute, weighted by a softmax
 over the selected (unperturbed) gate values. The perturbation is a learned,
 interval-specific noise head, so routing can differ per forecast interval.
+One matmul computes every interval's noise for every token; each token takes
+its own interval's columns, so one call routes tokens of several intervals.
 Private experts run only on the rows routed to them (Switch/GShard-style
 dispatch): each gathers its tokens, and the weighted outputs of all experts
 are summed back into token order by one scatter; an expert no token selects
@@ -37,13 +39,14 @@ class MoEGateDecision:
     """Routing snapshot for one forward pass (plain arrays, diagnostics only)."""
 
     s: np.ndarray  # (n_tokens, M) gate scores in (0, 1)
-    b_delta: np.ndarray  # (n_tokens, M) noise for the active interval
+    b_delta: np.ndarray  # (n_tokens, M) routing noise of each token's own interval
     selected: np.ndarray  # (n_tokens, k) chosen expert indices, best first
     g_prime: np.ndarray  # (n_tokens, k) normalized weights over the selection
 
-    def usage_histogram(self, num_experts: int) -> np.ndarray:
-        """How many (token, slot) assignments each expert received."""
-        return np.bincount(self.selected.ravel(), minlength=num_experts)
+    def usage_histogram(self, num_experts: int, rows=slice(None)) -> np.ndarray:
+        """How many (token, slot) assignments each expert received, over the
+        given token rows (all of them by default)."""
+        return np.bincount(self.selected[rows].ravel(), minlength=num_experts)
 
 
 def gate_decision(s: Tensor, b: Tensor, k: int):
@@ -95,11 +98,12 @@ class SharedPrivateMoE:
                 rng.normal(scale=gate_scale, size=(D, M)), requires_grad=True, name=f"{prefix}.gate"
             )
         }
-        for delta in cfg.intervals:
-            self._params[f"{prefix}.noise.{delta}"] = Tensor(
+        self._noise_keys = [f"{prefix}.noise.{delta}" for delta in cfg.intervals]
+        for key in self._noise_keys:
+            self._params[key] = Tensor(
                 rng.normal(scale=gate_scale, size=(D, M)),
                 requires_grad=True,
-                name=f"{prefix}.noise.{delta}",
+                name=key,
             )
         for m in range(M):
             self._params.update(_ffn_params(rng, D, max(4 * D // M, 4), D, f"{prefix}.private.{m}"))
@@ -108,33 +112,40 @@ class SharedPrivateMoE:
     def params(self) -> dict:
         return self._params
 
-    def _noise(self, z: Tensor, delta: int) -> Tensor:
-        if delta not in self.cfg.intervals:
-            raise KeyError(f"unknown interval {delta}h; configured set is {self.cfg.intervals}")
-        return dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.noise.{delta}"]))
+    def forward(self, z: Tensor, deltas, counts=None):
+        """Route (n_tokens, D) through the expert mix, each token by its interval.
 
-    def forward(self, z: Tensor, delta: int):
-        """Route (n_tokens, D) through the expert mix for one interval.
-
-        Returns (output, gate decision, routing noise b_delta as a Tensor).
+        deltas is one interval for every token, or the intervals of the
+        consecutive token segments whose row counts `counts` gives.
+        Returns (output, gate decision, noise): noise is the (n_tokens,
+        intervals x M) Tensor of every configured interval's routing noise,
+        M columns per interval in `cfg.intervals` order, that `noise_sums`
+        reads.
         """
         cfg = self.cfg
-        n = z.shape[0]
+        n, M = z.shape[0], cfg.moe_num_private
+        index = np.repeat(_interval_index(cfg.intervals, deltas), n if counts is None else counts)
         s = dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.gate"]))
-        b = self._noise(z, delta)
+        heads = dc.concat([self._params[k] for k in self._noise_keys], axis=1)
+        noise = dc.sigmoid(dc.matmul(z, heads))
+        b = dc.gather_cols(noise, index[:, None] * M + np.arange(M))  # each row's own interval
         g_prime, selected = gate_decision(s, b, cfg.moe_top_k)
 
         out = _ffn_forward(self._params, f"{self.prefix}.shared", z)
         # (token, slot) assignments grouped by expert, in flat g_prime order
         order = np.argsort(selected.ravel(), kind="stable")
         tokens = order // cfg.moe_top_k
-        counts = np.bincount(selected.ravel(), minlength=cfg.moe_num_private)
+        per_expert = np.bincount(selected.ravel(), minlength=M)
         outputs, start = [], 0
-        for m, count in enumerate(counts):
+        for m, count in enumerate(per_expert):
             if count:
                 rows = tokens[start:start + count]
-                outputs.append(_ffn_forward(self._params, f"{self.prefix}.private.{m}",
-                                            dc.embedding_lookup(z, rows)))
+                # BLAS takes another kernel for a one-row product, whose bits then
+                # differ from the same row's in a larger batch: an expert given
+                # one row runs it twice and keeps the first copy
+                x = dc.embedding_lookup(z, np.repeat(rows, 2) if count == 1 else rows)
+                y = _ffn_forward(self._params, f"{self.prefix}.private.{m}", x)
+                outputs.append(dc.slice_axis(y, 0, 0, 1) if count == 1 else y)
                 start += count
         weights = dc.embedding_lookup(dc.reshape(g_prime, (g_prime.size, 1)), order)
         private = dc.concat(outputs, axis=0)
@@ -144,21 +155,34 @@ class SharedPrivateMoE:
         decision = MoEGateDecision(
             s=s.data.copy(), b_delta=b.data.copy(), selected=selected, g_prime=g_prime.data.copy()
         )
-        return out, decision, b
+        return out, decision, noise
 
-    def noise_sums(self, z: Tensor, delta: int | None = None, noise: Tensor | None = None) -> dict:
+    def noise_sums(self, noise: Tensor) -> dict:
         """Per-interval noise vectors summed over tokens: {delta: (M,) Tensor}.
 
-        These feed the auxiliary losses; they are computed for every
-        configured interval on the same tokens, so the losses are defined
-        regardless of which interval routed the batch. `noise` is interval
-        `delta`'s noise already computed on z (`forward` returns it), used
-        instead of recomputing it.
+        noise is the matrix `forward` returns. These feed the auxiliary
+        losses; every configured interval's noise covers every token, so the
+        losses are defined whichever intervals routed the batch.
         """
-        return {
-            d: dc.tensor_sum(noise if d == delta else self._noise(z, d), axis=0)
-            for d in self.cfg.intervals
-        }
+        sums = dc.tensor_sum(noise, axis=0)
+        M = self.cfg.moe_num_private
+        return {d: dc.slice_axis(sums, 0, i * M, (i + 1) * M) for i, d in enumerate(self.cfg.intervals)}
+
+
+def one_interval(deltas) -> bool:
+    """Whether deltas is one interval (an integer) rather than a sequence of them."""
+    return isinstance(deltas, (int, np.integer))
+
+
+def _interval_index(intervals: tuple, deltas):
+    """Position of each interval of deltas (an int or a sequence) in `intervals`."""
+    try:
+        if one_interval(deltas):
+            return intervals.index(int(deltas))
+        return np.array([intervals.index(int(d)) for d in deltas])
+    except ValueError:
+        unknown = sorted(set(np.ravel(deltas).tolist()) - set(intervals))
+        raise KeyError(f"unknown interval {unknown[0]}h; configured set is {intervals}") from None
 
 
 def noise_distributions(noise_sums: dict) -> dict:

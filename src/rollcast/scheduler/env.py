@@ -11,10 +11,10 @@ the head-update walk of `finetune.rollout_finetune_loss` alike.
 `run_episodes` is the one rollout engine. It advances any number of episodes
 in lockstep: at each tick one `choose` call picks the intervals of every live
 episode (so a learned policy values all of them in one batched Q-network
-call), the live states are grouped by chosen interval, and each group is
-stepped by one `ForecastEnv.step_batch` call, whose forecast
-(`ForecastModel.forecast_batch`) splits it into chunks of at most
-`MAX_BATCH` states. Episodes with the same start, lead and interval prefix
+call), and one `ForecastEnv.step_batch` call steps every live state by its
+own interval. Its forecast (`ForecastModel.forecast_batch`) sorts the states
+by interval and runs chunks of at most `MAX_BATCH` states, a chunk mixing
+intervals. Episodes with the same start, lead and interval prefix
 hold the same state object and share its forecasts; `plan_chooser` feeds it
 stored or fixed plans. `run_episode` is the engine with one episode, each step
 forecasting one state. Fine-tune collection keeps it, as its epsilon-greedy
@@ -170,19 +170,19 @@ class ForecastEnv:
 
     def step(self, state: EnvState, action: int):
         """One step of one state: `step_batch` at B=1. Returns (transition, next state)."""
-        return self.step_batch([state], action)[0]
+        return self.step_batch([state], [action])[0]
 
-    def step_batch(self, states, action: int) -> list:
-        """Step every state by the same interval with one batched forecast.
+    def step_batch(self, states, actions) -> list:
+        """Step each state by its own interval, all in one batched forecast.
 
         Returns one (transition, next state) pair per state; a state whose
-        remaining time is shorter than `action` raises ValueError.
+        remaining time is shorter than its action raises ValueError.
         """
-        for state in states:
+        for state, action in zip(states, actions):
             self.actions.check(action, state.remaining_h)
-        forecasts = self.model.forecast_batch(np.stack([s.x_hat.values for s in states]), action)
+        forecasts = self.model.forecast_batch(np.stack([s.x_hat.values for s in states]), actions)
         out = []
-        for state, values in zip(states, forecasts):
+        for state, action, values in zip(states, actions, forecasts):
             next_state = state.advance(action, values)
             truth = self.dataset.at(next_state.date_time_hours)
             reward = step_reward(next_state.x_hat.values, truth.values, self.weights, self.omega)
@@ -197,8 +197,8 @@ def run_episodes(env: ForecastEnv, episodes, choose, keep_transitions: bool = Tr
     choose(ids, states) returns one interval per live episode: ids index
     `episodes` and states are those episodes' current EnvStates, in the same
     order. Each tick forecasts every distinct (state, interval) pair once,
-    grouped by interval. Episodes that share a start, lead and interval
-    prefix share their EnvState and Transition objects.
+    all in one `step_batch` call. Episodes that share a start, lead and
+    interval prefix share their EnvState and Transition objects.
 
     Returns one (trajectory, transitions, final_state) per episode. Without
     keep_transitions the transitions are None and only the live states are
@@ -216,18 +216,13 @@ def run_episodes(env: ForecastEnv, episodes, choose, keep_transitions: bool = Tr
         actions = [int(a) for a in choose(live, [states[i] for i in live])]
         if len(actions) != len(live):
             raise ValueError(f"choose gave {len(actions)} actions for {len(live)} live episodes")
-        stepped = {}  # (id of state, action) -> (transition, next state)
-        groups = {}  # action -> the distinct states taking it
+        pairs = {}  # (id of state, action) -> the first live episode taking it
         for i, action in zip(live, actions):
-            key = (id(states[i]), action)
-            if key not in stepped:
-                stepped[key] = None
-                groups.setdefault(action, []).append(states[i])
-        for action, group in groups.items():
-            for state, result in zip(group, env.step_batch(group, action)):
-                stepped[(id(state), action)] = result
+            pairs.setdefault((id(states[i]), action), i)
+        stepped = env.step_batch([states[i] for i in pairs.values()], [a for _, a in pairs])
+        rows = dict(zip(pairs, stepped))
         for i, action in zip(live, actions):
-            transition, states[i] = stepped[(id(states[i]), action)]
+            transition, states[i] = rows[(id(states[i]), action)]
             trajectories[i].append(action, transition.reward)
             if keep_transitions:
                 transitions[i].append(transition)

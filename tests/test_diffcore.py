@@ -75,6 +75,81 @@ def test_fused_ops_match_their_unfused_graphs():
     np.testing.assert_allclose(dc.scatter_add_rows(Tensor(src), [2, 0, 2, 1], 3).data, expected, atol=1e-15)
 
 
+SEGMENTS = [2, 5, 3]  # three unequal row segments of a (10, 4) input
+
+
+def test_segment_rows_pass_finite_differences():
+    rng = np.random.default_rng(21)
+    x, y = rand_tensor(rng, (10, 4)), rand_tensor(rng, (10, 4))
+    scale, shift, gate = (rand_tensor(rng, (3, 4)) for _ in range(3))
+    w = Tensor(rng.normal(size=(10, 4)))
+    cases = {
+        "modulate": ({"x": x, "scale": scale, "shift": shift},
+                     lambda: dc.tensor_sum(dc.mul(dc.modulate(x, scale, shift, SEGMENTS), w))),
+        "gated_add": ({"x": x, "gate": gate, "y": y},
+                      lambda: dc.tensor_sum(dc.mul(dc.gated_add(x, gate, y, SEGMENTS), w))),
+    }
+    for name, (params, f) in cases.items():
+        report = dc.check_gradients(f, params, tol=1e-6)
+        assert report.passed, f"{name}\n{report}"
+
+
+# (n, D) token operands and (K, D) row operands -> the op's output
+SEGMENT_OPS = {
+    "modulate": (1, 2, lambda ts, rs, counts: dc.modulate(ts[0], rs[0], rs[1], counts)),
+    "gated_add": (2, 1, lambda ts, rs, counts: dc.gated_add(ts[0], rs[0], ts[1], counts)),
+}
+
+
+def _run_segment_op(op, tokens, rows, counts, cot) -> list:
+    """The op's output, then the adjoints of its token and row operands."""
+    ts = [Tensor(a, requires_grad=True) for a in tokens]
+    rs = [Tensor(a, requires_grad=True) for a in rows]
+    out = op(ts, rs, counts)
+    dc.backward(dc.tensor_sum(dc.mul(out, Tensor(cot))))
+    return [out.data] + [t.grad for t in ts + rs]
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_OPS))
+def test_segment_rows_equal_the_one_row_form_on_each_segment(name):
+    """Each segment of the counts form is the form without counts applied to
+    that segment alone: its output and token adjoints bit for bit, its row
+    adjoints to float32 rounding (one reduceat sums in another order than
+    one reduce per segment). One segment of every row is the form without
+    counts."""
+    n_tokens, n_rows, op = SEGMENT_OPS[name]
+    rng = np.random.default_rng(22)
+    tokens = [rng.normal(size=(10, 4)).astype(np.float32) for _ in range(n_tokens)]
+    rows = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(n_rows)]
+    cot = rng.normal(size=(10, 4)).astype(np.float32)
+    whole = _run_segment_op(op, tokens, rows, SEGMENTS, cot)
+    lo = 0
+    for k, n in enumerate(SEGMENTS):
+        seg = slice(lo, lo + n)
+        alone = _run_segment_op(op, [t[seg] for t in tokens], [r[k : k + 1] for r in rows], None, cot[seg])
+        for got, want in zip([whole[0][seg]] + [g[seg] for g in whole[1 : 1 + n_tokens]], alone):
+            assert got.tobytes() == want.tobytes(), (k, n)
+        for got, want in zip([g[k : k + 1] for g in whole[1 + n_tokens :]], alone[1 + n_tokens :]):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        lo += n
+    one = [r[:1] for r in rows]
+    for got, want in zip(_run_segment_op(op, tokens, one, [10], cot), _run_segment_op(op, tokens, one, None, cot)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_adjoint_flushes_subnormals_to_zero():
+    """An adjoint below the smallest normal float32 becomes 0; every other
+    entry keeps the bits of g * s * (1 - s)."""
+    x = Tensor(np.array([[0.0, 3.0, -2.0]]), requires_grad=True)
+    s = dc.sigmoid(x)
+    g = np.array([[1e-38, 1e-30, 0.5]], dtype=np.float32)
+    (got,) = s._vjp(g)
+    want = g * s.data * (1.0 - s.data)
+    assert 0 < abs(want[0, 0]) < np.finfo(np.float32).tiny  # subnormal before the flush
+    assert got[0, 0] == 0.0
+    assert got[:, 1:].tobytes() == want[:, 1:].tobytes()
+
+
 def test_row_sums_of_distinct_rows_keep_the_bits_of_the_float64_sum():
     """Distinct rows take the in-place add, repeated ones the float64 bincount:
     both give zero plus the value, rounded once, with -0.0 summed to +0.0."""
@@ -106,6 +181,14 @@ def test_new_ops_enforce_their_shape_contracts():
         dc.gated_add(z(3, 4), z(1, 4), z(3, 5))
     with pytest.raises(dc.ShapeError, match="gated_add"):
         dc.gated_add(z(3, 4), z(4,), z(3, 4))
+    with pytest.raises(dc.ShapeError, match="modulate"):
+        dc.modulate(z(10, 4), z(3, 4), z(3, 4))  # three rows need three segment counts
+    with pytest.raises(dc.ShapeError, match="modulate"):
+        dc.modulate(z(10, 4), z(3, 4), z(3, 4), [2, 5, 4])  # counts must cover the rows
+    with pytest.raises(dc.ShapeError, match="gated_add"):
+        dc.gated_add(z(10, 4), z(3, 4), z(10, 4), [5, 5, 0])  # no empty segment
+    with pytest.raises(dc.ShapeError, match="gated_add"):
+        dc.gated_add(z(10, 4), z(2, 4), z(10, 4), [2, 5, 3])
     with pytest.raises(dc.ShapeError, match="permute"):
         dc.permute(z(2, 3, 4), (0, 1))
     with pytest.raises(dc.ShapeError, match="permute"):

@@ -15,7 +15,7 @@ from rollcast.encoding import (
     unpatchify,
 )
 from rollcast.gridio import GridSpec
-from rollcast.model import ModelConfig
+from rollcast.model import ForecastModel, ModelConfig
 
 
 def circular_distance(a, b, w):
@@ -138,19 +138,27 @@ def test_tokenize_matches_per_patch_matrix_products():
 
 def test_interval_embedding_lookup_and_unknown_interval():
     emb = IntervalEmbedding((6, 12, 24), 16, np.random.default_rng(4))
-    np.testing.assert_array_equal(emb(6).data, emb(6).data)
-    assert not np.array_equal(emb(6).data, emb(12).data)
+    assert emb.table.shape == (3, 16)
+    assert [emb.index_of(d) for d in (6, 12, 24)] == [0, 1, 2]
+    assert not np.array_equal(emb.table.data[0], emb.table.data[1])
     with pytest.raises(KeyError, match="18"):
-        emb(18)
+        emb.index_of(18)
 
 
 def test_interval_embedding_gradient_hits_exactly_one_row():
-    emb = IntervalEmbedding((6, 12, 24), 16, np.random.default_rng(5))
-    out = emb(12)
-    dc.backward(dc.tensor_sum(out))
-    grad = emb.table.grad
-    assert np.all(grad[1] == 1.0)
-    assert np.all(grad[[0, 2]] == 0.0)
+    """A forward of one interval moves only that interval's embedding row, and
+    a batch of two intervals moves exactly their two rows."""
+    model = ForecastModel(CFG, SPEC, [0.0] * SPEC.num_vars, [1.0] * SPEC.num_vars, seed=5)
+    rng = np.random.default_rng(5)
+    for p in model.trainable_params().values():
+        p.data = rng.normal(scale=0.3, size=p.data.shape).astype(p.data.dtype)
+    x = rng.normal(size=(2,) + SPEC.shape)
+    table = model.interval_embedding.table
+    for deltas, moved in ((12, [1]), ([6, 24], [0, 2])):
+        table.zero_grad()
+        pred, _, _ = model.forward_tokens(x, deltas)
+        dc.backward(dc.tensor_sum(pred))
+        assert list(np.flatnonzero(np.any(table.grad != 0, axis=1))) == moved
 
 
 def test_temporal_embedding_remaining_phase_features():

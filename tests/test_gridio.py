@@ -157,6 +157,22 @@ def test_grid_file_truncation_detected(tmp_path):
         read_grid_file(cut)
 
 
+def test_grid_file_names_the_first_non_finite_frame_and_its_offset(tmp_path):
+    ds = generate_synthetic(SMALL_SPEC, 5, seed=0)
+    path = tmp_path / "data.grid"
+    write_grid_file(path, ds)
+    V, H, W = SMALL_SPEC.shape
+    payload = 4 + 2 * 4 + 2 * 4 + 8 * H  # magic, header, latitudes
+    frame = 4 * V * H * W
+    blob = bytearray(path.read_bytes())
+    values = np.frombuffer(blob, dtype="<f4", offset=payload).reshape(5, V, H, W)
+    values[4, 0, 0, 0] = np.inf
+    values[2, 1, 3, 7] = np.nan
+    path.write_bytes(bytes(blob))
+    with pytest.raises(GridFileError, match=f"non-finite value in frame 2 at offset {payload + 2 * frame}$"):
+        read_grid_file(path)
+
+
 def test_grid_field_validates_shape_and_finiteness():
     with pytest.raises(ValueError):
         GridField(SMALL_SPEC, np.zeros((1, 2, 3)), 0)

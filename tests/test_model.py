@@ -55,8 +55,8 @@ def test_zeroed_modulation_makes_block_identity():
     block = model.blocks[0]
     rng = np.random.default_rng(1)
     z = Tensor(rng.normal(size=(8, 8)))
-    cond = Tensor(rng.normal(size=(1, 8)))
-    out, _, _ = block.forward(z, cond, 6, batch=1, length=8)
+    table = Tensor(rng.normal(size=(3, 8)))  # one embedding row per configured interval
+    out, _, _ = block.forward(z, table, 6, batch=1, length=8)
     np.testing.assert_array_equal(out.data, z.data)
 
 
@@ -67,10 +67,10 @@ def test_block_is_permutation_equivariant():
     block = model.blocks[0]
     rng = np.random.default_rng(3)
     z = rng.normal(size=(8, 8))
-    cond = Tensor(rng.normal(size=(1, 8)))
+    table = Tensor(rng.normal(size=(3, 8)))
     perm = rng.permutation(8)
-    out_a, _, _ = block.forward(Tensor(z), cond, 6, 1, 8)
-    out_b, _, _ = block.forward(Tensor(z[perm]), cond, 6, 1, 8)
+    out_a, _, _ = block.forward(Tensor(z), table, 6, 1, 8)
+    out_b, _, _ = block.forward(Tensor(z[perm]), table, 6, 1, 8)
     np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-10)
 
 
@@ -257,6 +257,22 @@ def test_batched_forecast_matches_single_state_forecasts():
         np.testing.assert_array_equal(model.forecast_batch(xs[:1], delta)[0], step.values)
     with pytest.raises(KeyError):
         model.forecast_batch(xs, 7)
+
+
+def test_forward_wants_the_states_of_one_interval_adjacent():
+    model = tiny_model()
+    randomize_params(model, 14)
+    xs = np.random.default_rng(15).normal(size=(3,) + TINY_SPEC.shape)
+    with pytest.raises(ValueError, match="adjacent"):
+        model.forward_tokens(xs, [6, 12, 6])
+    with pytest.raises(ValueError, match="2 intervals for 3 states"):
+        model.forward_tokens(xs, [6, 12])
+    with pytest.raises(KeyError, match="7"):
+        model.forward_tokens(xs, [6, 7, 7])
+    # predict_change sorts states of any order and returns them in the caller's
+    mixed = model.predict_change(xs, [6, 12, 6])
+    np.testing.assert_array_equal(mixed[[0, 2]], model.predict_change(xs[[0, 2]], 6))
+    np.testing.assert_array_equal(mixed[1], model.predict_change(xs[1:2], 12)[0])
 
 
 def test_unknown_interval_rejected():

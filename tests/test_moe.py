@@ -107,9 +107,9 @@ def test_layer_gradient_passes_fd_with_stable_routing():
     cot = Tensor(rng.normal(size=(4, cfg.embed_dim)))
 
     # routing must sit far from ties so finite differences cannot flip it
-    s = dc.sigmoid(dc.matmul(z, moe.params()["moe.gate"]))
-    b = moe._noise(z, 6)
-    ranked = np.sort(s.data + b.data, axis=1)[:, ::-1]
+    with dc.no_grad():
+        _, dec, _ = moe.forward(z, 6)
+    ranked = np.sort(dec.s + dec.b_delta, axis=1)[:, ::-1]
     assert np.min(ranked[:, cfg.moe_top_k - 1] - ranked[:, cfg.moe_top_k]) > 1e-3
 
     def f():
@@ -127,7 +127,8 @@ def dense_forward(moe, z, delta):
 
     cfg, params, n = moe.cfg, moe.params(), z.shape[0]
     s = dc.sigmoid(dc.matmul(z, params["moe.gate"]))
-    g_prime, selected = gate_decision(s, moe._noise(z, delta), cfg.moe_top_k)
+    b = dc.sigmoid(dc.matmul(z, params[f"moe.noise.{delta}"]))
+    g_prime, selected = gate_decision(s, b, cfg.moe_top_k)
     dense_weights = dc.scatter_cols(g_prime, selected, cfg.moe_num_private)
     out = _ffn_forward(params, "moe.shared", z)
     for m in range(cfg.moe_num_private):
@@ -287,18 +288,14 @@ def test_training_specializes_per_interval_and_balances_pool():
 
     for _ in range(400):
         opt.zero_grad()
-        loss_total = None
-        noise_pool = {}
-        for d in cfg.intervals:
-            z = Tensor(mu + rng.normal(size=(16, D)))
-            out, _, _ = moe.forward(z, d)
-            diff = dc.sub(out, Tensor(z.data @ targets[d]))
-            task = dc.tensor_mean(dc.mul(diff, diff))
-            loss_total = task if loss_total is None else dc.add(loss_total, task)
-            for dd, t in moe.noise_sums(z).items():
-                noise_pool[dd] = t if dd not in noise_pool else dc.add(noise_pool[dd], t)
-        dists = noise_distributions(noise_pool)
-        loss = dc.add(loss_total, combined_aux(aux_loss_1(dists), aux_loss_2(dists), cfg.moe_alpha))
+        # one forward over 16 tokens of each interval, each routed by its own
+        zs = [mu + rng.normal(size=(16, D)) for _ in cfg.intervals]
+        out, _, noise = moe.forward(Tensor(np.concatenate(zs)), cfg.intervals, counts=[16] * 3)
+        diff = dc.sub(out, Tensor(np.concatenate([z @ targets[d] for z, d in zip(zs, cfg.intervals)])))
+        # the sum of the three intervals' mean squared errors
+        task = dc.mul_scalar(dc.tensor_sum(dc.mul(diff, diff)), 1.0 / (16 * D))
+        dists = noise_distributions(moe.noise_sums(noise))
+        loss = dc.add(task, combined_aux(aux_loss_1(dists), aux_loss_2(dists), cfg.moe_alpha))
         dc.backward(loss)
         opt.step()
 
@@ -343,21 +340,48 @@ def test_router_telemetry_csv(tmp_path):
 def test_collected_noise_reuses_the_routing_noise(monkeypatch):
     cfg, moe = make_moe()
     z = Tensor(np.random.default_rng(11).normal(size=(12, cfg.embed_dim)))
-    matmuls = []
+    shapes = []
     real_matmul = dc.matmul
 
     def counted(a, b):
-        matmuls.append(b.name)
+        shapes.append(b.shape)
         return real_matmul(a, b)
 
     monkeypatch.setattr(dc, "matmul", counted)
-    _, dec, b = moe.forward(z, 12)
-    noise = moe.noise_sums(z, 12, b)
-    # the gate, then one noise head per interval: 12h's noise is the routing's own
-    assert matmuls == ["moe.gate", "moe.noise.12", "moe.noise.6", "moe.noise.24"]
+    _, dec, noise = moe.forward(z, 12)
+    sums = moe.noise_sums(noise)
+    # the gate, then one matmul for the noise heads of every interval
+    M = cfg.moe_num_private
+    assert shapes == [(cfg.embed_dim, M), (cfg.embed_dim, len(cfg.intervals) * M)]
     monkeypatch.undo()
-    recomputed = moe.noise_sums(z)
-    assert list(noise) == list(recomputed) == list(cfg.intervals)
-    for d in cfg.intervals:
-        np.testing.assert_array_equal(noise[d].data, recomputed[d].data)
-    np.testing.assert_array_equal(noise[12].data, dec.b_delta.sum(axis=0))
+    assert list(sums) == list(cfg.intervals)
+    for i, d in enumerate(cfg.intervals):
+        head = dc.sigmoid(dc.matmul(z, moe.params()[f"moe.noise.{d}"])).data
+        np.testing.assert_allclose(noise.data[:, i * M : (i + 1) * M], head, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(sums[d].data, noise.data.sum(axis=0)[i * M : (i + 1) * M])
+    # routing reads the columns of its own interval from the same matrix
+    np.testing.assert_array_equal(dec.b_delta, noise.data[:, M : 2 * M])
+
+
+def test_mixed_interval_routing_matches_one_call_per_interval():
+    """A forward over segments of several intervals routes each token as a
+    forward of its own interval alone would, and sums the same noise."""
+    cfg, moe = make_moe(seed=15)
+    rng = np.random.default_rng(16)
+    counts = [5, 9, 3]
+    deltas = (24, 6, 12)
+    zs = [rng.normal(size=(c, cfg.embed_dim)) for c in counts]
+    out, dec, noise = moe.forward(Tensor(np.concatenate(zs)), deltas, counts)
+    lo = 0
+    for z, d, c in zip(zs, deltas, counts):
+        out_d, dec_d, noise_d = moe.forward(Tensor(z), d)
+        rows = slice(lo, lo + c)
+        np.testing.assert_array_equal(dec.selected[rows], dec_d.selected)
+        np.testing.assert_array_equal(dec.b_delta[rows], dec_d.b_delta)
+        np.testing.assert_allclose(out.data[rows], out_d.data, rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(noise.data[rows], noise_d.data)
+        np.testing.assert_array_equal(dec.usage_histogram(cfg.moe_num_private, rows),
+                                      dec_d.usage_histogram(cfg.moe_num_private))
+        lo += c
+    with pytest.raises(KeyError, match="48"):
+        moe.forward(Tensor(np.concatenate(zs)), (24, 48, 12), counts)

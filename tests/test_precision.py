@@ -1,6 +1,8 @@
 """The float32 compute path: dtypes through training, forecasts and TD updates,
 batch invariance of forecasts, and agreement with the float64 reference."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,12 @@ def test_pretraining_step_runs_in_float32(desk_dataset, monkeypatch):
     trainer.step(0)
     (loss,) = losses
     nodes = graph_nodes(loss)
-    assert len(nodes) > 500
+    # one forward over the whole batch, whatever its intervals, plus the losses
+    batch = sorted(trainer.sample_batch(0), key=lambda item: item[2])
+    assert len({delta for _, _, delta in batch}) == 3
+    pred, _, _ = model.forward_tokens(np.stack([x for x, _, _ in batch]), [d for _, _, d in batch])
+    forward = len(graph_nodes(pred))
+    assert forward < len(nodes) < 1.5 * forward
     assert {n.data.dtype for n in nodes} == {F32}
     params = model.trainable_params()
     assert all(p.grad.dtype == F32 for p in params.values() if p.grad is not None)
@@ -115,6 +122,41 @@ def test_float32_forecasts_are_batch_invariant(desk_dataset):
         assert batched.dtype == F32
         for i in range(len(xs)):
             np.testing.assert_array_equal(batched[i], model.predict_change(xs[i : i + 1], delta)[0])
+
+
+def test_forecast_routing_one_token_to_an_expert_is_batch_invariant(desk_dataset):
+    """At B=1 some state sends exactly one token to a private expert, whose
+    one-row product BLAS computes with another kernel; its forecast still has
+    the bits of its row in batches of 2, 5 and 32, of one interval or mixed."""
+    model = desk_model(desk_dataset, scale=0.3)
+    M = model.cfg.moe_num_private
+    xs = np.stack([f.values for f in desk_dataset.fields[:32]])
+
+    def one_row_expert(x, delta):
+        with dc.no_grad():
+            _, decisions, _ = model.body_tokens(x[None], delta)
+        return any(1 in np.bincount(d.selected.ravel(), minlength=M) for d in decisions)
+
+    i, delta = next((i, d) for i in range(len(xs)) for d in model.cfg.intervals if one_row_expert(xs[i], d))
+    single = model.predict_change(xs[i : i + 1], delta)[0]
+    others = np.delete(xs, i, axis=0)
+    for B in (2, 5, 32):
+        batch = np.concatenate([xs[i : i + 1], others[: B - 1]])
+        np.testing.assert_array_equal(model.predict_change(batch, delta)[0], single)
+        mixed = [delta] + [d for d, _ in zip(itertools.cycle(model.cfg.intervals), range(B - 1))]
+        np.testing.assert_array_equal(model.predict_change(batch, mixed)[0], single)
+
+
+def test_mixed_interval_forecasts_equal_single_interval_calls(desk_dataset):
+    """A batch of states in any interval order, more than one chunk long, gives
+    each state the bits of its own B=1 call at its own interval."""
+    model = desk_model(desk_dataset)
+    xs = np.stack([f.values for f in desk_dataset.fields[:40]])
+    deltas = np.random.default_rng(4).choice(model.cfg.intervals, size=len(xs))
+    mixed = model.predict_change(xs, deltas)
+    assert mixed.dtype == F32
+    for x, delta, row in zip(xs, deltas, mixed):
+        np.testing.assert_array_equal(row, model.predict_change(x[None], int(delta))[0])
 
 
 def test_float32_step_matches_float64_reference(desk_dataset):

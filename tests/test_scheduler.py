@@ -137,6 +137,19 @@ def _count_forecast_rows(monkeypatch, model):
     return sizes
 
 
+def _count_step_batches(monkeypatch):
+    """Record the actions of every ForecastEnv.step_batch call, one list per call."""
+    calls = []
+    real = ForecastEnv.step_batch
+
+    def counted(self, states, actions):
+        calls.append(list(actions))
+        return real(self, states, actions)
+
+    monkeypatch.setattr(ForecastEnv, "step_batch", counted)
+    return calls
+
+
 def _assert_same_outcome(batched, single):
     (traj, transitions, final), (traj1, transitions1, final1) = batched, single
     assert traj.intervals == traj1.intervals
@@ -203,10 +216,19 @@ def test_run_episodes_splits_groups_larger_than_the_chunk(monkeypatch, env, mode
     n = 2 * MAX_BATCH + 6
     episodes = [EpisodeSpec(dataset.fields[i].timestamp_hours, 12) for i in range(n)]
     sizes = _count_forecast_rows(monkeypatch, model)
-    outcomes = run_episodes(env, episodes, lambda ids, states: [6] * len(ids))
-    # two ticks of one 6h group each, every group split into chunks
-    assert sizes == [MAX_BATCH, MAX_BATCH, 6] * 2
-    assert all(traj.intervals == [6, 6] for traj, _, _ in outcomes)
+    calls = _count_step_batches(monkeypatch)
+    # odd episodes take 12h at once, even ones 6h twice
+    outcomes = run_episodes(env, episodes, lambda ids, states: [12 if i % 2 else 6 for i in ids])
+    # one call per tick; its forecast splits the tick's states into chunks
+    # that mix the two intervals
+    assert [len(c) for c in calls] == [n, n // 2]
+    assert sorted(calls[0]) == [6] * (n // 2) + [12] * (n // 2)
+    assert sizes == [MAX_BATCH, MAX_BATCH, 6, MAX_BATCH, 3]
+    assert all(traj.intervals == ([12] if i % 2 else [6, 6]) for i, (traj, _, _) in enumerate(outcomes))
+    monkeypatch.undo()
+    for i in (0, 1, n - 2, n - 1):
+        seq = iter(outcomes[i][0].intervals)
+        _assert_same_outcome(outcomes[i], run_episode(env, episodes[i], lambda s: next(seq)))
 
 
 def test_shared_prefix_costs_one_forecast_per_shared_step(monkeypatch, env, model, dataset):
@@ -214,9 +236,11 @@ def test_shared_prefix_costs_one_forecast_per_shared_step(monkeypatch, env, mode
     plans = [[24, 12, 12], [24, 12, 6, 6], [24, 12, 12]]
     episodes = [EpisodeSpec(t0, 48)] * 3
     sizes = _count_forecast_rows(monkeypatch, model)
+    calls = _count_step_batches(monkeypatch)
     outcomes = run_episodes(env, episodes, plan_chooser(plans))
-    # 24h and 12h once for all three; then 12h and 6h once each; the last 6h once
-    assert sizes == [1, 1, 1, 1, 1]
+    # 24h and 12h once for all three; then 12h and 6h in one call; the last 6h once
+    assert calls == [[24], [12], [12, 6], [6]]
+    assert sizes == [1, 1, 2, 1]
     assert outcomes[0][1] == outcomes[2][1]  # identical episodes share every transition
     assert outcomes[0][1][:2] == outcomes[1][1][:2]
     monkeypatch.undo()
@@ -238,17 +262,22 @@ def test_rollout_forecast_fn_rolls_every_pair_out_at_once(monkeypatch, env, mode
         ("adaptive", dqn.q_main, lambda s: policy_adaptive(s, dqn)),
     ):
         sizes = _count_forecast_rows(monkeypatch, model)
+        calls = _count_step_batches(monkeypatch)
         finals = rollout_forecast_fn(env, policy, q_net)(x0s, leads)
         monkeypatch.undo()
         assert max(sizes) > 1  # episodes of both leads share forecaster calls
+        ticks = 0
         for (t0, lead), final in zip(pairs, finals):
             if action_fn is None:
                 plan = policy_greedy(lead, intervals)
                 expect = model.predict_rollout(dataset.at(t0), plan, lead_hours=lead)[-1]
             else:
-                expect = run_episode(env, EpisodeSpec(t0, lead), action_fn)[2].x_hat
+                traj, _, state = run_episode(env, EpisodeSpec(t0, lead), action_fn)
+                plan, expect = traj.intervals, state.x_hat
+            ticks = max(ticks, len(plan))
             assert final.timestamp_hours == t0 + lead
             np.testing.assert_allclose(final.values, expect.values, rtol=0, atol=1e-12)
+        assert len(calls) == ticks  # one step_batch call per tick of the longest episode
 
 
 # -- DQN -----------------------------------------------------------------------------
@@ -681,17 +710,10 @@ def test_buffer_refresh_keeps_same_epoch_episodes_as_collected(model, dataset, m
         traj, transitions, _ = run_episode(env, episode, lambda s: 6)
         buf.add_episode(episode, traj.intervals, transitions, epoch=epoch)
     stored = list(buf.transitions)
-    replayed = []
-    step_batch = ForecastEnv.step_batch
-
-    def counting_step_batch(self, states, action):
-        replayed.extend([action] * len(states))
-        return step_batch(self, states, action)
-
-    monkeypatch.setattr(ForecastEnv, "step_batch", counting_step_batch)
+    calls = _count_step_batches(monkeypatch)
     buf.refresh(env, current_epoch=1, max_age=3)
     # only the epoch-0 episode is replayed; the epoch-1 transitions are the stored objects
-    assert replayed == [6, 6, 6]
+    assert calls == [[6]] * 3
     size0 = len(buf.episodes[0]["folded"])
     assert len(buf) == len(stored)
     assert all(a is b for a, b in zip(buf.transitions[size0:], stored[size0:]))
@@ -707,20 +729,13 @@ def test_buffer_refresh_replays_stale_episodes_in_lockstep(model, dataset, monke
     for episode in episodes:
         traj, transitions, _ = run_episode(env, episode, lambda s: 6)
         buf.add_episode(episode, traj.intervals, transitions, epoch=0)
-    calls = []
-    step_batch = ForecastEnv.step_batch
-
-    def counting_step_batch(self, states, action):
-        calls.append((action, len(states)))
-        return step_batch(self, states, action)
-
     head = model.params()["head.weight"]
     saved = head.data.copy()
     try:
         head.data = head.data + 0.05
-        monkeypatch.setattr(ForecastEnv, "step_batch", counting_step_batch)
+        calls = _count_step_batches(monkeypatch)
         buf.refresh(env, current_epoch=1, max_age=3)
-        assert calls == [(6, 3)] * 3  # one call per tick, holding every stale episode
+        assert calls == [[6, 6, 6]] * 3  # one call per tick, holding every stale episode
         monkeypatch.undo()
         expected = []
         for episode in episodes:
