@@ -1,5 +1,9 @@
 """Synthetic generator determinism and grid-file round trips."""
 
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +81,66 @@ def test_same_spec_and_seed_give_byte_identical_datasets():
     assert any(
         fa.values.tobytes() != fc.values.tobytes() for fa, fc in zip(a.fields, c.fields)
     )
+
+
+# -- pinned output bytes ------------------------------------------------------------
+
+DESK_SPEC = GridSpec.cell_centered(2, 16, 32)
+
+
+def _digest(ds) -> str:
+    """SHA-256 of a dataset's float32 frames, its timestamps and its metadata."""
+    h = hashlib.sha256()
+    h.update(np.stack([f.values for f in ds.fields]).astype("<f4").tobytes())
+    h.update(np.array([f.timestamp_hours for f in ds.fields], dtype="<i8").tobytes())
+    h.update(json.dumps(ds.meta, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# (spec, steps, seed, regime, digest). The digests pin the generator's output
+# bytes, so a rewrite of the generator must reproduce them exactly. They follow
+# the rounding of numpy's sin and exp, which a numpy build may change.
+GOLDEN = {
+    "desk": (DESK_SPEC, 2000, 0, RegimeConfig(),
+        "c8633f4cd435af6ddf8521a2f0a1fc826e76abaa5caab3d6a629160d2c7831c0"),
+    "whole_cell_no_diffusion": (
+        SMALL_SPEC, 120, 41, RegimeConfig(zonal_velocity_cells=(1.0, -2.0), diffusion=0.0),
+        "a7640f20fd897cbf9fa19173dd3c46f94bcd528770c9c9a47318b6ccc5ba2dfd"),
+    # onsets at steps 37, 38 and 38 of 40: storms cut short by the last step
+    "storms_near_the_end": (
+        GridSpec.cell_centered(2, 8, 16, base_step_hours=3), 40, 4,
+        RegimeConfig(zonal_velocity_cells=(0.0, 1.5), storm_rate=0.3, seasonal_amplitude=-0.8),
+        "252d8c58bcfac40926df4e3c6803169afea720029e69d7b0f0ef07d5446ee330"),
+    "steps_2": (DESK_SPEC, 2, 4, RegimeConfig(),
+        "f3f00e433bd41388dfd50153eb241af5c8d70d9ed2e143c46db07623c3788fea"),
+    "steps_64": (DESK_SPEC, 64, 4, RegimeConfig(),
+        "94bc7a8d6aca4f86a36ffe8e51f22e770e73c0fad2c93bb28896f3aa5ba2e8e4"),
+    "steps_65": (DESK_SPEC, 65, 4, RegimeConfig(),
+        "2b48fa7ff7a24bca87c94c23069d19cec2f18625ec211f72cfa44c994b8e49fd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_generator_and_grid_file_keep_their_pinned_bytes(case, tmp_path):
+    spec, steps, seed, cfg, digest = GOLDEN[case]
+    ds = generate_synthetic(spec, steps, seed=seed, regime_cfg=cfg)
+    for f in ds.fields:  # frames hold float32 values
+        assert f.values.astype(np.float32).astype(np.float64).tobytes() == f.values.tobytes()
+    assert _digest(ds) == digest
+    write_grid_file(tmp_path / "data.grid", ds)
+    assert _digest(read_grid_file(tmp_path / "data.grid")) == digest
+
+
+def test_generator_peak_memory_stays_near_its_frames():
+    steps = 2000
+    tracemalloc.start()
+    try:
+        generate_synthetic(DESK_SPEC, steps, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frame_bytes = steps * 2 * 16 * 32 * 8  # float64 frames
+    assert peak <= 1.5 * frame_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_default_scale_dataset_shape_contract():
