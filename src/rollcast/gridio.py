@@ -3,7 +3,11 @@
 The generator produces a deterministic multi-variable field series on an
 equirectangular lat-lon grid: zonal advection (periodic in longitude) plus
 diffusion, a seasonal/diurnal cycle, and seeded localized "storm" injections
-whose onsets split the series into smooth and abrupt regimes.
+whose onsets split the series into smooth and abrupt regimes. It works in
+array passes: one (V, H, W) update per step through flat gather tables, and
+the cycles, scales and means applied to chunks of frames of one preallocated
+(T, V, H, W) array. Its output bytes do not depend on the chunk size; the
+writer casts all frames into one float32 buffer.
 
 Grid file layout (little-endian):
     magic "ARRW", u16 version=1, u16 V, u16 H, u16 W,
@@ -90,7 +94,7 @@ class GridField:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != self.spec.shape:
             raise ValueError(f"values shape {self.values.shape} != spec shape {self.spec.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
 
@@ -202,37 +206,59 @@ class Dataset:
             raise ValueError(f"the {split} split holds {hi - lo} states, too few to span {hours}h")
         return starts
 
-    def values_array(self) -> np.ndarray:
-        """All frames stacked as (T, V, H, W)."""
-        return np.stack([f.values for f in self.fields])
-
 
 # -- synthetic dynamics ---------------------------------------------------------
 
+# Frames rendered in one array pass. The output bytes do not depend on it.
+RENDER_CHUNK = 64
 
-def advect_zonal(plane: np.ndarray, shift_cells: float) -> np.ndarray:
-    """Shift a (H, W) plane eastward by a fractional number of cells.
 
-    Semi-Lagrangian with periodic linear interpolation in longitude.
+def _stepper(spec: GridSpec, velocities, kappa: float):
+    """One step of the anomaly core on a (V, H, W) stack: advection, then diffusion.
+
+    Advection is semi-Lagrangian with periodic linear interpolation in
+    longitude: each cell blends the cells floor(u) and floor(u) + 1 columns
+    west of it, u its variable's shift in cells; a whole-cell shift takes the
+    first unblended. Diffusion is one explicit five-point step, longitude
+    periodic and latitude edges clamped. Both gather their cells through flat
+    index tables built here once.
     """
-    w = plane.shape[1]
-    whole = int(np.floor(shift_cells))
-    frac = shift_cells - whole
-    rolled = np.roll(plane, whole, axis=1)
-    if frac == 0.0:
-        return rolled.copy()
-    return (1.0 - frac) * rolled + frac * np.roll(rolled, 1, axis=1)
+    V, H, W = spec.shape
+    u = np.asarray(velocities, dtype=np.float64)[:, None, None]
+    whole = np.floor(u)
+    frac = u - whole
+    blended = frac != 0.0
+    some_blended, all_blended = bool(blended.any()), bool(blended.all())
+    v, i, j = np.indices((V, H, W))
 
+    def flat(i, j):
+        return (v * H + i) * W + j % W
 
-def diffuse(plane: np.ndarray, kappa: float) -> np.ndarray:
-    """One explicit diffusion step: longitude periodic, latitude edges clamped."""
-    if kappa == 0.0:
-        return plane.copy()
-    east = np.roll(plane, -1, axis=1)
-    west = np.roll(plane, 1, axis=1)
-    north = np.vstack([plane[:1], plane[:-1]])
-    south = np.vstack([plane[1:], plane[-1:]])
-    return plane + kappa * (east + west + north + south - 4.0 * plane)
+    west = j - whole.astype(np.int64)
+    cols = np.stack([flat(i, west), flat(i, west - 1)])
+    nbrs = np.stack([flat(i, j + 1), flat(i, j - 1),
+                     flat(np.maximum(i - 1, 0), j), flat(np.minimum(i + 1, H - 1), j)])
+
+    def step(a: np.ndarray) -> np.ndarray:
+        x = a.take(cols)
+        adv = x[0]
+        if some_blended:
+            mixed = (1.0 - frac) * x[0]
+            mixed += frac * x[1]
+            adv = mixed if all_blended else np.where(blended, mixed, x[0])
+        if kappa == 0.0:
+            return adv
+        nb = adv.take(nbrs)  # east, west, north, south
+        lap = nb[0]
+        lap += nb[1]
+        lap += nb[2]
+        lap += nb[3]
+        lap -= 4.0 * adv
+        lap *= kappa
+        lap += adv
+        return lap
+
+    return step
 
 
 def _storm_bump(spec: GridSpec, lat_idx: float, lon_idx: float, width: float) -> np.ndarray:
@@ -244,29 +270,28 @@ def _storm_bump(spec: GridSpec, lat_idx: float, lon_idx: float, width: float) ->
     return np.exp(-(di**2 + dj**2) / (2.0 * width**2))
 
 
-def _seasonal_cycle(cfg: RegimeConfig, spec: GridSpec, t_hours: int, var: int) -> np.ndarray:
-    """Deterministic seasonal and diurnal waves for one variable (H x W).
+def _seasonal_cycle(cfg: RegimeConfig, spec: GridSpec, t_hours: np.ndarray) -> np.ndarray:
+    """Deterministic seasonal and diurnal waves (T, V, H, W) at the (T,) hours.
 
     Both cycles travel westward in longitude (a thermal-tide analogue), so
     their phase is readable from any single snapshot and the induced change
     of state stays a function of the observable field.
     """
     season_hours = cfg.season_length_days * HOURS_PER_DAY
-    phase_season = 2.0 * np.pi * (t_hours % season_hours) / season_hours
-    phase_day = 2.0 * np.pi * (t_hours % HOURS_PER_DAY) / HOURS_PER_DAY
+    phase_season = (2.0 * np.pi * (t_hours % season_hours) / season_hours)[:, None, None]
+    phase_day = (2.0 * np.pi * (t_hours % HOURS_PER_DAY) / HOURS_PER_DAY)[:, None, None]
     lat = np.radians(np.asarray(spec.lat_degrees))[:, None]
     lon_angle = 2.0 * np.pi * np.arange(spec.lon_points)[None, :] / spec.lon_points
+    var = np.arange(spec.num_vars)[:, None]
     seasonal = (
         cfg.seasonal_amplitude
         * np.sin(phase_season - lon_angle + 0.5 * var)
-        * np.sin(lat)
-    )
-    diurnal = (
+    )[:, :, None, :] * np.sin(lat)
+    seasonal += (
         cfg.diurnal_amplitude
         * np.sin(phase_day - lon_angle + 0.25 * var)
-        * np.cos(lat)
-    )
-    return seasonal + diurnal
+    )[:, :, None, :] * np.cos(lat)
+    return seasonal
 
 
 def generate_synthetic(
@@ -278,9 +303,12 @@ def generate_synthetic(
 ) -> Dataset:
     """Deterministic synthetic dataset; a pure function of (spec, seed, cfg).
 
-    The anomaly core of each variable evolves by advection then diffusion,
-    with storm bursts injected at seeded onset times; means, scales and the
-    seasonal cycle are applied on output.
+    The anomaly core evolves all variables at once, one (V, H, W) array pass
+    per step: advection then diffusion, with storm bursts injected at seeded
+    onset times. The anomalies go into one (T, V, H, W) array, and the
+    seasonal cycle, scales and means are applied to it in place in chunks of
+    RENDER_CHUNK frames; the output bytes do not depend on the chunking. Each
+    field views one frame of that array.
     """
     if num_steps < 2:
         raise ValueError(f"num_steps must be >= 2, got {num_steps}")
@@ -319,30 +347,38 @@ def generate_synthetic(
             }
         )
     onsets.sort(key=lambda o: o["step"])
+    starting = [[] for _ in range(num_steps)]
+    for o in onsets:
+        starting[o["step"]].append(o)
+    envelope = [np.sin(np.pi * (age + 1) / (STORM_DURATION_STEPS + 1))
+                for age in range(STORM_DURATION_STEPS)]
 
-    velocities = [cfg.zonal_velocity_cells[v % len(cfg.zonal_velocity_cells)] for v in range(V)]
-    fields = []
-
-    def render(t_step: int) -> GridField:
-        t_hours = t_step * spec.base_step_hours
-        out = np.empty((V, H, W))
-        for v, (_, mean, scale) in enumerate(VARIABLES[:V]):
-            out[v] = mean + scale * (anomaly[v] + _seasonal_cycle(cfg, spec, t_hours, v))
-        # datasets live at float32 precision (the storage format), internals at float64
-        return GridField(spec, out.astype(np.float32).astype(np.float64), t_hours)
-
-    fields.append(render(0))
-    for t in range(1, num_steps):
-        for v in range(V):
-            anomaly[v] = diffuse(advect_zonal(anomaly[v], velocities[v]), cfg.diffusion)
-        for o in onsets:
-            if o["step"] <= t < o["step"] + STORM_DURATION_STEPS:
-                age = t - o["step"]
-                envelope = np.sin(np.pi * (age + 1) / (STORM_DURATION_STEPS + 1))
+    step = _stepper(spec, [cfg.zonal_velocity_cells[v % len(cfg.zonal_velocity_cells)]
+                           for v in range(V)], cfg.diffusion)
+    mean = np.array([m for _, m, _ in VARIABLES[:V]])[:, None, None]
+    scale = np.array([s for _, _, s in VARIABLES[:V]])[:, None, None]
+    hours = np.arange(num_steps) * spec.base_step_hours
+    frames = np.empty((num_steps, V, H, W))
+    frames[0] = anomaly
+    storms = []  # (onset, bump) of the storms under way, in onset order
+    for t0 in range(0, num_steps, RENDER_CHUNK):
+        t1 = min(t0 + RENDER_CHUNK, num_steps)
+        for t in range(max(t0, 1), t1):
+            anomaly = step(anomaly)
+            storms = [s for s in storms if t - s[0]["step"] < STORM_DURATION_STEPS]
+            storms += [(o, _storm_bump(spec, o["lat"], o["lon"], STORM_WIDTH_CELLS))
+                       for o in starting[t]]
+            for o, bump in storms:
                 anomaly[o["var"]] += (
-                    o["sign"] * STORM_AMPLITUDE * envelope / STORM_DURATION_STEPS
-                ) * _storm_bump(spec, o["lat"], o["lon"], STORM_WIDTH_CELLS)
-        fields.append(render(t))
+                    o["sign"] * STORM_AMPLITUDE * envelope[t - o["step"]] / STORM_DURATION_STEPS
+                ) * bump
+            frames[t] = anomaly
+        chunk = frames[t0:t1]
+        chunk += _seasonal_cycle(cfg, spec, hours[t0:t1])
+        chunk *= scale
+        chunk += mean
+        # datasets live at float32 precision (the storage format), internals at float64
+        chunk[...] = chunk.astype(np.float32)
 
     meta = {
         "seed": int(seed),
@@ -351,6 +387,7 @@ def generate_synthetic(
         "storm_onsets": [o["step"] for o in onsets],
         "season_length_days": cfg.season_length_days,
     }
+    fields = [GridField(spec, frames[t], int(hours[t])) for t in range(num_steps)]
     return Dataset(spec, fields, splits=dict(splits) if splits else {}, meta=meta)
 
 
@@ -381,12 +418,12 @@ def write_grid_file(path, dataset: Dataset, provenance: dict | None = None):
         len(dataset.fields),
         spec.base_step_hours,
     )
-    lats = np.asarray(spec.lat_degrees, dtype="<f8").tobytes()
-    frames = b"".join(
-        np.ascontiguousarray(f.values, dtype="<f4").tobytes() for f in dataset.fields
-    )
+    frames = np.empty((len(dataset.fields), *spec.shape), dtype="<f4")
+    np.stack([f.values for f in dataset.fields], out=frames)
     with atomic_open(path, "wb") as fh:
-        fh.write(header + lats + frames)
+        fh.write(header)
+        fh.write(np.asarray(spec.lat_degrees, dtype="<f8"))
+        fh.write(frames)
 
     manifest = {
         "format": {"magic": GRID_MAGIC.decode(), "version": GRID_VERSION},

@@ -167,7 +167,7 @@ def test_invalid_spec_rejected():
 
 def test_longitude_periodicity_no_seam_artifact():
     ds = generate_synthetic(SMALL_SPEC, 300, seed=5)
-    arr = ds.values_array()  # (T, V, H, W)
+    arr = np.stack([f.values for f in ds.fields])  # (T, V, H, W)
     W = arr.shape[-1]
 
     def corr(j, k):
