@@ -5,9 +5,9 @@ equirectangular lat-lon grid: zonal advection (periodic in longitude) plus
 diffusion, a seasonal/diurnal cycle, and seeded localized "storm" injections
 whose onsets split the series into smooth and abrupt regimes. It works in
 array passes: one (V, H, W) update per step through flat gather tables, and
-the cycles, scales and means applied to chunks of frames of one preallocated
-(T, V, H, W) array. Its output bytes do not depend on the chunk size; the
-writer casts all frames into one float32 buffer.
+the cycles, scales and means applied to chunks of frames at once. Its output
+bytes do not depend on the chunk size. The writer casts all frames into one
+float32 buffer.
 
 Grid file layout (little-endian):
     magic "ARRW", u16 version=1, u16 V, u16 H, u16 W,
@@ -209,50 +209,51 @@ class Dataset:
 
 # -- synthetic dynamics ---------------------------------------------------------
 
-# Frames rendered in one array pass. The output bytes do not depend on it.
-RENDER_CHUNK = 64
+# Frames rendered in one array pass. The output bytes do not depend on it. At
+# 32 frames a desk-grid chunk is 256 KiB. One array of all frames raised peak
+# RSS on the finetune and rollout benchmarks by 6-8 MB, as glibc raises its
+# mmap threshold to the largest block freed; 64-frame chunks, by 0.5 MB.
+RENDER_CHUNK = 32
 
 
 def _stepper(spec: GridSpec, velocities, kappa: float):
     """One step of the anomaly core on a (V, H, W) stack: advection, then diffusion.
 
     Advection is semi-Lagrangian with periodic linear interpolation in
-    longitude: each cell blends the cells floor(u) and floor(u) + 1 columns
-    west of it, u its variable's shift in cells; a whole-cell shift takes the
-    first unblended. Diffusion is one explicit five-point step, longitude
-    periodic and latitude edges clamped. Both gather their cells through flat
-    index tables built here once.
+    longitude; a whole-cell shift is a plain roll. Diffusion is one explicit
+    five-point step, longitude periodic and latitude edges clamped. Both read
+    their cells through flat index tables built here once.
     """
     V, H, W = spec.shape
     u = np.asarray(velocities, dtype=np.float64)[:, None, None]
     whole = np.floor(u)
     frac = u - whole
-    blended = frac != 0.0
-    some_blended, all_blended = bool(blended.any()), bool(blended.all())
     v, i, j = np.indices((V, H, W))
 
     def flat(i, j):
         return (v * H + i) * W + j % W
 
-    west = j - whole.astype(np.int64)
-    cols = np.stack([flat(i, west), flat(i, west - 1)])
+    src = j - whole.astype(np.int64)  # the column a whole-cell shift moves here
+    cols = np.stack([flat(i, src), flat(i, src - 1)])
     nbrs = np.stack([flat(i, j + 1), flat(i, j - 1),
                      flat(np.maximum(i - 1, 0), j), flat(np.minimum(i + 1, H - 1), j)])
+    whole_cell = frac == 0.0
+    blend, blend_all = not whole_cell.all(), not whole_cell.any()
 
+    # in-place updates, each the same rounding as the plain expression
     def step(a: np.ndarray) -> np.ndarray:
-        x = a.take(cols)
-        adv = x[0]
-        if some_blended:
-            mixed = (1.0 - frac) * x[0]
-            mixed += frac * x[1]
-            adv = mixed if all_blended else np.where(blended, mixed, x[0])
+        rolled, rolled_west = a.take(cols)
+        adv = rolled
+        if blend:
+            mixed = (1.0 - frac) * rolled
+            mixed += frac * rolled_west
+            adv = mixed if blend_all else np.where(whole_cell, rolled, mixed)
         if kappa == 0.0:
             return adv
-        nb = adv.take(nbrs)  # east, west, north, south
-        lap = nb[0]
-        lap += nb[1]
-        lap += nb[2]
-        lap += nb[3]
+        lap, west, north, south = adv.take(nbrs)  # east first
+        lap += west
+        lap += north
+        lap += south
         lap -= 4.0 * adv
         lap *= kappa
         lap += adv
@@ -305,10 +306,9 @@ def generate_synthetic(
 
     The anomaly core evolves all variables at once, one (V, H, W) array pass
     per step: advection then diffusion, with storm bursts injected at seeded
-    onset times. The anomalies go into one (T, V, H, W) array, and the
-    seasonal cycle, scales and means are applied to it in place in chunks of
-    RENDER_CHUNK frames; the output bytes do not depend on the chunking. Each
-    field views one frame of that array.
+    onset times. Every RENDER_CHUNK frames go into one (C, V, H, W) array,
+    which takes the seasonal cycle, scales and means in place, and each field
+    views one frame of it. The output bytes do not depend on the chunk size.
     """
     if num_steps < 2:
         raise ValueError(f"num_steps must be >= 2, got {num_steps}")
@@ -358,27 +358,27 @@ def generate_synthetic(
     mean = np.array([m for _, m, _ in VARIABLES[:V]])[:, None, None]
     scale = np.array([s for _, _, s in VARIABLES[:V]])[:, None, None]
     hours = np.arange(num_steps) * spec.base_step_hours
-    frames = np.empty((num_steps, V, H, W))
-    frames[0] = anomaly
+    fields = []
     storms = []  # (onset, bump) of the storms under way, in onset order
     for t0 in range(0, num_steps, RENDER_CHUNK):
-        t1 = min(t0 + RENDER_CHUNK, num_steps)
-        for t in range(max(t0, 1), t1):
-            anomaly = step(anomaly)
-            storms = [s for s in storms if t - s[0]["step"] < STORM_DURATION_STEPS]
-            storms += [(o, _storm_bump(spec, o["lat"], o["lon"], STORM_WIDTH_CELLS))
-                       for o in starting[t]]
-            for o, bump in storms:
-                anomaly[o["var"]] += (
-                    o["sign"] * STORM_AMPLITUDE * envelope[t - o["step"]] / STORM_DURATION_STEPS
-                ) * bump
-            frames[t] = anomaly
-        chunk = frames[t0:t1]
-        chunk += _seasonal_cycle(cfg, spec, hours[t0:t1])
+        chunk = np.empty((min(RENDER_CHUNK, num_steps - t0), V, H, W))
+        for k, t in enumerate(range(t0, t0 + len(chunk))):
+            if t:
+                anomaly = step(anomaly)
+                storms = [s for s in storms if t - s[0]["step"] < STORM_DURATION_STEPS]
+                storms += [(o, _storm_bump(spec, o["lat"], o["lon"], STORM_WIDTH_CELLS))
+                           for o in starting[t]]
+                for o, bump in storms:
+                    anomaly[o["var"]] += (
+                        o["sign"] * STORM_AMPLITUDE * envelope[t - o["step"]] / STORM_DURATION_STEPS
+                    ) * bump
+            chunk[k] = anomaly
+        chunk += _seasonal_cycle(cfg, spec, hours[t0:t0 + len(chunk)])
         chunk *= scale
         chunk += mean
         # datasets live at float32 precision (the storage format), internals at float64
         chunk[...] = chunk.astype(np.float32)
+        fields += [GridField(spec, frame, int(hours[t0 + k])) for k, frame in enumerate(chunk)]
 
     meta = {
         "seed": int(seed),
@@ -387,7 +387,6 @@ def generate_synthetic(
         "storm_onsets": [o["step"] for o in onsets],
         "season_length_days": cfg.season_length_days,
     }
-    fields = [GridField(spec, frames[t], int(hours[t])) for t in range(num_steps)]
     return Dataset(spec, fields, splits=dict(splits) if splits else {}, meta=meta)
 
 

@@ -113,6 +113,10 @@ GOLDEN = {
         "252d8c58bcfac40926df4e3c6803169afea720029e69d7b0f0ef07d5446ee330"),
     "steps_2": (DESK_SPEC, 2, 4, RegimeConfig(),
         "f3f00e433bd41388dfd50153eb241af5c8d70d9ed2e143c46db07623c3788fea"),
+    "steps_32": (DESK_SPEC, 32, 4, RegimeConfig(),
+        "9b8e2c2f81bbf7831632433e8f3f8b980e0753a38ae2682891c4a68d7044824d"),
+    "steps_33": (DESK_SPEC, 33, 4, RegimeConfig(),
+        "cb4fe1f58bc69f5c14bfa83a144e5ab48a48b76059a7d837b1c0cc54dcc18e1d"),
     "steps_64": (DESK_SPEC, 64, 4, RegimeConfig(),
         "94bc7a8d6aca4f86a36ffe8e51f22e770e73c0fad2c93bb28896f3aa5ba2e8e4"),
     "steps_65": (DESK_SPEC, 65, 4, RegimeConfig(),
@@ -129,6 +133,13 @@ def test_generator_and_grid_file_keep_their_pinned_bytes(case, tmp_path):
     assert _digest(ds) == digest
     write_grid_file(tmp_path / "data.grid", ds)
     assert _digest(read_grid_file(tmp_path / "data.grid")) == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_output_bytes_do_not_depend_on_the_render_chunk(chunk, monkeypatch):
+    spec, steps, seed, cfg, digest = GOLDEN["storms_near_the_end"]
+    monkeypatch.setattr(gridio, "RENDER_CHUNK", chunk)
+    assert _digest(generate_synthetic(spec, steps, seed=seed, regime_cfg=cfg)) == digest
 
 
 def test_generator_peak_memory_stays_near_its_frames():
