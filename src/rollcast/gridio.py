@@ -284,15 +284,15 @@ def _seasonal_cycle(cfg: RegimeConfig, spec: GridSpec, t_hours: np.ndarray) -> n
     lat = np.radians(np.asarray(spec.lat_degrees))[:, None]
     lon_angle = 2.0 * np.pi * np.arange(spec.lon_points)[None, :] / spec.lon_points
     var = np.arange(spec.num_vars)[:, None]
-    seasonal = (
+    waves = (
         cfg.seasonal_amplitude
         * np.sin(phase_season - lon_angle + 0.5 * var)
     )[:, :, None, :] * np.sin(lat)
-    seasonal += (
+    waves += (
         cfg.diurnal_amplitude
         * np.sin(phase_day - lon_angle + 0.25 * var)
     )[:, :, None, :] * np.cos(lat)
-    return seasonal
+    return waves
 
 
 def generate_synthetic(
@@ -361,8 +361,9 @@ def generate_synthetic(
     fields = []
     storms = []  # (onset, bump) of the storms under way, in onset order
     for t0 in range(0, num_steps, RENDER_CHUNK):
-        chunk = np.empty((min(RENDER_CHUNK, num_steps - t0), V, H, W))
-        for k, t in enumerate(range(t0, t0 + len(chunk))):
+        t1 = min(t0 + RENDER_CHUNK, num_steps)
+        chunk = np.empty((t1 - t0, V, H, W))
+        for t in range(t0, t1):
             if t:
                 anomaly = step(anomaly)
                 storms = [s for s in storms if t - s[0]["step"] < STORM_DURATION_STEPS]
@@ -372,13 +373,13 @@ def generate_synthetic(
                     anomaly[o["var"]] += (
                         o["sign"] * STORM_AMPLITUDE * envelope[t - o["step"]] / STORM_DURATION_STEPS
                     ) * bump
-            chunk[k] = anomaly
-        chunk += _seasonal_cycle(cfg, spec, hours[t0:t0 + len(chunk)])
+            chunk[t - t0] = anomaly
+        chunk += _seasonal_cycle(cfg, spec, hours[t0:t1])
         chunk *= scale
         chunk += mean
         # datasets live at float32 precision (the storage format), internals at float64
         chunk[...] = chunk.astype(np.float32)
-        fields += [GridField(spec, frame, int(hours[t0 + k])) for k, frame in enumerate(chunk)]
+        fields += [GridField(spec, frame, int(h)) for frame, h in zip(chunk, hours[t0:t1])]
 
     meta = {
         "seed": int(seed),
