@@ -150,7 +150,7 @@ def test_generator_peak_memory_stays_near_its_frames():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    frame_bytes = steps * 2 * 16 * 32 * 8  # float64 frames
+    frame_bytes = steps * int(np.prod(DESK_SPEC.shape)) * 8  # float64 frames
     assert peak <= 1.5 * frame_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
