@@ -6,8 +6,9 @@ the comparison of acceptance criterion 10 on the fine-tuned pair: 200 test
 starts at 138h, evaluated with seed 0 as the test does. It prints, per seed,
 the mean paired return gap of the adaptive policy against greedy, naive and
 random with its standard error, the share of starts whose adaptive plan
-differs from greedy's, and the adaptive 138h RMSE against 1.02 x the best
-fixed policy's.
+differs from greedy's, the adaptive 138h RMSE against 1.02 x the best
+fixed policy's, and a short SHA-256 of the fine-tune's outputs, so that two
+sweeps can be diffed for byte identity.
 
     python3 scripts/seed_sweep.py [--work-dir DIR]
 
@@ -26,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -45,6 +47,7 @@ from rollcast.scheduler.finetune import resolve_omega  # noqa: E402
 SEEDS = (0, 1, 2, 3)
 LEAD_H = 138
 EPISODES = 200
+FINETUNE_OUTPUTS = ("episodes.csv", "finetune_summary.json", "dqn.ckpt", "model_finetuned.ckpt")
 
 
 def pipeline(root: Path, seed: int) -> list:
@@ -65,6 +68,14 @@ def pipeline(root: Path, seed: int) -> list:
             raise SystemExit(f"seed {seed}: {argv[0]} exited {code}")
         walls.append(time.time() - t0)
     return walls
+
+
+def finetune_digest(root: Path) -> str:
+    """The first 12 hex digits of a SHA-256 over the fine-tune's four outputs, in a fixed order."""
+    digest = hashlib.sha256()
+    for name in FINETUNE_OUTPUTS:
+        digest.update((root / "fin" / name).read_bytes())
+    return digest.hexdigest()[:12]
 
 
 def compare(root: Path) -> dict:
@@ -95,7 +106,7 @@ def main_cli(argv=None) -> int:
         base = Path(args.work_dir or tmp)
         failed = 0
         print("seed  gap_vs_greedy  se     gap_vs_naive  gap_vs_random  differ  rmse/bar     "
-              "pipeline_s  finetune_s")
+              "pipeline_s  finetune_s  digest")
         for seed in SEEDS:
             root = base / f"seed{seed}"
             root.mkdir(parents=True, exist_ok=True)
@@ -107,7 +118,7 @@ def main_cli(argv=None) -> int:
             failed += not passed
             print(f"{seed:<5} {gap:+13.3f}  {se:5.3f}  {r['naive'][0]:+12.3f}  {r['random'][0]:+13.3f}"
                   f"  {r['differ']:6.3f}  {r['rmse'][0]:.3f}/{r['rmse'][1]:.3f}  {sum(walls):10.1f}  {walls[-1]:10.1f}"
-                  f"  {'pass' if passed else 'FAIL'}", flush=True)
+                  f"  {finetune_digest(root)}  {'pass' if passed else 'FAIL'}", flush=True)
     print(f"{len(SEEDS) - failed}/{len(SEEDS)} seeds meet criterion 10")
     return 0
 

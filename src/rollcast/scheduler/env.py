@@ -5,8 +5,7 @@ until the lead time is exhausted; each step forecasts with the model, is
 scored against the dataset truth, and feeds its own forecast back in.
 Illegal actions (interval longer than the remaining time) raise, never clip:
 `ActionSet.check` is the one legality test, and `EnvState.advance` the one
-way a forecast becomes the next state, for the rollout engine here and for
-the head-update walk of `finetune.rollout_finetune_loss` alike.
+way a forecast becomes the next state.
 
 `run_episodes` is the one rollout engine. It advances any number of episodes
 in lockstep: at each tick one `choose` call picks the intervals of every live
@@ -16,9 +15,13 @@ own interval. Its forecast (`ForecastModel.forecast_batch`) sorts the states
 by interval and runs chunks of at most `MAX_BATCH` states, a chunk mixing
 intervals. Episodes with the same start, lead and interval prefix
 hold the same state object and share its forecasts; `plan_chooser` feeds it
-stored or fixed plans. `run_episode` is the engine with one episode, each step
-forecasting one state. Fine-tune collection keeps it, as its epsilon-greedy
-episodes share one RNG stream, and so do the benchmark's single forecasts.
+stored or fixed plans, or the greedy choices of a Q-network, as in the
+head-update walks of `finetune.rollout_finetune_loss`. `run_episode` is the
+engine with one episode, each step forecasting one state. Fine-tune
+collection keeps it: its epsilon-greedy episodes share one RNG stream, and a
+probe that gave each episode its own stream and stepped them in one
+`run_episodes` call failed acceptance criterion 10 at seed 0 (adaptive
+−0.938 ± 0.154 against greedy). The benchmark's single forecasts keep it too.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ fine-tuning of the forecaster's prediction head along scheduled trajectories.
 Each epoch collects epsilon-greedy episodes into the replay buffer and
 refreshes stale entries against the current environment. TD iterations then
 update the main Q network; at every target sync the head is fine-tuned on
-trajectories that the freshly synced target policy picks. Each of those
-trajectories is walked once (`rollout_finetune_loss`): the target network
-chooses every interval on the state the walk has just forecast, and that same
-forecast builds the step's loss. Steps beyond t_max contribute to the
-reported rollout loss but are cut out of the gradient entirely.
+trajectories that the freshly synced target policy picks. The rollout engine
+walks all of a sync's trajectories at once (`run_episodes`, the target
+network choosing every interval), and `rollout_finetune_loss` then scores
+every step they took in one batched body pass, giving each step its own head
+call. Steps beyond t_max contribute to the reported rollout loss but are cut
+out of the gradient entirely.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from ..diffcore import Tensor
 from ..encoding import patchify
 from ..gridio import Dataset
 from ..metrics import lat_weights, rmse
-from ..model import DivergenceError, ForecastModel, check_at_least, weighted_patch_loss
+from ..model import MAX_BATCH, DivergenceError, ForecastModel, check_at_least, weighted_patch_loss
 from .dqn import DQN, ReplayBuffer, td_update
-from .env import EpisodeSpec, ForecastEnv, run_episode
+from .env import EpisodeSpec, ForecastEnv, plan_chooser, run_episode, run_episodes
 from .policies import policy_adaptive
 
 
@@ -57,9 +58,9 @@ class FinetuneConfig:
 
 @dataclass
 class RolloutLossParts:
-    grad_loss: Tensor | None  # differentiable part (steps <= t_max), already scaled
-    total_value: float  # full trajectory loss value
-    per_step: list = field(default_factory=list)
+    grad_loss: Tensor | None  # differentiable part (steps <= t_max), averaged over the walks
+    total_value: float  # full trajectory loss, averaged over the walks
+    per_step: list = field(default_factory=list)  # each step's term over the walk count, walk by walk
 
 
 def resolve_omega(model: ForecastModel, dataset: Dataset, seed: int = 0,
@@ -79,45 +80,47 @@ def resolve_omega(model: ForecastModel, dataset: Dataset, seed: int = 0,
     return -0.05 * float(np.mean(vals))
 
 
-def rollout_finetune_loss(env: ForecastEnv, episode: EpisodeSpec, action_fn,
-                          t_max: int) -> RolloutLossParts:
-    """Walk one episode once, choosing each interval as it goes, and score the walk.
+def rollout_finetune_loss(env: ForecastEnv, episodes, choose, t_max: int) -> RolloutLossParts:
+    """Walk the episodes in one `run_episodes` call (choose is its chooser),
+    then score every step the walks took.
 
-    From `env.reset(episode)`, each state reached asks action_fn (EnvState ->
-    interval, as in `run_episode`) for its interval and is forecast once: the
-    body without gradient, the head with gradient for the first t_max steps
-    and without it after. That head output, as a physical change, makes the
-    next state (`EnvState.advance`), so the walk visits the states
-    `run_episode` would. Once the walk ends, each step scores its predicted
-    change against the change that would have made the forecast exact (truth
-    minus the incoming state), weighted by latitude (`loss_weight_patches`) and
-    normalized by trajectory length and grid size.
+    The visited states go through the body once more, without gradient,
+    sorted stably by interval in chunks of at most MAX_BATCH. Each step's
+    head runs on its own token rows, with gradient for the first t_max steps
+    of its walk only. A step scores its predicted change against the change
+    that would have made the forecast exact (truth minus the incoming state),
+    weighted by latitude and normalized by its walk's length and the grid
+    size. The terms are summed walk by walk; the gradient and the value are
+    the means over the walks.
     """
-    model, spec = env.model, env.dataset.spec
-    V, H, W = spec.shape
-    state = env.reset(episode)
-    steps = []  # (head output, normalized target change patches)
-    while state.remaining_h > 0:
-        action = int(action_fn(state))
-        env.actions.check(action, state.remaining_h)
-        truth = env.dataset.at(state.date_time_hours + action)
-        target = model.normalize_delta(truth.values - state.x_hat.values, action)
-        with dc.no_grad():
-            z, _, _ = model.body_tokens(state.x_hat.values[None], action)
-        with dc.no_grad() if len(steps) >= t_max else contextlib.nullcontext():
-            pred = model.apply_head(z)
-        steps.append((pred, patchify(target, model.cfg.patch_size)))
-        change = model.change_from_patches(pred.data, action)[0]
-        state = state.advance(action, state.x_hat.values + change)
-
-    denom = len(steps) * V * H * W
-    grad_loss, per_step = None, []
-    for t, (pred, target) in enumerate(steps, start=1):
-        term = weighted_patch_loss(pred, target, model.loss_weight_patches, denom)  # graph-free past t_max
-        if t <= t_max:
-            grad_loss = term if grad_loss is None else dc.add(grad_loss, term)
-        per_step.append(float(term.data))
-    return RolloutLossParts(grad_loss=grad_loss, total_value=float(np.sum(per_step)), per_step=per_step)
+    model, (V, H, W) = env.model, env.dataset.spec.shape
+    walks = [transitions for _, transitions, _ in run_episodes(env, episodes, choose)]
+    steps = [tr for walk in walks for tr in walk]
+    order = np.argsort([tr.action for tr in steps], kind="stable")
+    with dc.no_grad():
+        tokens = np.concatenate([model.body_tokens(np.stack([steps[i].state.x_hat.values for i in chunk]),
+                                                   [steps[i].action for i in chunk])[0].data
+                                 for chunk in np.split(order, range(MAX_BATCH, len(order), MAX_BATCH))])
+    rows = iter(tokens.reshape(len(steps), model.num_tokens, -1)[np.argsort(order)])
+    grad_total, value_total, per_step = None, 0.0, []
+    for walk in walks:
+        grad_loss, terms = None, []
+        for t, (tr, z) in enumerate(zip(walk, rows), start=1):
+            truth = env.dataset.at(tr.next_state.date_time_hours)
+            target = model.normalize_delta(truth.values - tr.state.x_hat.values, tr.action)
+            with dc.no_grad() if t > t_max else contextlib.nullcontext():
+                pred = model.apply_head(Tensor(z))
+                term = weighted_patch_loss(pred, patchify(target, model.cfg.patch_size),
+                                           model.loss_weight_patches, len(walk) * V * H * W)
+            if t <= t_max:
+                grad_loss = term if grad_loss is None else dc.add(grad_loss, term)
+            terms.append(float(term.data))
+        if grad_loss is not None:
+            grad_total = grad_loss if grad_total is None else dc.add(grad_total, grad_loss)
+        value_total += float(np.sum(terms))  # plain adds: from Python 3.12 a float sum() compensates
+        per_step += [v / len(walks) for v in terms]
+    grad_loss = None if grad_total is None else dc.mul_scalar(grad_total, 1.0 / len(walks))
+    return RolloutLossParts(grad_loss=grad_loss, total_value=value_total / len(walks), per_step=per_step)
 
 
 def sample_episode(dataset: Dataset, lead_times, rng: np.random.Generator,
@@ -127,15 +130,6 @@ def sample_episode(dataset: Dataset, lead_times, rng: np.random.Generator,
     starts = dataset.window_starts(split, lead)
     idx = int(rng.integers(starts.start, starts.stop))
     return EpisodeSpec(dataset.fields[idx].timestamp_hours, lead)
-
-
-def _greedy_on_target(dqn: DQN):
-    """Action function of head-update episodes: the target network's greedy legal choice."""
-
-    def action_fn(state):
-        return dqn.q_target.greedy_actions([state])[0]
-
-    return action_fn
 
 
 def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
@@ -189,24 +183,16 @@ def adaptive_rollout_finetune(model: ForecastModel, dataset: Dataset, dqn: DQN,
             if global_iter % dqn.cfg.sync_every == 0:
                 dqn.sync_target()
                 rng_ft = np.random.default_rng([cfg.seed, 3, global_iter])
-                head_opt.zero_grad()
-                grad_total = None
-                value_total = 0.0
-                for _ in range(cfg.finetune_episodes):
-                    episode = sample_episode(dataset, cfg.lead_times, rng_ft)
-                    parts = rollout_finetune_loss(env, episode, _greedy_on_target(dqn), cfg.t_max)
-                    value_total += parts.total_value
-                    if parts.grad_loss is not None:
-                        grad_total = (
-                            parts.grad_loss
-                            if grad_total is None
-                            else dc.add(grad_total, parts.grad_loss)
-                        )
-                if not np.isfinite(value_total):
+                episodes = [sample_episode(dataset, cfg.lead_times, rng_ft)
+                            for _ in range(cfg.finetune_episodes)]
+                choose = plan_chooser([None] * len(episodes), dqn.q_target)
+                parts = rollout_finetune_loss(env, episodes, choose, cfg.t_max)
+                if not np.isfinite(parts.total_value):
                     raise DivergenceError("non-finite rollout fine-tune loss")
-                if grad_total is not None:
-                    dc.backward(dc.mul_scalar(grad_total, 1.0 / cfg.finetune_episodes))
+                if parts.grad_loss is not None:
+                    head_opt.zero_grad()
+                    dc.backward(parts.grad_loss)
                     head_opt.step()
-                logs["rollout_losses"].append(value_total / cfg.finetune_episodes)
+                logs["rollout_losses"].append(parts.total_value)
 
     return logs

@@ -21,7 +21,7 @@ from rollcast.gridio import GridSpec, generate_synthetic, read_grid_file, defaul
 from rollcast.metrics import lat_weights, rmse, acc
 from rollcast.model import ForecastModel, ModelConfig
 from rollcast.moe import SharedPrivateMoE, aux_loss_1, aux_loss_2, gate_decision
-from rollcast.scheduler import DQN, DQNConfig, EpisodeSpec, ForecastEnv, run_episode, td_targets
+from rollcast.scheduler import DQN, DQNConfig, EpisodeSpec, ForecastEnv, plan_chooser, run_episode, td_targets
 from rollcast.scheduler.finetune import rollout_finetune_loss
 from rollcast.scheduler.policies import policy_greedy, policy_naive
 
@@ -341,19 +341,18 @@ def test_criterion_11_stop_gradient_at_t_max():
         p.data = rng.normal(scale=0.2, size=p.data.shape)
     env = ForecastEnv(model, ds, omega=0.0, weights=lat_weights(spec))
     t0 = ds.fields[0].timestamp_hours
-    actions = iter([24, 12, 12])
 
     head = model.head_params()
     for p in head.values():
         p.zero_grad()
-    parts = rollout_finetune_loss(env, EpisodeSpec(t0, 48), lambda state: next(actions), t_max=1)
+    parts = rollout_finetune_loss(env, [EpisodeSpec(t0, 48)], plan_chooser([[24, 12, 12]]), t_max=1)
     dc.backward(parts.grad_loss)
     grads_tmax = {k: p.grad.copy() for k, p in head.items()}
     for p in head.values():
         p.zero_grad()
 
     # gradient of the first step alone, rescaled to the 3-step normalization
-    first = rollout_finetune_loss(env, EpisodeSpec(t0, 24), lambda state: 24, t_max=1)
+    first = rollout_finetune_loss(env, [EpisodeSpec(t0, 24)], plan_chooser([[24]]), t_max=1)
     dc.backward(dc.mul_scalar(first.grad_loss, 1.0 / 3.0))
     grads_first = {k: p.grad.copy() for k, p in head.items()}
     for k in head:

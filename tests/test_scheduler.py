@@ -1,5 +1,6 @@
 """Environment contracts, TD arithmetic, policies, buffer, and fine-tune gradients."""
 
+import contextlib
 import gc
 import zlib
 from dataclasses import replace
@@ -9,9 +10,10 @@ import pytest
 
 from rollcast import diffcore as dc
 from rollcast.diffcore import Tensor
+from rollcast.encoding import patchify
 from rollcast.gridio import Dataset, GridField, GridSpec, generate_synthetic, default_splits
 from rollcast.metrics import lat_weights
-from rollcast.model import MAX_BATCH, ForecastModel, ModelConfig, attention
+from rollcast.model import MAX_BATCH, ForecastModel, ModelConfig, attention, weighted_patch_loss
 from rollcast.scheduler import (
     DQN,
     DQNConfig,
@@ -36,7 +38,7 @@ from rollcast.scheduler import (
 from rollcast.scheduler.dqn import QNetwork, hindsight_transitions
 from rollcast.scheduler.env import EnvState
 from rollcast.scheduler import finetune
-from rollcast.scheduler.finetune import FinetuneConfig, resolve_omega, sample_episode
+from rollcast.scheduler.finetune import FinetuneConfig, RolloutLossParts, resolve_omega, sample_episode
 
 SPEC = GridSpec.cell_centered(2, 8, 16)
 MODEL_CFG = ModelConfig(
@@ -460,24 +462,36 @@ def test_weather_rows_are_freed_with_their_field(model, dataset):
     assert len(qnet.weather.rows) == before
 
 
+class _OneHashField(GridField):
+    """A field whose hash is one constant, as if every field sat at one freed address."""
+
+    def __hash__(self):
+        return 0
+
+
 def test_weather_cache_never_returns_a_stale_entry(model, dataset):
     qnet = DQN(model, DQNConfig(), seed=13).q_main
     rng = np.random.default_rng(14)
-    ids = []
-    for _ in range(20):
-        field = GridField(SPEC, rng.normal(size=SPEC.shape), 0)
+
+    def check(field):
         state = EnvState(field, 0, 0, 24, 24)
-        ids.append(id(field))
         got = qnet.q_values(state)
         fresh = QNetwork(model, DQNConfig(), seed=13)  # the same weights, its own empty cache
         with dc.no_grad():
             rows = dc.layer_norm(Tensor(qnet._weather_tokens(field.values))).data
         np.testing.assert_array_equal(got, fresh.q_values(state))
         np.testing.assert_array_equal(qnet.weather.rows[field], rows)
-        del field, state
+
+    kept = _OneHashField(SPEC, rng.normal(size=SPEC.shape), 0)
+    check(kept)
+    for _ in range(20):
+        field = _OneHashField(SPEC, rng.normal(size=SPEC.shape), 0)
+        check(field)  # the hash of a live field and of every deleted one, yet its own rows
+        assert len(qnet.weather.rows) == 2
+        del field
         gc.collect()
-        assert len(qnet.weather.rows) == 0
-    assert len(set(ids)) < len(ids)  # new fields took freed ones' ids, and still got their own rows
+        assert len(qnet.weather.rows) == 1
+    check(kept)
 
 
 def test_td_update_at_b48_creates_at_most_60_op_results(env, model, dataset, monkeypatch):
@@ -830,10 +844,63 @@ def test_policy_adaptive_masking_and_epsilon(env, model, dataset):
 # -- rollout fine-tune loss ---------------------------------------------------------------
 
 
-def follow(actions):
-    """Chooser that takes the given intervals in order, whatever the state."""
-    it = iter(actions)
-    return lambda state: next(it)
+def one_walk_oracle(env, episode, action_fn, t_max):
+    """The head-update loss of one episode, walked at B=1: each state asks
+    action_fn (EnvState -> interval) for its interval and is forecast once,
+    and that step's head output, with gradient for the first t_max steps,
+    both makes the next state and builds the step's loss."""
+    model = env.model
+    V, H, W = env.dataset.spec.shape
+    state = env.reset(episode)
+    steps = []
+    while state.remaining_h > 0:
+        action = int(action_fn(state))
+        env.actions.check(action, state.remaining_h)
+        truth = env.dataset.at(state.date_time_hours + action)
+        target = model.normalize_delta(truth.values - state.x_hat.values, action)
+        with dc.no_grad():
+            z, _, _ = model.body_tokens(state.x_hat.values[None], action)
+        with dc.no_grad() if len(steps) >= t_max else contextlib.nullcontext():
+            pred = model.apply_head(z)
+        steps.append((pred, patchify(target, model.cfg.patch_size)))
+        change = model.change_from_patches(pred.data, action)[0]
+        state = state.advance(action, state.x_hat.values + change)
+
+    denom = len(steps) * V * H * W
+    grad_loss, per_step = None, []
+    for t, (pred, target) in enumerate(steps, start=1):
+        term = weighted_patch_loss(pred, target, model.loss_weight_patches, denom)
+        if t <= t_max:
+            grad_loss = term if grad_loss is None else dc.add(grad_loss, term)
+        per_step.append(float(term.data))
+    return RolloutLossParts(grad_loss=grad_loss, total_value=float(np.sum(per_step)), per_step=per_step)
+
+
+def oracle_sync_loss(env, episodes, choose, t_max):
+    """`rollout_finetune_loss` by the oracle: one B=1 walk per episode, each
+    state shown to choose alone, and the walks averaged."""
+    walks = [one_walk_oracle(env, episode, lambda state, i=i: choose([i], [state])[0], t_max)
+             for i, episode in enumerate(episodes)]
+    grad_total, value_total = None, 0.0
+    for walk in walks:
+        value_total += walk.total_value
+        if walk.grad_loss is not None:
+            grad_total = walk.grad_loss if grad_total is None else dc.add(grad_total, walk.grad_loss)
+    grad_loss = None if grad_total is None else dc.mul_scalar(grad_total, 1.0 / len(walks))
+    per_step = [v / len(walks) for walk in walks for v in walk.per_step]
+    return RolloutLossParts(grad_loss=grad_loss, total_value=value_total / len(walks), per_step=per_step)
+
+
+def head_grads(model, parts):
+    """The head gradients of parts.grad_loss, from zeroed gradients."""
+    head = model.head_params()
+    for p in head.values():
+        p.zero_grad()
+    dc.backward(parts.grad_loss)
+    grads = {k: p.grad.copy() for k, p in head.items()}
+    for p in head.values():
+        p.zero_grad()
+    return grads
 
 
 def test_stop_gradient_beyond_t_max(env, dataset):
@@ -845,14 +912,14 @@ def test_stop_gradient_beyond_t_max(env, dataset):
     head = model.head_params()
     for p in head.values():
         p.zero_grad()
-    parts_full = rollout_finetune_loss(env, episode, follow(actions), t_max=1)
+    parts_full = rollout_finetune_loss(env, [episode], plan_chooser([actions]), t_max=1)
     assert parts_full.grad_loss is not None
     dc.backward(parts_full.grad_loss)
     grad_tmax1 = {k: (p.grad.copy() if p.grad is not None else None) for k, p in head.items()}
 
     for p in head.values():
         p.zero_grad()
-    parts_one = rollout_finetune_loss(env, EpisodeSpec(t0, 24), follow(actions[:1]), t_max=1)
+    parts_one = rollout_finetune_loss(env, [EpisodeSpec(t0, 24)], plan_chooser([actions[:1]]), t_max=1)
     # rescale: the 3-step loss divides by 3 steps, the 1-step loss by 1
     dc.backward(dc.mul_scalar(parts_one.grad_loss, 1.0 / 3.0))
     grad_one = {k: (p.grad.copy() if p.grad is not None else None) for k, p in head.items()}
@@ -867,7 +934,7 @@ def test_stop_gradient_beyond_t_max(env, dataset):
 @pytest.mark.usefixtures("float64")
 def test_rollout_loss_value_covers_all_steps(env64, dataset):
     episode = EpisodeSpec(dataset.fields[0].timestamp_hours, 36)
-    parts = rollout_finetune_loss(env64, episode, follow([12, 12, 12]), t_max=2)
+    parts = rollout_finetune_loss(env64, [episode], plan_chooser([[12, 12, 12]]), t_max=2)
     assert parts.total_value == pytest.approx(sum(parts.per_step))
     assert len(parts.per_step) == 3
     np.testing.assert_allclose(float(parts.grad_loss.data), sum(parts.per_step[:2]), rtol=1e-12)
@@ -882,43 +949,59 @@ def _model_with_random_head(dataset, seed):
     return model
 
 
-def test_walk_shows_the_chooser_the_states_run_episode_visits(dataset):
+@pytest.mark.parametrize("t_max", [2, 50])  # the gradient cut inside the walks, and beyond them
+def test_rollout_loss_equals_the_mean_of_one_walk_per_episode(dataset, t_max):
+    """Bit for bit: the engine's walks and the batched scoring give each step
+    the loss and gradient of the B=1 walk, and the sync's mean of them."""
     env = ForecastEnv(_model_with_random_head(dataset, 30), dataset, omega=-0.1)
-    episode = EpisodeSpec(dataset.fields[3].timestamp_hours, 72)
-    seen = {"walk": [], "engine": []}
+    t = [dataset.fields[i].timestamp_hours for i in (3, 40, 77)]
+    episodes = [EpisodeSpec(t[0], 72), EpisodeSpec(t[1], 36), EpisodeSpec(t[0], 72), EpisodeSpec(t[2], 24)]
+    seen = {"oracle": [[] for _ in episodes], "engine": [[] for _ in episodes]}
 
     def recording(key):
-        def choose(state):  # a legal interval that depends on every bit of the state
-            seen[key].append(state)
-            legal = env.actions.legal(state.remaining_h)
-            return legal[zlib.crc32(state.x_hat.values.tobytes()) % len(legal)]
+        def choose(ids, states):  # a legal interval that depends on every bit of the state
+            actions = []
+            for i, state in zip(ids, states):
+                seen[key][i].append(state)
+                legal = env.actions.legal(state.remaining_h)
+                actions.append(legal[zlib.crc32(state.x_hat.values.tobytes()) % len(legal)])
+            return actions
         return choose
 
-    parts = rollout_finetune_loss(env, episode, recording("walk"), t_max=2)
-    traj, _, _ = run_episode(env, episode, recording("engine"))
-    assert len(parts.per_step) == len(traj) == len(seen["walk"]) == len(seen["engine"])
-    assert len(set(traj.intervals)) > 1  # the chooser did choose
-    for a, b in zip(seen["walk"], seen["engine"]):
-        assert a.x_hat.values.tobytes() == b.x_hat.values.tobytes()
-        assert (a.date_time_hours, a.travel_h, a.remaining_h, a.lead_h) == (
-            b.date_time_hours, b.travel_h, b.remaining_h, b.lead_h)
-    assert seen["walk"][-1].x_hat.values.tobytes() != seen["walk"][0].x_hat.values.tobytes()
+    want = oracle_sync_loss(env, episodes, recording("oracle"), t_max)
+    got = rollout_finetune_loss(env, episodes, recording("engine"), t_max)
+    assert got.per_step == want.per_step
+    assert got.total_value == want.total_value
+    grads_want, grads_got = head_grads(env.model, want), head_grads(env.model, got)
+    for k in grads_want:
+        np.testing.assert_array_equal(grads_got[k], grads_want[k])
+
+    for walk_oracle, walk_engine in zip(seen["oracle"], seen["engine"]):
+        assert len(walk_oracle) == len(walk_engine)
+        for a, b in zip(walk_oracle, walk_engine):
+            assert a.x_hat.values.tobytes() == b.x_hat.values.tobytes()
+            assert (a.date_time_hours, a.travel_h, a.remaining_h, a.lead_h) == (
+                b.date_time_hours, b.travel_h, b.remaining_h, b.lead_h)
+    assert seen["engine"][0][-1].x_hat.values.tobytes() != seen["engine"][0][0].x_hat.values.tobytes()
+    assert seen["engine"][0][-1] is seen["engine"][2][-1]  # the twin episodes share the engine's states
+    assert len({len(walk) for walk in seen["engine"]}) > 1  # the chooser did choose
 
 
 def test_walk_rejects_illegal_intervals(env, dataset):
     t0 = dataset.fields[0].timestamp_hours
     with pytest.raises(ValueError, match="illegal action 24h with 12h remaining"):
-        rollout_finetune_loss(env, EpisodeSpec(t0, 36), follow([24, 24]), t_max=2)
+        rollout_finetune_loss(env, [EpisodeSpec(t0, 36)], plan_chooser([[24, 24]]), t_max=2)
     with pytest.raises(ValueError, match="illegal action 18h"):
-        rollout_finetune_loss(env, EpisodeSpec(t0, 36), follow([18, 18]), t_max=2)
+        rollout_finetune_loss(env, [EpisodeSpec(t0, 36)], plan_chooser([[18, 18]]), t_max=2)
 
 
-def test_head_updates_forecast_each_step_once(monkeypatch, dataset):
-    """Between a target sync and the next TD update, the head update runs the
-    forecaster body once per trajectory step, and never through run_episode."""
+def test_head_update_walks_once_through_the_engine_and_scores_in_one_pass(monkeypatch, dataset):
+    """Between a target sync and the next TD update, the head update makes
+    one `run_episodes` call and none to `run_episode`, and the body sees each
+    walked step twice: once in the engine, once in the batched scoring."""
     model = _model_with_random_head(dataset, 32)
     phase = {"head": False}
-    counts = {"body": 0, "steps": 0, "head_episodes": 0}
+    counts = {"body_rows": 0, "steps": 0, "engine_calls": [], "single_episodes": 0}
 
     def wrap(owner, name, before=None, after=None):
         real = getattr(owner, name)
@@ -932,35 +1015,69 @@ def test_head_updates_forecast_each_step_once(monkeypatch, dataset):
             return out
         monkeypatch.setattr(owner, name, wrapped)
 
-    def enter_other(*_):
-        phase["head"] = False
+    def enter(head):
+        def set_phase(*_):
+            phase["head"] = head
+            if head:
+                counts["engine_calls"].append(0)
+        return set_phase
 
-    def count_body(*_):
-        counts["body"] += phase["head"]
+    def count_body(_, x_batch, *rest):
+        counts["body_rows"] += phase["head"] * len(x_batch)
 
-    def count_episode(env, episode, action_fn):
-        if "_greedy_on_target" in action_fn.__qualname__:
-            counts["head_episodes"] += 1
-        else:  # an epsilon-greedy collection episode
-            enter_other()
+    def count_engine(*_):
+        if phase["head"]:
+            counts["engine_calls"][-1] += 1
+
+    def count_single(*_):
+        counts["single_episodes"] += phase["head"]
 
     wrap(ForecastModel, "body_tokens", before=count_body)
-    wrap(DQN, "sync_target", after=lambda _: phase.update(head=True))
-    wrap(finetune, "td_update", before=enter_other)
-    wrap(ReplayBuffer, "refresh", before=enter_other)
-    wrap(finetune, "run_episode", before=count_episode)
+    wrap(DQN, "sync_target", after=enter(True))
+    wrap(finetune, "td_update", before=enter(False))
+    wrap(ReplayBuffer, "refresh", before=enter(False))
+    wrap(finetune, "run_episodes", before=count_engine)
+    wrap(finetune, "run_episode", before=count_single)
     wrap(finetune, "rollout_finetune_loss",
          after=lambda parts: counts.update(steps=counts["steps"] + len(parts.per_step)))
 
     dqn = DQN(model, DQNConfig(sync_every=10, batch_size=8), seed=33)
-    cfg = FinetuneConfig(epochs=2, episodes_per_epoch=3, iterations_per_epoch=20,
+    # 25 iterations an epoch: a TD update, not a collection, follows each sync but the last
+    cfg = FinetuneConfig(epochs=2, episodes_per_epoch=3, iterations_per_epoch=25,
                          finetune_episodes=2, t_max=2, lead_times=(24, 36), seed=33)
     phase["head"] = False  # the DQN's constructor syncs its target once
+    counts["engine_calls"].clear()
     logs = adaptive_rollout_finetune(model, dataset, dqn, ReplayBuffer(capacity=500), cfg)
-    assert len(logs["rollout_losses"]) == 4
-    assert counts["steps"] >= 4 * cfg.finetune_episodes
-    assert counts["body"] == counts["steps"]
-    assert counts["head_episodes"] == 0
+    assert len(logs["rollout_losses"]) == 5
+    assert counts["engine_calls"] == [1] * 5
+    assert counts["single_episodes"] == 0
+    assert counts["steps"] >= 5 * cfg.finetune_episodes
+    assert counts["body_rows"] == 2 * counts["steps"]
+
+
+def test_sync_loss_keeps_the_fine_tune_of_one_walk_per_episode(monkeypatch, dataset):
+    """A smoke-scale fine-tune gives the same logs, head and DQN whether its
+    head updates walk through the engine or one episode at a time at B=1."""
+
+    def fine_tune():
+        model = _model_with_random_head(dataset, 34)
+        dqn = DQN(model, DQNConfig(sync_every=10, batch_size=8), seed=35)
+        cfg = FinetuneConfig(epochs=2, episodes_per_epoch=3, iterations_per_epoch=30,
+                             finetune_episodes=3, t_max=2, lead_times=(24, 36, 72), seed=35)
+        logs = adaptive_rollout_finetune(model, dataset, dqn, ReplayBuffer(capacity=500), cfg)
+        arrays = {k: p.data for k, p in model.head_params().items()}
+        for name, net in (("main", dqn.q_main), ("target", dqn.q_target)):
+            arrays.update({f"{name}.{k}": v for k, v in net.state_arrays().items()})
+        return logs, arrays
+
+    logs, arrays = fine_tune()
+    monkeypatch.setattr(finetune, "rollout_finetune_loss", oracle_sync_loss)
+    logs_oracle, arrays_oracle = fine_tune()
+    assert len(logs["rollout_losses"]) == 6
+    assert logs == logs_oracle
+    assert arrays.keys() == arrays_oracle.keys()
+    for k in arrays:
+        np.testing.assert_array_equal(arrays[k], arrays_oracle[k])
 
 
 # -- the alternating loop (smoke scale) ------------------------------------------------------
