@@ -7,8 +7,8 @@ starts at 138h, evaluated with seed 0 as the test does. It prints, per seed,
 the mean paired return gap of the adaptive policy against greedy, naive and
 random with its standard error, the share of starts whose adaptive plan
 differs from greedy's, the adaptive 138h RMSE against 1.02 x the best
-fixed policy's, and a short SHA-256 of the fine-tune's outputs, so that two
-sweeps can be diffed for byte identity.
+fixed policy's, and short SHA-256s of the pretraining's and the fine-tune's
+outputs, so that two sweeps can be diffed for byte identity.
 
     python3 scripts/seed_sweep.py [--work-dir DIR]
 
@@ -47,7 +47,9 @@ from rollcast.scheduler.finetune import resolve_omega  # noqa: E402
 SEEDS = (0, 1, 2, 3)
 LEAD_H = 138
 EPISODES = 200
-FINETUNE_OUTPUTS = ("episodes.csv", "finetune_summary.json", "dqn.ckpt", "model_finetuned.ckpt")
+PRETRAIN_OUTPUTS = ("pre/model.ckpt", "pre/training.csv", "pre/pretrain_summary.json")
+FINETUNE_OUTPUTS = tuple(f"fin/{name}" for name in
+                         ("episodes.csv", "finetune_summary.json", "dqn.ckpt", "model_finetuned.ckpt"))
 
 
 def pipeline(root: Path, seed: int) -> list:
@@ -70,12 +72,12 @@ def pipeline(root: Path, seed: int) -> list:
     return walls
 
 
-def finetune_digest(root: Path) -> str:
-    """The first 12 hex digits of a SHA-256 over the fine-tune's four outputs, in a fixed order."""
-    digest = hashlib.sha256()
-    for name in FINETUNE_OUTPUTS:
-        digest.update((root / "fin" / name).read_bytes())
-    return digest.hexdigest()[:12]
+def digest(root: Path, outputs) -> str:
+    """The first 12 hex digits of a SHA-256 over a stage's outputs, in a fixed order."""
+    sha = hashlib.sha256()
+    for name in outputs:
+        sha.update((root / name).read_bytes())
+    return sha.hexdigest()[:12]
 
 
 def compare(root: Path) -> dict:
@@ -106,7 +108,7 @@ def main_cli(argv=None) -> int:
         base = Path(args.work_dir or tmp)
         failed = 0
         print("seed  gap_vs_greedy  se     gap_vs_naive  gap_vs_random  differ  rmse/bar     "
-              "pipeline_s  finetune_s  digest")
+              "pipeline_s  finetune_s  pre_digest    fin_digest")
         for seed in SEEDS:
             root = base / f"seed{seed}"
             root.mkdir(parents=True, exist_ok=True)
@@ -118,7 +120,8 @@ def main_cli(argv=None) -> int:
             failed += not passed
             print(f"{seed:<5} {gap:+13.3f}  {se:5.3f}  {r['naive'][0]:+12.3f}  {r['random'][0]:+13.3f}"
                   f"  {r['differ']:6.3f}  {r['rmse'][0]:.3f}/{r['rmse'][1]:.3f}  {sum(walls):10.1f}  {walls[-1]:10.1f}"
-                  f"  {finetune_digest(root)}  {'pass' if passed else 'FAIL'}", flush=True)
+                  f"  {digest(root, PRETRAIN_OUTPUTS)}  {digest(root, FINETUNE_OUTPUTS)}"
+                  f"  {'pass' if passed else 'FAIL'}", flush=True)
     print(f"{len(SEEDS) - failed}/{len(SEEDS)} seeds meet criterion 10")
     return 0
 

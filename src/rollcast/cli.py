@@ -85,13 +85,7 @@ def save_model_checkpoint(path, model: ForecastModel, cfg: RunConfig, extra_arra
     meta = {
         "kind": "forecast_model",
         "model_config": dataclasses.asdict(model.cfg),
-        "grid": {
-            "num_vars": model.spec.num_vars,
-            "lat_points": model.spec.lat_points,
-            "lon_points": model.spec.lon_points,
-            "lat_degrees": list(model.spec.lat_degrees),
-            "base_step_hours": model.spec.base_step_hours,
-        },
+        "grid": dataclasses.asdict(model.spec),
         "provenance": provenance(cfg),
     }
     _write_json(str(path) + ".meta.json", meta)
@@ -115,11 +109,10 @@ def _read_sidecar(path, kind: str, build):
 
 def _model_sidecar(meta) -> tuple:
     g = meta["grid"]
-    spec = GridSpec(
-        g["num_vars"], g["lat_points"], g["lon_points"],
-        tuple(g["lat_degrees"]), g["base_step_hours"],
-    )
-    return _from_dict(ModelConfig, meta["model_config"], "model_config"), spec
+    # every key, or GridSpec would default a missing base step
+    if set(g) != {f.name for f in dataclasses.fields(GridSpec)}:
+        raise KeyError(f"grid keys {sorted(g)} are not those of a GridSpec")
+    return _from_dict(ModelConfig, meta["model_config"], "model_config"), GridSpec(**g)
 
 
 def load_model_checkpoint(path) -> tuple:
@@ -368,10 +361,9 @@ def cmd_compare_rollouts(cfg: RunConfig, args) -> int:
     episodes = [EpisodeSpec(t, cfg.compare.lead) for t in t0s]
     results = evaluate_policies(env, episodes, dqn=dqn, random_seed=cfg.seed)
 
-    names = ds.meta.get("variables") or [f"var{v}" for v in range(ds.spec.num_vars)]
     header = (
         ["policy", "lead_hours"]
-        + [f"rmse_{n}" for n in names]
+        + [f"rmse_{n}" for n in ds.variable_names]
         + ["rmse_all", "mean_return", "stderr_return", "mean_traj_len"]
     )
     rows = []

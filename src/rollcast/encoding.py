@@ -105,6 +105,8 @@ class IntervalEmbedding:
         )
 
     def index_of(self, delta_hours: int) -> int:
+        """The table row of an interval: the forecaster's one map from hours to
+        position. Raises KeyError naming an interval the table lacks."""
         try:
             return self.intervals.index(int(delta_hours))
         except ValueError:

@@ -30,7 +30,6 @@ def evaluate_leads(forecast_fn, dataset: Dataset, split: str, leads, episodes: i
     """
     lat_weight = lat_weights(dataset.spec)
     climatology = Climatology.from_dataset(dataset)
-    names = dataset.meta.get("variables") or [f"var{v}" for v in range(dataset.spec.num_vars)]
     t0s = [eval_initial_times(dataset, split, lead, episodes, seed) for lead in leads]
     pair_leads = [int(lead) for lead, starts in zip(leads, t0s) for _ in starts]
     preds = forecast_fn([dataset.at(t0) for starts in t0s for t0 in starts], pair_leads)
@@ -43,7 +42,7 @@ def evaluate_leads(forecast_fn, dataset: Dataset, split: str, leads, episodes: i
         t = np.stack([dataset.at(t0 + lead).values for t0 in starts])
         c = np.stack([climatology.at(t0 + lead) for t0 in starts])
         accs = acc(p, t, c, lat_weight)
-        for v, name in enumerate(names):
+        for v, name in enumerate(dataset.variable_names):
             r = rmse(p[:, v : v + 1], t[:, v : v + 1], lat_weight)
             rows.append((name, int(lead), r, float(accs[v])))
     return rows

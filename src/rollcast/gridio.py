@@ -187,6 +187,11 @@ class Dataset:
         return self.fields[self.index_of(t_hours)]
 
     @property
+    def variable_names(self) -> list:
+        """Each variable's name; var0, var1, ... when the metadata records none."""
+        return self.meta.get("variables") or [f"var{v}" for v in range(self.spec.num_vars)]
+
+    @property
     def season_length_days(self) -> int:
         """Length of the data's year in days; 365 when the metadata records none."""
         return int(self.meta.get("season_length_days") or 365)
@@ -427,9 +432,7 @@ def write_grid_file(path, dataset: Dataset, provenance: dict | None = None):
 
     manifest = {
         "format": {"magic": GRID_MAGIC.decode(), "version": GRID_VERSION},
-        "variables": dataset.meta.get(
-            "variables", [f"var{v}" for v in range(spec.num_vars)]
-        ),
+        "variables": dataset.variable_names,
         "splits": {k: list(v) for k, v in dataset.splits.items()},
         "start_hours": dataset.start_hours,
         "seed": dataset.meta.get("seed"),
@@ -516,7 +519,7 @@ def read_grid_file(path) -> Dataset:
 
     splits = manifest.get("splits", {})
     meta = {
-        "variables": manifest.get("variables", [f"var{v}" for v in range(V)]),
+        "variables": manifest.get("variables"),
         "seed": manifest.get("seed"),
         "generator": manifest.get("generator"),
         "season_length_days": manifest.get("season_length_days"),

@@ -36,7 +36,6 @@ from .moe import (
     aux_loss_2,
     combined_aux,
     noise_distributions,
-    one_interval,
 )
 
 
@@ -204,32 +203,30 @@ class ArchBlock:
     def _attention(self, h: Tensor, batch: int, length: int) -> Tensor:
         return attention(self._params, f"{self.prefix}.attn", h, batch, length, self.cfg.num_heads)
 
-    def _modulations(self, table: Tensor, intervals):
-        """The six (K, D) modulation rows of K segments' intervals. Every
-        interval's rows are computed, so a row's bits do not depend on which
-        intervals share the batch."""
+    def _modulations(self, table: Tensor, positions):
+        """The six (K, D) modulation rows of K segments, whose intervals sit at
+        `positions` of the table. Every interval's rows are computed, so a
+        row's bits do not depend on which intervals share the batch."""
         D = self.cfg.embed_dim
         mods = _linear(self._params, f"{self.prefix}.adaln", dc.gelu(table))  # (intervals, 6D)
-        if isinstance(intervals, int):
-            intervals = (intervals,)
-        mods = dc.embedding_lookup(mods, [self.cfg.intervals.index(d) for d in intervals])
+        mods = dc.embedding_lookup(mods, positions)
         return [dc.slice_axis(mods, 1, i * D, (i + 1) * D) for i in range(6)]
 
-    def forward(self, z: Tensor, table: Tensor, intervals, batch: int, length: int, counts=None,
+    def forward(self, z: Tensor, table: Tensor, positions, counts, batch: int, length: int,
                 collect_noise: bool = False):
         """(batch*length, D) tokens -> same shape.
 
-        table is the (configured intervals, D) interval embedding. intervals
-        is one interval for every token, or the intervals of K consecutive
-        token segments whose row counts `counts` gives.
+        table is the (configured intervals, D) interval embedding. The tokens
+        form K consecutive segments of counts[k] rows, and segment k takes the
+        interval at table row positions[k] (`ForecastModel.interval_segments`).
         """
-        scale1, shift1, gate1, scale2, shift2, gate2 = self._modulations(table, intervals)
+        scale1, shift1, gate1, scale2, shift2, gate2 = self._modulations(table, positions)
 
         h = dc.modulate(dc.layer_norm(z), scale1, shift1, counts)
         z = dc.gated_add(z, gate1, self._attention(h, batch, length), counts)
 
         h2 = dc.modulate(dc.layer_norm(z), scale2, shift2, counts)
-        moe_out, decision, noise = self.moe.forward(h2, intervals, counts)
+        moe_out, decision, noise = self.moe.forward(h2, np.repeat(positions, counts))
         z = dc.gated_add(z, gate2, moe_out, counts)
 
         return z, decision, self.moe.noise_sums(noise) if collect_noise else None
@@ -327,58 +324,56 @@ class ForecastModel:
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.norm_mean[:, None, None]) / self.norm_std[:, None, None]
 
-    def _delta_scale_of(self, delta) -> np.ndarray:
-        """(V, 1, 1) change scale of one interval, or (B, V, 1, 1) of one interval per state."""
-        if one_interval(delta):
-            return self.delta_scale[self.interval_embedding.index_of(delta)][:, None, None]
-        return self.delta_scale[[self.interval_embedding.index_of(d) for d in delta]][:, :, None, None]
+    def _delta_scale_of(self, changes: np.ndarray, deltas) -> np.ndarray:
+        """(B, V, 1, 1) change scale of each of the B changes' intervals."""
+        if len(deltas) != len(changes):
+            raise ValueError(f"{len(deltas)} intervals for {len(changes)} states")
+        return self.delta_scale[[self.interval_embedding.index_of(d) for d in deltas]][:, :, None, None]
 
-    def normalize_delta(self, delta_values: np.ndarray, delta) -> np.ndarray:
-        """Physical change over `delta` hours -> model units."""
-        return delta_values / self._delta_scale_of(delta)
+    def normalize_delta(self, delta_values: np.ndarray, deltas) -> np.ndarray:
+        """(B, V, H, W) physical changes, state i's over deltas[i] hours -> model units."""
+        return delta_values / self._delta_scale_of(delta_values, deltas)
 
-    def denormalize_delta(self, delta_norm: np.ndarray, delta) -> np.ndarray:
-        return delta_norm * self._delta_scale_of(delta)
+    def denormalize_delta(self, delta_norm: np.ndarray, deltas) -> np.ndarray:
+        """(B, V, H, W) changes in model units -> physical, state i's over deltas[i] hours."""
+        return delta_norm * self._delta_scale_of(delta_norm, deltas)
 
-    def interval_segments(self, deltas, batch: int):
-        """(intervals, state counts) of the consecutive runs of one interval in
-        `deltas`: one interval for all `batch` states, or one per state.
+    def interval_segments(self, deltas):
+        """(positions, state counts) of the consecutive runs of one interval in
+        `deltas`, one interval per state: each run's position in the interval
+        embedding and its length.
 
         Raises KeyError for an interval the model lacks and ValueError when
         the states of one interval are not adjacent.
         """
-        if one_interval(deltas):
-            self.interval_embedding.index_of(deltas)
-            return (int(deltas),), (batch,)
-        if len(deltas) != batch:
-            raise ValueError(f"{len(deltas)} intervals for {batch} states")
-        runs = [(int(d), len(list(run))) for d, run in itertools.groupby(deltas)]
-        intervals = tuple(d for d, _ in runs)
-        for d in intervals:
-            self.interval_embedding.index_of(d)
-        if len(set(intervals)) < len(intervals):
+        runs = [(p, len(list(run))) for p, run in
+                itertools.groupby(self.interval_embedding.index_of(d) for d in deltas)]
+        positions = [p for p, _ in runs]
+        if len(set(positions)) < len(positions):
             raise ValueError(f"states of one interval must be adjacent, got intervals {list(deltas)}")
-        return intervals, tuple(n for _, n in runs)
+        return positions, [n for _, n in runs]
 
     def body_tokens(self, x_batch: np.ndarray, deltas, collect_noise: bool = False):
         """Run tokenizer + positional + conditioned blocks; stop before the head.
 
-        x_batch: (B, V, H, W) raw states. deltas: one interval for every
-        state, or one per state with the states of one interval adjacent
-        (see `interval_segments`). Returns ((B*L, D) token Tensor, per-block
-        gate decisions, per-block noise sums).
+        x_batch: (B, V, H, W) raw states. deltas: one interval per state, with
+        the states of one interval adjacent (see `interval_segments`).
+        Returns ((B*L, D) token Tensor, per-block gate decisions, per-block
+        noise sums).
         """
         B = x_batch.shape[0]
         L = self.num_tokens
-        intervals, counts = self.interval_segments(deltas, B)
-        token_counts = None if len(counts) == 1 else [c * L for c in counts]
+        if len(deltas) != B:
+            raise ValueError(f"{len(deltas)} intervals for {B} states")
+        positions, counts = self.interval_segments(deltas)
+        token_counts = [c * L for c in counts]
         patches = np.stack([patchify(self.normalize(x), self.cfg.patch_size) for x in x_batch])
         z = _linear(self._params, "tokenizer", Tensor(patches.reshape(B * L, self.patch_dim)))
         z = dc.add(z, Tensor(np.tile(self.positional, (B, 1))))
         table = self.interval_embedding.table
         decisions, noises = [], []
         for block in self.blocks:
-            z, dec, noise = block.forward(z, table, intervals, B, L, token_counts, collect_noise)
+            z, dec, noise = block.forward(z, table, positions, token_counts, B, L, collect_noise)
             decisions.append(dec)
             noises.append(noise)
         return z, decisions, noises
@@ -388,45 +383,38 @@ class ForecastModel:
 
     def forward_tokens(self, x_batch: np.ndarray, deltas, collect_noise: bool = False):
         """Predict normalized change patches for a batch, one interval per state
-        or one for all (as in `body_tokens`)."""
+        (as in `body_tokens`)."""
         z, decisions, noises = self.body_tokens(x_batch, deltas, collect_noise=collect_noise)
         return self.apply_head(z), decisions, noises
 
-    def predict_change(self, x_batch: np.ndarray, delta) -> np.ndarray:
-        """Physical change of each (V, H, W) state of x_batch over its interval:
-        `delta` hours for every state, or delta[i] hours for state i.
+    def predict_change(self, x_batch: np.ndarray, deltas) -> np.ndarray:
+        """Physical change of each (V, H, W) state of x_batch over its interval,
+        deltas[i] hours for state i.
 
         Returns the (B, V, H, W) changes in the order of x_batch. The states
         go through `forward_tokens` sorted stably by interval, in chunks of at
         most MAX_BATCH that may mix intervals; no autodiff graph is kept.
         """
-        order = None
-        if not one_interval(delta):
-            if len(delta) != len(x_batch):
-                raise ValueError(f"{len(delta)} intervals for {len(x_batch)} states")
-            if len(set(delta)) == 1:
-                delta = delta[0]
-            else:
-                order = np.argsort(delta, kind="stable")
-                delta, x_batch = np.asarray(delta)[order], x_batch[order]
+        if len(deltas) != len(x_batch):
+            raise ValueError(f"{len(deltas)} intervals for {len(x_batch)} states")
+        order = np.argsort(deltas, kind="stable")
+        deltas, x_batch = np.asarray(deltas)[order], x_batch[order]
         with dc.no_grad():
-            preds = [self.forward_tokens(x_batch[lo : lo + MAX_BATCH],
-                                         delta if order is None else delta[lo : lo + MAX_BATCH])[0].data
+            preds = [self.forward_tokens(x_batch[lo : lo + MAX_BATCH], deltas[lo : lo + MAX_BATCH])[0].data
                      for lo in range(0, len(x_batch), MAX_BATCH)]
-        change = self.change_from_patches(np.concatenate(preds), delta)
-        return change if order is None else change[np.argsort(order)]
+        return self.change_from_patches(np.concatenate(preds), deltas)[np.argsort(order)]
 
-    def change_from_patches(self, patches: np.ndarray, delta) -> np.ndarray:
-        """(B*L, patch_dim) head output -> the (B, V, H, W) physical changes over
-        `delta` hours, or over delta[i] hours for state i."""
+    def change_from_patches(self, patches: np.ndarray, deltas) -> np.ndarray:
+        """(B*L, patch_dim) head output -> the (B, V, H, W) physical changes,
+        state i's over deltas[i] hours."""
         patches = patches.reshape(-1, self.num_tokens, self.patch_dim)
         delta_norm = np.stack([unpatchify(p, self.spec.shape, self.cfg.patch_size) for p in patches])
-        return self.denormalize_delta(delta_norm, delta)
+        return self.denormalize_delta(delta_norm, deltas)
 
-    def forecast_batch(self, x_batch: np.ndarray, delta) -> np.ndarray:
-        """(B, V, H, W) states -> the (B, V, H, W) states `delta` hours later,
-        or delta[i] hours later for state i."""
-        return x_batch + self.predict_change(x_batch, delta)
+    def forecast_batch(self, x_batch: np.ndarray, deltas) -> np.ndarray:
+        """(B, V, H, W) states -> the (B, V, H, W) states deltas[i] hours later
+        for state i."""
+        return x_batch + self.predict_change(x_batch, deltas)
 
     def predict_rollout(self, x0: GridField, intervals, lead_hours: int | None = None) -> list:
         """Iterate the model along a trajectory, feeding each forecast back in.
@@ -441,7 +429,7 @@ class ForecastModel:
         out = []
         x = x0
         for d in intervals:
-            x = GridField(self.spec, self.forecast_batch(x.values[None], d)[0], x.timestamp_hours + d)
+            x = GridField(self.spec, self.forecast_batch(x.values[None], [d])[0], x.timestamp_hours + d)
             out.append(x)
         return out
 
@@ -513,17 +501,16 @@ class PretrainTrainer:
         batch = sorted(batch, key=lambda item: item[2])
         deltas = [delta for _, _, delta in batch]
         xb = np.stack([x for x, _, _ in batch])
-        targets = np.concatenate(
-            [patchify(model.normalize_delta(d, delta), model.cfg.patch_size) for _, d, delta in batch]
-        )
+        targets = model.normalize_delta(np.stack([d for _, d, _ in batch]), deltas)
+        targets = np.concatenate([patchify(t, model.cfg.patch_size) for t in targets])
         pred, decisions, noises = model.forward_tokens(xb, deltas, collect_noise=True)
         wp = np.tile(model.loss_weight_patches, (B, 1))
         l_delta = weighted_patch_loss(pred, targets, wp, denom=B * V * H * W)
 
         usage, lo = [], 0
-        for delta, count in zip(*model.interval_segments(deltas, B)):
+        for pos, count in zip(*model.interval_segments(deltas)):
             rows = slice(lo * L, (lo + count) * L)
-            usage += [(delta, bi, dec.usage_histogram(model.cfg.moe_num_private, rows))
+            usage += [(model.cfg.intervals[pos], bi, dec.usage_histogram(model.cfg.moe_num_private, rows))
                       for bi, dec in enumerate(decisions)]
             lo += count
 
@@ -572,8 +559,9 @@ def evaluate_one_step_loss(model: ForecastModel, dataset: Dataset, split: str, d
     idxs = rng.integers(starts.start, starts.stop, size=num_samples)
     x0 = np.stack([dataset.fields[int(i)].values for i in idxs])
     x1 = np.stack([dataset.fields[int(i) + k].values for i in idxs])
-    target = model.normalize_delta(x1 - x0, delta)
-    pred = model.normalize_delta(model.predict_change(x0, delta), delta)
+    deltas = [delta] * num_samples
+    target = model.normalize_delta(x1 - x0, deltas)
+    pred = model.normalize_delta(model.predict_change(x0, deltas), deltas)
     model_total = pers_total = 0.0
     for p, t in zip(pred, target):
         model_total += float(np.sum(w_field * (p - t) ** 2))

@@ -112,11 +112,10 @@ class SharedPrivateMoE:
     def params(self) -> dict:
         return self._params
 
-    def forward(self, z: Tensor, deltas, counts=None):
-        """Route (n_tokens, D) through the expert mix, each token by its interval.
+    def forward(self, z: Tensor, index):
+        """Route (n_tokens, D) through the expert mix, each token by its interval:
+        index[i] is the position of token i's interval in `cfg.intervals`.
 
-        deltas is one interval for every token, or the intervals of the
-        consecutive token segments whose row counts `counts` gives.
         Returns (output, gate decision, noise): noise is the (n_tokens,
         intervals x M) Tensor of every configured interval's routing noise,
         M columns per interval in `cfg.intervals` order, that `noise_sums`
@@ -124,7 +123,6 @@ class SharedPrivateMoE:
         """
         cfg = self.cfg
         n, M = z.shape[0], cfg.moe_num_private
-        index = np.repeat(_interval_index(cfg.intervals, deltas), n if counts is None else counts)
         s = dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.gate"]))
         heads = dc.concat([self._params[k] for k in self._noise_keys], axis=1)
         noise = dc.sigmoid(dc.matmul(z, heads))
@@ -167,22 +165,6 @@ class SharedPrivateMoE:
         sums = dc.tensor_sum(noise, axis=0)
         M = self.cfg.moe_num_private
         return {d: dc.slice_axis(sums, 0, i * M, (i + 1) * M) for i, d in enumerate(self.cfg.intervals)}
-
-
-def one_interval(deltas) -> bool:
-    """Whether deltas is one interval (an integer) rather than a sequence of them."""
-    return isinstance(deltas, (int, np.integer))
-
-
-def _interval_index(intervals: tuple, deltas):
-    """Position of each interval of deltas (an int or a sequence) in `intervals`."""
-    try:
-        if one_interval(deltas):
-            return intervals.index(int(deltas))
-        return np.array([intervals.index(int(d)) for d in deltas])
-    except ValueError:
-        unknown = sorted(set(np.ravel(deltas).tolist()) - set(intervals))
-        raise KeyError(f"unknown interval {unknown[0]}h; configured set is {intervals}") from None
 
 
 def noise_distributions(noise_sums: dict) -> dict:

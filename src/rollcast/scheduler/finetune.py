@@ -15,6 +15,7 @@ out of the gradient entirely.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,7 @@ def resolve_omega(model: ForecastModel, dataset: Dataset, seed: int = 0,
     starts = dataset.window_starts("train", delta)
     step = delta // dataset.spec.base_step_hours
     idxs = [int(rng.integers(starts.start, starts.stop)) for _ in range(OMEGA_SAMPLES)]
-    preds = model.forecast_batch(np.stack([dataset.fields[i].values for i in idxs]), delta)
+    preds = model.forecast_batch(np.stack([dataset.fields[i].values for i in idxs]), [delta] * len(idxs))
     lat_weight = lat_weights(dataset.spec)
     vals = [rmse(p, dataset.fields[i + step].values, lat_weight) for p, i in zip(preds, idxs)]
     return -0.05 * float(np.mean(vals))
@@ -96,18 +97,19 @@ def rollout_finetune_loss(env: ForecastEnv, episodes, choose, t_max: int) -> Rol
     model, (V, H, W) = env.model, env.dataset.spec.shape
     walks = [transitions for _, transitions, _ in run_episodes(env, episodes, choose)]
     steps = [tr for walk in walks for tr in walk]
-    order = np.argsort([tr.action for tr in steps], kind="stable")
+    states = np.stack([tr.state.x_hat.values for tr in steps])
+    actions = np.array([tr.action for tr in steps])
+    order = np.argsort(actions, kind="stable")
     with dc.no_grad():
-        tokens = np.concatenate([model.body_tokens(np.stack([steps[i].state.x_hat.values for i in chunk]),
-                                                   [steps[i].action for i in chunk])[0].data
+        tokens = np.concatenate([model.body_tokens(states[chunk], actions[chunk])[0].data
                                  for chunk in np.split(order, range(MAX_BATCH, len(order), MAX_BATCH))])
-    rows = iter(tokens.reshape(len(steps), model.num_tokens, -1)[np.argsort(order)])
+    truths = np.stack([env.dataset.at(tr.next_state.date_time_hours).values for tr in steps])
+    targets = model.normalize_delta(truths - states, actions)
+    rows = iter(zip(tokens.reshape(len(steps), model.num_tokens, -1)[np.argsort(order)], targets))
     grad_total, value_total, per_step = None, 0.0, []
     for walk in walks:
         grad_loss, terms = None, []
-        for t, (tr, z) in enumerate(zip(walk, rows), start=1):
-            truth = env.dataset.at(tr.next_state.date_time_hours)
-            target = model.normalize_delta(truth.values - tr.state.x_hat.values, tr.action)
+        for t, (z, target) in enumerate(itertools.islice(rows, len(walk)), start=1):
             with dc.no_grad() if t > t_max else contextlib.nullcontext():
                 pred = model.apply_head(Tensor(z))
                 term = weighted_patch_loss(pred, patchify(target, model.cfg.patch_size),

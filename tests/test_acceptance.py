@@ -100,7 +100,7 @@ def test_criterion_3_gradient_correctness():
         target = rng.normal(size=(2, model.patch_dim))
 
         def f():
-            pred, _, noises = model.forward_tokens(x, 6, collect_noise=True)
+            pred, _, noises = model.forward_tokens(x, [6], collect_noise=True)
             diff = dc.sub(pred, Tensor(target))
             loss = dc.tensor_mean(dc.mul(diff, diff))
             spread = dc.cross_entropy(
@@ -126,7 +126,7 @@ def test_criterion_4_moe_routing_contract():
     rng = np.random.default_rng(1)
     z = Tensor(rng.normal(size=(10_000, 16)))
     with dc.no_grad():
-        _, decision, _ = moe.forward(z, 12)
+        _, decision, _ = moe.forward(z, np.full(10_000, cfg.intervals.index(12)))
     assert decision.selected.shape == (10_000, 2)
     assert all(len(set(row)) == 2 for row in decision.selected)
     sums = decision.g_prime.sum(axis=1)

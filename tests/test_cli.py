@@ -482,11 +482,22 @@ def test_exit_codes(tmp_path, workdir, capsys):
         "--checkpoint", str(dqn_only), "--out", str(tmp_path / "dqn_only.csv"),
     ]) == 4
     assert f"checkpoint {dqn_only} is of kind 'dqn'" in capsys.readouterr().err
-    # 4: malformed model sidecar, with an unknown config key or truncated JSON
+    # 4: malformed model sidecar, with an unknown config key, truncated JSON,
+    # or a grid with a missing (even a defaulted one), extra or misnamed key
     meta_text = (root / "pre" / "model.ckpt.meta.json").read_text()
-    meta = json.loads(meta_text)
-    meta["model_config"]["nope"] = 1
-    for name, text in (("unknown_key", json.dumps(meta)), ("truncated", meta_text[:40])):
+
+    def edited(edit):
+        meta = json.loads(meta_text)
+        edit(meta)
+        return json.dumps(meta)
+
+    for name, text in (
+        ("unknown_key", edited(lambda m: m["model_config"].update(nope=1))),
+        ("truncated", meta_text[:40]),
+        ("grid_no_step", edited(lambda m: m["grid"].pop("base_step_hours"))),
+        ("grid_extra", edited(lambda m: m["grid"].update(nope=1))),
+        ("grid_misnamed", edited(lambda m: m["grid"].update(lat_pointz=m["grid"].pop("lat_points")))),
+    ):
         bad = tmp_path / f"{name}.ckpt"
         bad.write_bytes((root / "pre" / "model.ckpt").read_bytes())
         (tmp_path / f"{name}.ckpt.meta.json").write_text(text)

@@ -154,7 +154,7 @@ def test_interval_embedding_gradient_hits_exactly_one_row():
         p.data = rng.normal(scale=0.3, size=p.data.shape).astype(p.data.dtype)
     x = rng.normal(size=(2,) + SPEC.shape)
     table = model.interval_embedding.table
-    for deltas, moved in ((12, [1]), ([6, 24], [0, 2])):
+    for deltas, moved in (([12, 12], [1]), ([6, 24], [0, 2])):
         table.zero_grad()
         pred, _, _ = model.forward_tokens(x, deltas)
         dc.backward(dc.tensor_sum(pred))

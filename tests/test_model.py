@@ -56,7 +56,7 @@ def test_zeroed_modulation_makes_block_identity():
     rng = np.random.default_rng(1)
     z = Tensor(rng.normal(size=(8, 8)))
     table = Tensor(rng.normal(size=(3, 8)))  # one embedding row per configured interval
-    out, _, _ = block.forward(z, table, 6, batch=1, length=8)
+    out, _, _ = block.forward(z, table, [0], [8], batch=1, length=8)
     np.testing.assert_array_equal(out.data, z.data)
 
 
@@ -69,8 +69,8 @@ def test_block_is_permutation_equivariant():
     z = rng.normal(size=(8, 8))
     table = Tensor(rng.normal(size=(3, 8)))
     perm = rng.permutation(8)
-    out_a, _, _ = block.forward(Tensor(z), table, 6, 1, 8)
-    out_b, _, _ = block.forward(Tensor(z[perm]), table, 6, 1, 8)
+    out_a, _, _ = block.forward(Tensor(z), table, [0], [8], 1, 8)
+    out_b, _, _ = block.forward(Tensor(z[perm]), table, [0], [8], 1, 8)
     np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-10)
 
 
@@ -207,7 +207,7 @@ def test_forecaster_and_q_network_share_one_attention(monkeypatch):
 
     model = tiny_model(num_blocks=2)
     x = np.random.default_rng(6).normal(size=TINY_SPEC.shape)
-    model.forward_tokens(x[None], 6)
+    model.forward_tokens(x[None], [6])
     assert calls == [("block0.attn", 0), ("block1.attn", 0)]  # self-attention: no query rows
 
     calls.clear()
@@ -224,8 +224,8 @@ def test_zero_head_means_persistence():
     model = tiny_model()
     rng = np.random.default_rng(6)
     x0 = rng.normal(size=(1,) + TINY_SPEC.shape)
-    assert np.all(model.predict_change(x0, 6) == 0.0)
-    np.testing.assert_array_equal(model.forecast_batch(x0, 6), x0)
+    assert np.all(model.predict_change(x0, [6]) == 0.0)
+    np.testing.assert_array_equal(model.forecast_batch(x0, [6]), x0)
 
 
 def test_residual_contract_delta_plus_input():
@@ -233,7 +233,7 @@ def test_residual_contract_delta_plus_input():
     randomize_params(model, 7)
     rng = np.random.default_rng(8)
     x0 = GridField(TINY_SPEC, rng.normal(size=TINY_SPEC.shape), 12)
-    change = model.predict_change(x0.values[None], 12)[0]
+    change = model.predict_change(x0.values[None], [12])[0]
     assert np.any(change != 0.0)
     (x_hat,) = model.predict_rollout(x0, [12])
     np.testing.assert_array_equal(x_hat.values, x0.values + change)
@@ -245,18 +245,19 @@ def test_batched_forecast_matches_single_state_forecasts():
     randomize_params(model, 12)
     xs = np.random.default_rng(13).normal(size=(MAX_BATCH + 3,) + TINY_SPEC.shape)
     for delta in model.cfg.intervals:
-        batched = model.forecast_batch(xs, delta)
+        batched = model.forecast_batch(xs, [delta] * len(xs))
         assert batched.shape == xs.shape
         for x, row in zip(xs, batched):
-            np.testing.assert_allclose(row, model.forecast_batch(x[None], delta)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row, model.forecast_batch(x[None], [delta])[0], rtol=0, atol=1e-12)
         # a batch past MAX_BATCH is its chunks' forecasts, bit for bit
-        chunks = [model.forecast_batch(xs[:MAX_BATCH], delta), model.forecast_batch(xs[MAX_BATCH:], delta)]
+        chunks = [model.forecast_batch(xs[:MAX_BATCH], [delta] * MAX_BATCH),
+                  model.forecast_batch(xs[MAX_BATCH:], [delta] * (len(xs) - MAX_BATCH))]
         np.testing.assert_array_equal(batched, np.concatenate(chunks))
         # a one-step rollout is the B=1 forecast, bit for bit
         (step,) = model.predict_rollout(GridField(TINY_SPEC, xs[0], 0), [delta])
-        np.testing.assert_array_equal(model.forecast_batch(xs[:1], delta)[0], step.values)
-    with pytest.raises(KeyError):
-        model.forecast_batch(xs, 7)
+        np.testing.assert_array_equal(model.forecast_batch(xs[:1], [delta])[0], step.values)
+    with pytest.raises(KeyError, match="unknown interval 7h"):
+        model.forecast_batch(xs, [7] * len(xs))
 
 
 def test_forward_wants_the_states_of_one_interval_adjacent():
@@ -267,19 +268,29 @@ def test_forward_wants_the_states_of_one_interval_adjacent():
         model.forward_tokens(xs, [6, 12, 6])
     with pytest.raises(ValueError, match="2 intervals for 3 states"):
         model.forward_tokens(xs, [6, 12])
+    # one interval does not stand for every state's
+    for call in (model.predict_change, model.normalize_delta, model.denormalize_delta):
+        with pytest.raises(ValueError, match="1 intervals for 3 states"):
+            call(xs, [6])
     with pytest.raises(KeyError, match="7"):
         model.forward_tokens(xs, [6, 7, 7])
     # predict_change sorts states of any order and returns them in the caller's
     mixed = model.predict_change(xs, [6, 12, 6])
-    np.testing.assert_array_equal(mixed[[0, 2]], model.predict_change(xs[[0, 2]], 6))
-    np.testing.assert_array_equal(mixed[1], model.predict_change(xs[1:2], 12)[0])
+    np.testing.assert_array_equal(mixed[[0, 2]], model.predict_change(xs[[0, 2]], [6, 6]))
+    np.testing.assert_array_equal(mixed[1], model.predict_change(xs[1:2], [12])[0])
 
 
 def test_unknown_interval_rejected():
     model = tiny_model()
     x0 = GridField(TINY_SPEC, np.zeros(TINY_SPEC.shape), 0)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown interval 7h"):
         model.predict_rollout(x0, [7])
+    # a mixed batch that holds one unknown interval names it, in the forward,
+    # the forecast and the change scale
+    xs = np.zeros((3,) + TINY_SPEC.shape)
+    for call in (model.forward_tokens, model.predict_change, model.normalize_delta):
+        with pytest.raises(KeyError, match="48"):
+            call(xs, [24, 48, 12])
 
 
 def test_patch_roundtrip_through_model_shapes():
@@ -295,8 +306,8 @@ def test_rollout_composition_matches_manual_chaining():
     rng = np.random.default_rng(11)
     x0 = GridField(TINY_SPEC, rng.normal(size=TINY_SPEC.shape), 0)
     rolled = model.predict_rollout(x0, [6, 6])
-    step1 = x0.values + model.predict_change(x0.values[None], 6)[0]
-    step2 = step1 + model.predict_change(step1[None], 6)[0]
+    step1 = x0.values + model.predict_change(x0.values[None], [6])[0]
+    step2 = step1 + model.predict_change(step1[None], [6])[0]
     np.testing.assert_array_equal(rolled[0].values, step1)
     np.testing.assert_array_equal(rolled[1].values, step2)
 
@@ -333,7 +344,7 @@ def test_micro_model_end_to_end_gradient_check():
     target = rng.normal(size=(2, model.patch_dim))
 
     def f():
-        pred, _, noises = model.forward_tokens(x, 6, collect_noise=True)
+        pred, _, noises = model.forward_tokens(x, [6], collect_noise=True)
         diff = dc.sub(pred, Tensor(target))
         loss = dc.tensor_mean(dc.mul(diff, diff))
         # fold one noise distribution in so the noise heads get nonzero adjoints
@@ -410,7 +421,7 @@ def test_from_dataset_stores_per_interval_change_rms(small_dataset):
 def test_default_change_scale_is_the_state_std():
     model = ForecastModel(tiny_config(), TINY_SPEC, norm_mean=[0.5], norm_std=[2.0])
     np.testing.assert_array_equal(model.delta_scale, np.full((3, 1), 2.0))
-    np.testing.assert_array_equal(model.normalize_delta(np.full(TINY_SPEC.shape, 4.0), 12), 2.0)
+    np.testing.assert_array_equal(model.normalize_delta(np.full((1,) + TINY_SPEC.shape, 4.0), [12]), 2.0)
 
 
 @pytest.mark.usefixtures("float64")
@@ -431,7 +442,7 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
     w_lat = lat_weights(spec)
     total = 0.0
     for x0, dvals, delta in batch:
-        change = model.predict_change(x0[None], delta)[0]
+        change = model.predict_change(x0[None], [delta])[0]
         s = scale[cfg.intervals.index(delta)]
         for v in range(V):
             for i in range(H):
@@ -469,8 +480,8 @@ def test_trained_model_conditions_on_interval(small_dataset):
     for i in range(60):
         trainer.step(i)
     x0 = small_dataset.fields[0].values[None]
-    out6 = model.predict_change(x0, 6)
-    out24 = model.predict_change(x0, 24)
+    out6 = model.predict_change(x0, [6])
+    out24 = model.predict_change(x0, [24])
     assert not np.allclose(out6, out24)
     # and the trained model beats persistence on its train split
     m, p = evaluate_one_step_loss(model, small_dataset, "train", 6, 50, seed=1)
@@ -497,9 +508,9 @@ def test_one_step_summary_matches_the_single_window_formula(small_dataset):
         for idx in idxs:
             x0 = small_dataset.fields[int(idx)]
             x1 = small_dataset.fields[int(idx) + k]
-            target = model.normalize_delta(x1.values - x0.values, delta)
+            target = model.normalize_delta((x1.values - x0.values)[None], [delta])[0]
             with dc.no_grad():
-                pred, _, _ = model.forward_tokens(x0.values[None], delta)
+                pred, _, _ = model.forward_tokens(x0.values[None], [delta])
             pred_field = unpatchify(pred.data, spec.shape, cfg.patch_size)
             model_total += float(np.sum(w_field * (pred_field - target) ** 2))
             pers_total += float(np.sum(w_field * target**2))

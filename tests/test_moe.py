@@ -25,6 +25,11 @@ def make_moe(M=4, k=2, D=16, seed=0, alpha=1.0):
     return cfg, SharedPrivateMoE(cfg, np.random.default_rng(seed))
 
 
+def at(delta, z):
+    """The interval index that routes every token of z by `delta` hours."""
+    return np.full(z.shape[0], INTERVALS.index(delta))
+
+
 # -- routing -------------------------------------------------------------------
 
 
@@ -42,7 +47,7 @@ def test_hand_arithmetic_routing_example():
 def test_single_expert_forces_unit_weight():
     cfg, moe = make_moe(M=1, k=1)
     z = Tensor(np.random.default_rng(1).normal(size=(5, cfg.embed_dim)))
-    out, dec, _ = moe.forward(z, 6)
+    out, dec, _ = moe.forward(z, at(6, z))
     np.testing.assert_array_equal(dec.g_prime, np.ones((5, 1)))
     np.testing.assert_array_equal(dec.selected, np.zeros((5, 1), dtype=np.intp))
     # output = shared(z) + 1.0 * private_0(z)
@@ -61,7 +66,7 @@ def test_zeroed_private_experts_leave_only_shared():
         if ".private." in name:
             p.data[:] = 0.0
     z = Tensor(np.random.default_rng(2).normal(size=(7, cfg.embed_dim)))
-    out, _, _ = moe.forward(z, 12)
+    out, _, _ = moe.forward(z, at(12, z))
     from rollcast.moe import _ffn_forward
 
     shared = _ffn_forward(moe.params(), "moe.shared", z)
@@ -73,7 +78,7 @@ def test_exactly_k_selected_and_weights_sum_to_one():
     cfg, moe = make_moe(M=5, k=3)
     rng = np.random.default_rng(3)
     z = Tensor(rng.normal(size=(200, cfg.embed_dim)))
-    _, dec, _ = moe.forward(z, 24)
+    _, dec, _ = moe.forward(z, at(24, z))
     assert dec.selected.shape == (200, 3)
     for row in dec.selected:
         assert len(set(row)) == 3
@@ -82,20 +87,13 @@ def test_exactly_k_selected_and_weights_sum_to_one():
     assert np.all(dec.b_delta > 0) and np.all(dec.b_delta < 1)
 
 
-def test_unknown_interval_rejected():
-    cfg, moe = make_moe()
-    z = Tensor(np.zeros((2, cfg.embed_dim)))
-    with pytest.raises(KeyError, match="48"):
-        moe.forward(z, 48)
-
-
 def test_routing_is_permutation_equivariant():
     cfg, moe = make_moe()
     rng = np.random.default_rng(4)
     z = rng.normal(size=(30, cfg.embed_dim))
     perm = rng.permutation(30)
-    out_a, dec_a, _ = moe.forward(Tensor(z), 6)
-    out_b, dec_b, _ = moe.forward(Tensor(z[perm]), 6)
+    out_a, dec_a, _ = moe.forward(Tensor(z), at(6, z))
+    out_b, dec_b, _ = moe.forward(Tensor(z[perm]), at(6, z[perm]))
     np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-12)
     np.testing.assert_array_equal(dec_b.selected, dec_a.selected[perm])
 
@@ -108,12 +106,12 @@ def test_layer_gradient_passes_fd_with_stable_routing():
 
     # routing must sit far from ties so finite differences cannot flip it
     with dc.no_grad():
-        _, dec, _ = moe.forward(z, 6)
+        _, dec, _ = moe.forward(z, at(6, z))
     ranked = np.sort(dec.s + dec.b_delta, axis=1)[:, ::-1]
     assert np.min(ranked[:, cfg.moe_top_k - 1] - ranked[:, cfg.moe_top_k]) > 1e-3
 
     def f():
-        out, _, _ = moe.forward(z, 6)
+        out, _, _ = moe.forward(z, at(6, z))
         return dc.tensor_sum(dc.mul(out, cot))
 
     report = dc.check_gradients(f, moe.params(), tol=1e-4)
@@ -155,7 +153,7 @@ def test_dispatch_matches_dense_oracle(M, k):
     rng = np.random.default_rng(12)
     pool = rng.normal(size=(200, cfg.embed_dim))
     with dc.no_grad():
-        _, dec, _ = moe.forward(Tensor(pool), 12)
+        _, dec, _ = moe.forward(Tensor(pool), at(12, pool))
     if k < M:
         # a batch on which expert 0 receives no rows
         rows = np.nonzero(~(dec.selected == 0).any(axis=1))[0][:6]
@@ -163,11 +161,11 @@ def test_dispatch_matches_dense_oracle(M, k):
         rows = np.arange(6)
     z = Tensor(pool[rows], requires_grad=True, name="z")
     cot = Tensor(rng.normal(size=(len(rows), cfg.embed_dim)))
-    _, dec, _ = moe.forward(z, 12)
+    _, dec, _ = moe.forward(z, at(12, z))
     usage = dec.usage_histogram(M)
     assert (usage[0] == 0) if k < M else np.all(usage == len(rows))
 
-    out, grads = _grads(moe, z, cot, lambda m, x, d: m.forward(x, d)[0])
+    out, grads = _grads(moe, z, cot, lambda m, x, d: m.forward(x, at(d, x))[0])
     want_out, want = _grads(moe, z, cot, dense_forward)
     np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
     assert set(grads) == set(want)
@@ -190,7 +188,7 @@ def test_each_private_expert_sees_exactly_its_routed_rows(monkeypatch):
         return original(params, prefix, x)
 
     monkeypatch.setattr(moe_module, "_ffn_forward", recording)
-    _, dec, _ = moe.forward(z, 6)
+    _, dec, _ = moe.forward(z, at(6, z))
     np.testing.assert_array_equal(seen.pop("moe.shared"), z.data)
     for m in range(cfg.moe_num_private):
         routed = np.nonzero((dec.selected == m).any(axis=1))[0]
@@ -290,7 +288,7 @@ def test_training_specializes_per_interval_and_balances_pool():
         opt.zero_grad()
         # one forward over 16 tokens of each interval, each routed by its own
         zs = [mu + rng.normal(size=(16, D)) for _ in cfg.intervals]
-        out, _, noise = moe.forward(Tensor(np.concatenate(zs)), cfg.intervals, counts=[16] * 3)
+        out, _, noise = moe.forward(Tensor(np.concatenate(zs)), np.repeat([0, 1, 2], 16))
         diff = dc.sub(out, Tensor(np.concatenate([z @ targets[d] for z, d in zip(zs, cfg.intervals)])))
         # the sum of the three intervals' mean squared errors
         task = dc.mul_scalar(dc.tensor_sum(dc.mul(diff, diff)), 1.0 / (16 * D))
@@ -304,7 +302,7 @@ def test_training_specializes_per_interval_and_balances_pool():
     for d in cfg.intervals:
         z = Tensor(mu + rng_eval.normal(size=(2000, D)))
         with dc.no_grad():
-            _, dec, _ = moe.forward(z, d)
+            _, dec, _ = moe.forward(z, at(d, z))
         usage[d] = dec.usage_histogram(M) / (2000 * K)
 
     pooled = sum(usage.values()) / len(usage)
@@ -324,7 +322,7 @@ def test_router_telemetry_csv(tmp_path):
         for d in cfg.intervals:
             z = Tensor(rng.normal(size=(20, cfg.embed_dim)))
             with dc.no_grad():
-                _, dec, _ = moe.forward(z, d)
+                _, dec, _ = moe.forward(z, at(d, z))
             rows.append((step, 0, d, dec.usage_histogram(cfg.moe_num_private)))
     path = tmp_path / "router.csv"
     prov = {"config_hash": "abc123", "seed": 7}
@@ -348,7 +346,7 @@ def test_collected_noise_reuses_the_routing_noise(monkeypatch):
         return real_matmul(a, b)
 
     monkeypatch.setattr(dc, "matmul", counted)
-    _, dec, noise = moe.forward(z, 12)
+    _, dec, noise = moe.forward(z, at(12, z))
     sums = moe.noise_sums(noise)
     # the gate, then one matmul for the noise heads of every interval
     M = cfg.moe_num_private
@@ -371,10 +369,11 @@ def test_mixed_interval_routing_matches_one_call_per_interval():
     counts = [5, 9, 3]
     deltas = (24, 6, 12)
     zs = [rng.normal(size=(c, cfg.embed_dim)) for c in counts]
-    out, dec, noise = moe.forward(Tensor(np.concatenate(zs)), deltas, counts)
+    out, dec, noise = moe.forward(Tensor(np.concatenate(zs)),
+                                  np.repeat([INTERVALS.index(d) for d in deltas], counts))
     lo = 0
     for z, d, c in zip(zs, deltas, counts):
-        out_d, dec_d, noise_d = moe.forward(Tensor(z), d)
+        out_d, dec_d, noise_d = moe.forward(Tensor(z), at(d, z))
         rows = slice(lo, lo + c)
         np.testing.assert_array_equal(dec.selected[rows], dec_d.selected)
         np.testing.assert_array_equal(dec.b_delta[rows], dec_d.b_delta)
@@ -383,5 +382,3 @@ def test_mixed_interval_routing_matches_one_call_per_interval():
         np.testing.assert_array_equal(dec.usage_histogram(cfg.moe_num_private, rows),
                                       dec_d.usage_histogram(cfg.moe_num_private))
         lo += c
-    with pytest.raises(KeyError, match="48"):
-        moe.forward(Tensor(np.concatenate(zs)), (24, 48, 12), counts)

@@ -91,11 +91,11 @@ def test_forecast_runs_in_float32(desk_dataset, monkeypatch):
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
     x = np.stack([f.values for f in desk_dataset.fields[:2]])
-    change = model.predict_change(x, 6)
+    change = model.predict_change(x, [6, 6])
     assert len(results) > 100 and set(results) == {F32}
     assert change.dtype == F32
     # states stay float64: the forecast adds the float32 change to the float64 state
-    assert model.forecast_batch(x, 6).dtype == np.float64
+    assert model.forecast_batch(x, [6, 6]).dtype == np.float64
 
 
 def test_td_update_runs_in_float32(desk_dataset, monkeypatch):
@@ -118,10 +118,10 @@ def test_float32_forecasts_are_batch_invariant(desk_dataset):
     model = desk_model(desk_dataset)
     xs = np.stack([f.values for f in desk_dataset.fields[:32]])
     for delta in model.cfg.intervals:
-        batched = model.predict_change(xs, delta)
+        batched = model.predict_change(xs, [delta] * len(xs))
         assert batched.dtype == F32
         for i in range(len(xs)):
-            np.testing.assert_array_equal(batched[i], model.predict_change(xs[i : i + 1], delta)[0])
+            np.testing.assert_array_equal(batched[i], model.predict_change(xs[i : i + 1], [delta])[0])
 
 
 def test_forecast_routing_one_token_to_an_expert_is_batch_invariant(desk_dataset):
@@ -134,15 +134,15 @@ def test_forecast_routing_one_token_to_an_expert_is_batch_invariant(desk_dataset
 
     def one_row_expert(x, delta):
         with dc.no_grad():
-            _, decisions, _ = model.body_tokens(x[None], delta)
+            _, decisions, _ = model.body_tokens(x[None], [delta])
         return any(1 in np.bincount(d.selected.ravel(), minlength=M) for d in decisions)
 
     i, delta = next((i, d) for i in range(len(xs)) for d in model.cfg.intervals if one_row_expert(xs[i], d))
-    single = model.predict_change(xs[i : i + 1], delta)[0]
+    single = model.predict_change(xs[i : i + 1], [delta])[0]
     others = np.delete(xs, i, axis=0)
     for B in (2, 5, 32):
         batch = np.concatenate([xs[i : i + 1], others[: B - 1]])
-        np.testing.assert_array_equal(model.predict_change(batch, delta)[0], single)
+        np.testing.assert_array_equal(model.predict_change(batch, [delta] * B)[0], single)
         mixed = [delta] + [d for d, _ in zip(itertools.cycle(model.cfg.intervals), range(B - 1))]
         np.testing.assert_array_equal(model.predict_change(batch, mixed)[0], single)
 
@@ -156,7 +156,7 @@ def test_mixed_interval_forecasts_equal_single_interval_calls(desk_dataset):
     mixed = model.predict_change(xs, deltas)
     assert mixed.dtype == F32
     for x, delta, row in zip(xs, deltas, mixed):
-        np.testing.assert_array_equal(row, model.predict_change(x[None], int(delta))[0])
+        np.testing.assert_array_equal(row, model.predict_change(x[None], [int(delta)])[0])
 
 
 def test_float32_step_matches_float64_reference(desk_dataset):

@@ -857,13 +857,13 @@ def one_walk_oracle(env, episode, action_fn, t_max):
         action = int(action_fn(state))
         env.actions.check(action, state.remaining_h)
         truth = env.dataset.at(state.date_time_hours + action)
-        target = model.normalize_delta(truth.values - state.x_hat.values, action)
+        target = model.normalize_delta((truth.values - state.x_hat.values)[None], [action])[0]
         with dc.no_grad():
-            z, _, _ = model.body_tokens(state.x_hat.values[None], action)
+            z, _, _ = model.body_tokens(state.x_hat.values[None], [action])
         with dc.no_grad() if len(steps) >= t_max else contextlib.nullcontext():
             pred = model.apply_head(z)
         steps.append((pred, patchify(target, model.cfg.patch_size)))
-        change = model.change_from_patches(pred.data, action)[0]
+        change = model.change_from_patches(pred.data, [action])[0]
         state = state.advance(action, state.x_hat.values + change)
 
     denom = len(steps) * V * H * W
