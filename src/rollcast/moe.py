@@ -123,6 +123,13 @@ class SharedPrivateMoE:
         """
         cfg = self.cfg
         n, M = z.shape[0], cfg.moe_num_private
+        index = np.asarray(index)
+        bad = index[(index < 0) | (index >= len(cfg.intervals))]
+        if bad.size:
+            # a negative position would wrap silently to another interval's noise
+            raise KeyError(
+                f"unknown interval position {int(bad[0])}; configured set is {cfg.intervals}"
+            )
         s = dc.sigmoid(dc.matmul(z, self._params[f"{self.prefix}.gate"]))
         heads = dc.concat([self._params[k] for k in self._noise_keys], axis=1)
         noise = dc.sigmoid(dc.matmul(z, heads))

@@ -87,6 +87,15 @@ def test_exactly_k_selected_and_weights_sum_to_one():
     assert np.all(dec.b_delta > 0) and np.all(dec.b_delta < 1)
 
 
+def test_unknown_interval_rejected():
+    cfg, moe = make_moe()
+    z = Tensor(np.zeros((2, cfg.embed_dim)))
+    # past the table's end, and before its start, where numpy would wrap to 24h
+    for bad in (len(INTERVALS), -1):
+        with pytest.raises(KeyError, match=f"unknown interval position {bad}"):
+            moe.forward(z, np.array([0, bad]))
+
+
 def test_routing_is_permutation_equivariant():
     cfg, moe = make_moe()
     rng = np.random.default_rng(4)
