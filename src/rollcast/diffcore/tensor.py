@@ -12,8 +12,7 @@ Design rules:
     (1, D) row added to every row of its (n, D) input. The modulate and
     gated_add rows are (K, D): row k applies to the k-th of K consecutive
     row segments of the (n, D) input, whose row counts the caller gives.
-    Without counts, K is 1 and the row applies to every row. Their
-    adjoints sum each segment's rows.
+    Their adjoints sum each segment's rows.
   * matmul accepts 2D @ 2D or batched 3D @ 3D (leading batch dim).
   * A recorded graph is confined to one thread; backward visits each node
     exactly once in reverse topological order.
@@ -125,9 +124,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -248,12 +244,12 @@ def _segments(op: str, x: Tensor, rows: Sequence[Tensor], counts):
     """Check (K, D) rows against the (n, D) input x split into segments of
     `counts` rows. Returns (counts, first row of each segment), or None for
     one segment of every row."""
-    k = 1 if counts is None else len(counts)
+    k = len(counts)
     shape = x.data.shape
     for row in rows:
         if len(shape) != 2 or row.data.shape != (k, shape[1]):
             raise ShapeError(f"{op}: expects (n, D) and ({k}, D), got {shape} and {row.shape}")
-    if counts is None or k == 1 and counts[0] == shape[0]:
+    if k == 1 and counts[0] == shape[0]:
         return None
     counts = [int(c) for c in counts]
     if min(counts) < 1 or sum(counts) != shape[0]:
@@ -290,10 +286,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(xd @ wd + b.data, (x, w, b), vjp)
 
 
-def modulate(x: Tensor, scale: Tensor, shift: Tensor, counts=None) -> Tensor:
+def modulate(x: Tensor, scale: Tensor, shift: Tensor, counts) -> Tensor:
     """AdaLN modulation x * (1 + scale) + shift with (K, D) scale and shift
-    rows, row k for the k-th of the segments of `counts` rows (one segment
-    of every row without counts)."""
+    rows, row k for the k-th of the segments of `counts` rows."""
     seg = _segments("modulate", x, (scale, shift), counts)
     xd, factor = x.data, scale.data + 1.0
 
@@ -303,7 +298,7 @@ def modulate(x: Tensor, scale: Tensor, shift: Tensor, counts=None) -> Tensor:
     return Tensor._result(xd * _spread(factor, seg) + _spread(shift.data, seg), (x, scale, shift), vjp)
 
 
-def gated_add(z: Tensor, gate: Tensor, y: Tensor, counts=None) -> Tensor:
+def gated_add(z: Tensor, gate: Tensor, y: Tensor, counts) -> Tensor:
     """Gated residual z + gate * y with (K, D) gate rows over the segments of
     `counts` rows, as in `modulate`."""
     _check_same_shape("gated_add", z, y)

@@ -446,9 +446,10 @@ def write_grid_file(path, dataset: Dataset, provenance: dict | None = None):
         json.dump(manifest, fh, indent=2)
 
 
-def _read_manifest(path, num_steps: int) -> dict:
+def _read_manifest(path, num_steps: int, num_vars: int) -> dict:
     """The grid file's JSON sidecar manifest, {} when absent; its splits must lie
-    within the file's frames."""
+    within the file's frames, and its variables, when given, name each of the
+    file's variables."""
     manifest_path = Path(str(path) + ".json")
     if not manifest_path.exists():
         return {}
@@ -460,6 +461,10 @@ def _read_manifest(path, num_steps: int) -> dict:
             if not 0 <= lo <= hi <= num_steps:
                 raise ValueError(f"split {k} [{lo}, {hi}) outside the file's {num_steps} frames")
         manifest["splits"] = splits
+        names = manifest.get("variables")
+        if names is not None and not (isinstance(names, list) and len(names) == num_vars
+                                      and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"variables must be null or a list of {num_vars} names, got {names!r}")
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise GridFileError(f"malformed manifest {manifest_path}: {exc}") from exc
     return manifest
@@ -505,7 +510,7 @@ def read_grid_file(path) -> Dataset:
     if len(blob) > need:
         raise bad(f"{len(blob) - need} trailing bytes at offset {need}")
 
-    manifest = _read_manifest(path, num_steps)
+    manifest = _read_manifest(path, num_steps, V)
     start_hours = manifest.get("start_hours", 0)
     values = np.frombuffer(blob, dtype="<f4", count=num_steps * V * H * W, offset=off).astype(np.float64)
     values = values.reshape(num_steps, V, H, W)

@@ -30,13 +30,7 @@ from .diffcore import Tensor
 from .encoding import IntervalEmbedding, patchify, ring_pe_2d, unpatchify
 from .gridio import Dataset, GridField, GridSpec
 from .metrics import lat_weights
-from .moe import (
-    SharedPrivateMoE,
-    aux_loss_1,
-    aux_loss_2,
-    combined_aux,
-    noise_distributions,
-)
+from .moe import SharedPrivateMoE, routing_losses
 
 
 class DivergenceError(ArithmeticError):
@@ -212,9 +206,8 @@ class ArchBlock:
         mods = dc.embedding_lookup(mods, positions)
         return [dc.slice_axis(mods, 1, i * D, (i + 1) * D) for i in range(6)]
 
-    def forward(self, z: Tensor, table: Tensor, positions, counts, batch: int, length: int,
-                collect_noise: bool = False):
-        """(batch*length, D) tokens -> same shape.
+    def forward(self, z: Tensor, table: Tensor, positions, counts, batch: int, length: int):
+        """(batch*length, D) tokens -> (same shape, gate decision, routing noise).
 
         table is the (configured intervals, D) interval embedding. The tokens
         form K consecutive segments of counts[k] rows, and segment k takes the
@@ -229,7 +222,7 @@ class ArchBlock:
         moe_out, decision, noise = self.moe.forward(h2, np.repeat(positions, counts))
         z = dc.gated_add(z, gate2, moe_out, counts)
 
-        return z, decision, self.moe.noise_sums(noise) if collect_noise else None
+        return z, decision, noise
 
 
 class ForecastModel:
@@ -353,13 +346,14 @@ class ForecastModel:
             raise ValueError(f"states of one interval must be adjacent, got intervals {list(deltas)}")
         return positions, [n for _, n in runs]
 
-    def body_tokens(self, x_batch: np.ndarray, deltas, collect_noise: bool = False):
+    def body_tokens(self, x_batch: np.ndarray, deltas):
         """Run tokenizer + positional + conditioned blocks; stop before the head.
 
         x_batch: (B, V, H, W) raw states. deltas: one interval per state, with
         the states of one interval adjacent (see `interval_segments`).
         Returns ((B*L, D) token Tensor, per-block gate decisions, per-block
-        noise sums).
+        routing noise: each block's (B*L, intervals x M) noise matrix, which
+        `routing_losses` reads).
         """
         B = x_batch.shape[0]
         L = self.num_tokens
@@ -373,7 +367,7 @@ class ForecastModel:
         table = self.interval_embedding.table
         decisions, noises = [], []
         for block in self.blocks:
-            z, dec, noise = block.forward(z, table, positions, token_counts, B, L, collect_noise)
+            z, dec, noise = block.forward(z, table, positions, token_counts, B, L)
             decisions.append(dec)
             noises.append(noise)
         return z, decisions, noises
@@ -381,10 +375,10 @@ class ForecastModel:
     def apply_head(self, tokens: Tensor) -> Tensor:
         return _linear(self._params, "head", tokens)
 
-    def forward_tokens(self, x_batch: np.ndarray, deltas, collect_noise: bool = False):
+    def forward_tokens(self, x_batch: np.ndarray, deltas):
         """Predict normalized change patches for a batch, one interval per state
         (as in `body_tokens`)."""
-        z, decisions, noises = self.body_tokens(x_batch, deltas, collect_noise=collect_noise)
+        z, decisions, noises = self.body_tokens(x_batch, deltas)
         return self.apply_head(z), decisions, noises
 
     def predict_change(self, x_batch: np.ndarray, deltas) -> np.ndarray:
@@ -489,7 +483,8 @@ class PretrainTrainer:
         return out
 
     def loss_on_batch(self, batch):
-        """(total, l_delta, aux1, aux2, usage) for a list of (x0, delta_target, interval).
+        """(total, l_delta, aux1, aux2, usage) for a list of (x0, delta_target, interval):
+        total is l_delta plus the `routing_losses` objective.
 
         The batch runs as one forward, its samples sorted stably by interval.
         usage holds the routing of that forward: one (interval, block, expert
@@ -503,7 +498,7 @@ class PretrainTrainer:
         xb = np.stack([x for x, _, _ in batch])
         targets = model.normalize_delta(np.stack([d for _, d, _ in batch]), deltas)
         targets = np.concatenate([patchify(t, model.cfg.patch_size) for t in targets])
-        pred, decisions, noises = model.forward_tokens(xb, deltas, collect_noise=True)
+        pred, decisions, noises = model.forward_tokens(xb, deltas)
         wp = np.tile(model.loss_weight_patches, (B, 1))
         l_delta = weighted_patch_loss(pred, targets, wp, denom=B * V * H * W)
 
@@ -514,17 +509,8 @@ class PretrainTrainer:
                       for bi, dec in enumerate(decisions)]
             lo += count
 
-        aux1 = aux2 = None
-        for noise in noises:
-            dists = noise_distributions(noise)
-            a1 = aux_loss_1(dists)
-            a2 = aux_loss_2(dists)
-            aux1 = a1 if aux1 is None else dc.add(aux1, a1)
-            aux2 = a2 if aux2 is None else dc.add(aux2, a2)
-        n_blocks = len(model.blocks)
-        aux1 = dc.mul_scalar(aux1, 1.0 / n_blocks)
-        aux2 = dc.mul_scalar(aux2, 1.0 / n_blocks)
-        total = dc.add(l_delta, combined_aux(aux1, aux2, model.cfg.moe_alpha))
+        objective, aux1, aux2 = routing_losses(noises, model.cfg)
+        total = dc.add(l_delta, objective)
         return total, l_delta, aux1, aux2, usage
 
     def step(self, step_idx: int) -> dict:

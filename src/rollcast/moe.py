@@ -13,8 +13,9 @@ does not run.
 
 Two auxiliary losses shape the noise heads: the first pushes the per-interval
 noise distributions apart (interval specialization, maximized), the second
-pulls the pooled distribution toward uniform (load balance, minimized). The
-combined auxiliary objective is -aux1 + alpha * aux2.
+pulls the pooled distribution toward uniform (load balance, minimized).
+`routing_losses` is the one place the routing objective -aux1 + alpha * aux2
+is formed, from the raw noise every block's forward returns.
 
 Gradients flow through the softmax over selected gate values only; the
 discrete top-k selection itself is not differentiated.
@@ -118,8 +119,8 @@ class SharedPrivateMoE:
 
         Returns (output, gate decision, noise): noise is the (n_tokens,
         intervals x M) Tensor of every configured interval's routing noise,
-        M columns per interval in `cfg.intervals` order, that `noise_sums`
-        reads.
+        M columns per interval in `cfg.intervals` order, that
+        `routing_losses` reads.
         """
         cfg = self.cfg
         n, M = z.shape[0], cfg.moe_num_private
@@ -162,22 +163,6 @@ class SharedPrivateMoE:
         )
         return out, decision, noise
 
-    def noise_sums(self, noise: Tensor) -> dict:
-        """Per-interval noise vectors summed over tokens: {delta: (M,) Tensor}.
-
-        noise is the matrix `forward` returns. These feed the auxiliary
-        losses; every configured interval's noise covers every token, so the
-        losses are defined whichever intervals routed the batch.
-        """
-        sums = dc.tensor_sum(noise, axis=0)
-        M = self.cfg.moe_num_private
-        return {d: dc.slice_axis(sums, 0, i * M, (i + 1) * M) for i, d in enumerate(self.cfg.intervals)}
-
-
-def noise_distributions(noise_sums: dict) -> dict:
-    """Softmax each summed noise vector into a distribution over experts."""
-    return {d: dc.softmax(t, axis=-1) for d, t in noise_sums.items()}
-
 
 def aux_loss_1(noise_dists: dict) -> Tensor:
     """Sum of pairwise cross-entropies H(P_i, P_j) over interval pairs i < j.
@@ -215,6 +200,26 @@ def aux_loss_2(noise_dists: dict) -> Tensor:
     return dc.cross_entropy(uniform, pooled)
 
 
-def combined_aux(aux1: Tensor, aux2: Tensor, alpha: float) -> Tensor:
-    """Total auxiliary objective: -aux1 + alpha * aux2 (to be minimized)."""
-    return dc.add(dc.neg(aux1), dc.mul_scalar(aux2, alpha))
+def routing_losses(noises, cfg: ModelConfig):
+    """(objective, aux1, aux2) of the noise matrices of the blocks of one forward.
+
+    Each block's noise (the matrix `SharedPrivateMoE.forward` returns) is
+    summed over its tokens, and each interval's M columns of that sum are
+    softmaxed into a distribution over experts. Every configured interval's
+    noise covers every token, so the losses are defined whichever intervals
+    routed the batch. aux1 and aux2 are `aux_loss_1` and `aux_loss_2` of those
+    distributions, averaged over blocks; the objective, to be minimized, is
+    -aux1 + moe_alpha * aux2.
+    """
+    M = cfg.moe_num_private
+    aux1 = aux2 = None
+    for noise in noises:
+        sums = dc.tensor_sum(noise, axis=0)
+        dists = {d: dc.softmax(dc.slice_axis(sums, 0, i * M, (i + 1) * M), axis=-1)
+                 for i, d in enumerate(cfg.intervals)}
+        a1, a2 = aux_loss_1(dists), aux_loss_2(dists)
+        aux1 = a1 if aux1 is None else dc.add(aux1, a1)
+        aux2 = a2 if aux2 is None else dc.add(aux2, a2)
+    aux1 = dc.mul_scalar(aux1, 1.0 / len(noises))
+    aux2 = dc.mul_scalar(aux2, 1.0 / len(noises))
+    return dc.add(dc.neg(aux1), dc.mul_scalar(aux2, cfg.moe_alpha)), aux1, aux2

@@ -377,7 +377,8 @@ def test_exit_codes(tmp_path, workdir, capsys):
         "--out-dir", str(tmp_path / "out2"),
     ])
     # 4: malformed grid files: trailing bytes, a manifest that is not JSON,
-    # a header with no variables, a non-finite frame value
+    # a header with no variables, a non-finite frame value, manifest variable
+    # names of the wrong count or not strings
     grid = (root / "data.grid").read_bytes()
     manifest = (root / "data.grid.json").read_text()
     header = struct.calcsize("<4sHHHHII")
@@ -390,6 +391,9 @@ def test_exit_codes(tmp_path, workdir, capsys):
         ("bad_manifest", grid, "{bad"),
         ("no_vars", bytes(no_vars), manifest),
         ("nan_frame", bytes(nan_frame), manifest),
+        ("short_names", grid, json.dumps({**json.loads(manifest), "variables": ["only_one"]})),
+        ("int_names", grid, json.dumps({**json.loads(manifest), "variables": 5})),
+        ("mixed_names", grid, json.dumps({**json.loads(manifest), "variables": ["a", 7]})),
     ):
         (tmp_path / f"{name}.grid").write_bytes(blob)
         (tmp_path / f"{name}.grid.json").write_text(text)

@@ -63,9 +63,9 @@ def test_fused_ops_match_their_unfused_graphs():
     lin = dc.add(dc.matmul(x, w), dc.broadcast_to(b, (5, 4)))
     np.testing.assert_array_equal(dc.linear(x, w, b).data, lin.data)
     mod = dc.add(dc.mul(y, dc.broadcast_to(dc.add_scalar(r1, 1.0), (5, 4))), dc.broadcast_to(r2, (5, 4)))
-    np.testing.assert_array_equal(dc.modulate(y, r1, r2).data, mod.data)
+    np.testing.assert_array_equal(dc.modulate(y, r1, r2, [5]).data, mod.data)
     gated = dc.add(lin, dc.mul(dc.broadcast_to(r1, (5, 4)), y))
-    np.testing.assert_array_equal(dc.gated_add(lin, r1, y).data, gated.data)
+    np.testing.assert_array_equal(dc.gated_add(lin, r1, y, [5]).data, gated.data)
     a = rng.normal(size=(2, 3, 4, 5))
     np.testing.assert_array_equal(dc.permute(Tensor(a), (0, 2, 3, 1)).data, a.transpose(0, 2, 3, 1))
     src = rng.normal(size=(4, 2))
@@ -112,11 +112,10 @@ def _run_segment_op(op, tokens, rows, counts, cot) -> list:
 
 @pytest.mark.parametrize("name", sorted(SEGMENT_OPS))
 def test_segment_rows_equal_the_one_row_form_on_each_segment(name):
-    """Each segment of the counts form is the form without counts applied to
-    that segment alone: its output and token adjoints bit for bit, its row
-    adjoints to float32 rounding (one reduceat sums in another order than
-    one reduce per segment). One segment of every row is the form without
-    counts."""
+    """Each segment of the counts form is the one-segment form, counts [n],
+    applied to that segment alone: its output and token adjoints bit for bit,
+    its row adjoints to float32 rounding (one reduceat sums in another order
+    than one reduce per segment)."""
     n_tokens, n_rows, op = SEGMENT_OPS[name]
     rng = np.random.default_rng(22)
     tokens = [rng.normal(size=(10, 4)).astype(np.float32) for _ in range(n_tokens)]
@@ -126,15 +125,12 @@ def test_segment_rows_equal_the_one_row_form_on_each_segment(name):
     lo = 0
     for k, n in enumerate(SEGMENTS):
         seg = slice(lo, lo + n)
-        alone = _run_segment_op(op, [t[seg] for t in tokens], [r[k : k + 1] for r in rows], None, cot[seg])
+        alone = _run_segment_op(op, [t[seg] for t in tokens], [r[k : k + 1] for r in rows], [n], cot[seg])
         for got, want in zip([whole[0][seg]] + [g[seg] for g in whole[1 : 1 + n_tokens]], alone):
             assert got.tobytes() == want.tobytes(), (k, n)
         for got, want in zip([g[k : k + 1] for g in whole[1 + n_tokens :]], alone[1 + n_tokens :]):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
         lo += n
-    one = [r[:1] for r in rows]
-    for got, want in zip(_run_segment_op(op, tokens, one, [10], cot), _run_segment_op(op, tokens, one, None, cot)):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_sigmoid_adjoint_flushes_subnormals_to_zero():
@@ -174,15 +170,15 @@ def test_new_ops_enforce_their_shape_contracts():
     with pytest.raises(dc.ShapeError, match="linear"):
         dc.linear(z(2, 3, 4), z(4, 2), z(1, 2))
     with pytest.raises(dc.ShapeError, match="modulate"):
-        dc.modulate(z(3, 4), z(3, 4), z(1, 4))
+        dc.modulate(z(3, 4), z(3, 4), z(1, 4), [3])
     with pytest.raises(dc.ShapeError, match="modulate"):
-        dc.modulate(z(3, 4), z(1, 4), z(1, 5))
+        dc.modulate(z(3, 4), z(1, 4), z(1, 5), [3])
     with pytest.raises(dc.ShapeError, match="gated_add"):
-        dc.gated_add(z(3, 4), z(1, 4), z(3, 5))
+        dc.gated_add(z(3, 4), z(1, 4), z(3, 5), [3])
     with pytest.raises(dc.ShapeError, match="gated_add"):
-        dc.gated_add(z(3, 4), z(4,), z(3, 4))
+        dc.gated_add(z(3, 4), z(4,), z(3, 4), [3])
     with pytest.raises(dc.ShapeError, match="modulate"):
-        dc.modulate(z(10, 4), z(3, 4), z(3, 4))  # three rows need three segment counts
+        dc.modulate(z(10, 4), z(3, 4), z(3, 4), [10])  # three rows need three segment counts
     with pytest.raises(dc.ShapeError, match="modulate"):
         dc.modulate(z(10, 4), z(3, 4), z(3, 4), [2, 5, 4])  # counts must cover the rows
     with pytest.raises(dc.ShapeError, match="gated_add"):
@@ -308,11 +304,11 @@ def _primitive_cases(rng):
         ),
         "modulate": (
             {"a": a, "row": row, "row_b": row_b},
-            lambda: dc.tensor_sum(dc.mul(dc.modulate(a, row, row_b), w34)),
+            lambda: dc.tensor_sum(dc.mul(dc.modulate(a, row, row_b, [3]), w34)),
         ),
         "gated_add": (
             {"a": a, "row": row, "b": b},
-            lambda: dc.tensor_sum(dc.mul(dc.gated_add(a, row, b), w34)),
+            lambda: dc.tensor_sum(dc.mul(dc.gated_add(a, row, b, [3]), w34)),
         ),
         "permute": ({"x": bm1}, lambda: dc.tensor_sum(dc.mul(dc.permute(bm1, (2, 0, 1)), w423))),
         "scatter_add_rows": (

@@ -207,6 +207,25 @@ def test_grid_file_roundtrip_is_identity(tmp_path):
         np.testing.assert_array_equal(fa.values, fb.values)
 
 
+def test_manifest_variables_name_each_variable_or_fall_back(tmp_path):
+    ds = generate_synthetic(SMALL_SPEC, 5, seed=0)
+    path = tmp_path / "data.grid"
+    write_grid_file(path, ds)
+    manifest = json.loads((tmp_path / "data.grid.json").read_text())
+    assert read_grid_file(path).variable_names == manifest["variables"]
+    for names in (None, "absent"):
+        edited = {k: v for k, v in manifest.items() if k != "variables"}
+        if names != "absent":
+            edited["variables"] = names
+        (tmp_path / "data.grid.json").write_text(json.dumps(edited))
+        assert read_grid_file(path).variable_names == ["var0", "var1"]
+    # test_cli.py::test_exit_codes runs ["only_one"], 5 and ["a", 7] through the CLI
+    for names in (["a", "b", "c"], [], "ab"):
+        (tmp_path / "data.grid.json").write_text(json.dumps({**manifest, "variables": names}))
+        with pytest.raises(GridFileError, match=r"data\.grid\.json.*2 names"):
+            read_grid_file(path)
+
+
 def test_grid_file_wrong_magic_reports_offset_zero(tmp_path):
     ds = generate_synthetic(SMALL_SPEC, 5, seed=0)
     path = tmp_path / "data.grid"

@@ -344,11 +344,13 @@ def test_micro_model_end_to_end_gradient_check():
     target = rng.normal(size=(2, model.patch_dim))
 
     def f():
-        pred, _, noises = model.forward_tokens(x, [6], collect_noise=True)
+        pred, _, noises = model.forward_tokens(x, [6])
         diff = dc.sub(pred, Tensor(target))
         loss = dc.tensor_mean(dc.mul(diff, diff))
         # fold one noise distribution in so the noise heads get nonzero adjoints
-        noise_term = dc.cross_entropy(dc.softmax(noises[0][6], axis=-1), dc.softmax(noises[0][12], axis=-1))
+        sums, M = dc.tensor_sum(noises[0], axis=0), cfg.moe_num_private
+        noise_term = dc.cross_entropy(dc.softmax(dc.slice_axis(sums, 0, 0, M), axis=-1),
+                                      dc.softmax(dc.slice_axis(sums, 0, M, 2 * M), axis=-1))
         return dc.add(loss, dc.mul_scalar(noise_term, 0.1))
 
     params = model.trainable_params()
@@ -452,6 +454,47 @@ def test_pretrain_loss_matches_triple_loop_oracle(small_dataset):
                     total += w_lat[i] * (pred_norm - target_norm) ** 2
     expected = total / (len(batch) * V * H * W)
     np.testing.assert_allclose(float(l_delta.data), expected, rtol=1e-9)
+
+
+def routing_oracle(noise, num_intervals, M):
+    """(aux1, aux2) of one block's (tokens, intervals x M) noise matrix: the
+    softmax of each interval's column sums, then the pairwise and the pooled
+    cross-entropy."""
+    sums = noise.sum(axis=0)
+    dists = []
+    for i in range(num_intervals):
+        e = np.exp(sums[i * M : (i + 1) * M])
+        dists.append(e / e.sum())
+
+    def ce(p, q):
+        return -np.sum(p * np.log(np.maximum(q, dc.CE_EPS)))
+
+    aux1 = sum(ce(dists[i], dists[j]) for i in range(num_intervals) for j in range(i + 1, num_intervals))
+    pooled = np.exp(sum(dists))
+    return aux1, ce(np.full(M, 1.0 / M), pooled / pooled.sum())
+
+
+@pytest.mark.usefixtures("float64")
+def test_pretrain_total_adds_the_block_mean_routing_objective(small_dataset):
+    cfg = ModelConfig(embed_dim=8, num_blocks=2, num_heads=2, patch_size=4,
+                      moe_num_private=3, moe_top_k=1, moe_alpha=0.3)
+    model = ForecastModel.from_dataset(cfg, small_dataset, seed=18)
+    randomize_params(model, 18)
+    trainer = PretrainTrainer(model, small_dataset, PretrainConfig(batch_size=4, seed=18))
+    batch = trainer.sample_batch(0)
+    total, l_delta, aux1, aux2, _ = trainer.loss_on_batch(batch)
+
+    # each block's noise, from a forward over the batch in the interval order loss_on_batch runs
+    ordered = sorted(batch, key=lambda item: item[2])
+    _, _, noises = model.forward_tokens(np.stack([x for x, _, _ in ordered]), [d for _, _, d in ordered])
+    per_block = np.array([routing_oracle(n.data, len(cfg.intervals), cfg.moe_num_private) for n in noises])
+    assert per_block.shape == (2, 2)
+    assert np.all(np.abs(per_block[0] - per_block[1]) > 1e-3)  # the blocks' losses differ
+    assert np.all(per_block[:, 0] < 3 * np.log(1 / dc.CE_EPS) - 1)  # aux1 off its floor
+    want1, want2 = per_block.mean(axis=0)
+    np.testing.assert_allclose(float(aux1.data), want1, rtol=1e-12)
+    np.testing.assert_allclose(float(aux2.data), want2, rtol=1e-12)
+    np.testing.assert_allclose(float(total.data), float(l_delta.data) - want1 + 0.3 * want2, rtol=1e-12)
 
 
 def test_pretrain_steps_reduce_loss_and_stay_deterministic(small_dataset):

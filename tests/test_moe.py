@@ -8,14 +8,7 @@ from rollcast.cli import write_router_telemetry
 from rollcast.config import read_csv
 from rollcast.diffcore import Tensor
 from rollcast.model import ModelConfig
-from rollcast.moe import (
-    SharedPrivateMoE,
-    aux_loss_1,
-    aux_loss_2,
-    combined_aux,
-    gate_decision,
-    noise_distributions,
-)
+from rollcast.moe import SharedPrivateMoE, aux_loss_1, aux_loss_2, gate_decision, routing_losses
 
 INTERVALS = (6, 12, 24)
 
@@ -270,15 +263,28 @@ def test_aux2_strictly_above_ln_m_off_balance():
 
 
 @pytest.mark.usefixtures("float64")
-def test_combined_aux_arithmetic():
-    a1, a2 = Tensor(1.3), Tensor(0.4)
-    assert float(combined_aux(a1, a2, 0.0).data) == pytest.approx(-1.3)
-    assert float(combined_aux(Tensor(0.0), Tensor(0.0), 2.0).data) == 0.0
+def test_routing_objective_arithmetic():
+    """routing_losses softmaxes each interval's column sums of each block's
+    noise, averages aux_loss_1 and aux_loss_2 of them over the blocks, and
+    returns -aux1 + alpha * aux2."""
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        x, y, al = rng.normal(), rng.normal(), rng.uniform(0, 2)
-        got = float(combined_aux(Tensor(x), Tensor(y), al).data)
-        np.testing.assert_allclose(got, -x + al * y, rtol=1e-12)
+    M = 4
+    for alpha in (0.0, 0.7, 2.0):
+        cfg = ModelConfig(embed_dim=8, intervals=INTERVALS, moe_num_private=M, moe_alpha=alpha)
+        noises = [Tensor(rng.uniform(size=(5, len(INTERVALS) * M))) for _ in range(2)]
+        objective, aux1, aux2 = routing_losses(noises, cfg)
+        per_block = []
+        for noise in noises:
+            sums = noise.data.sum(axis=0)
+            dists = {}
+            for i, d in enumerate(INTERVALS):
+                e = np.exp(sums[i * M : (i + 1) * M])
+                dists[d] = Tensor(e / e.sum())
+            per_block.append([float(aux_loss_1(dists).data), float(aux_loss_2(dists).data)])
+        want1, want2 = np.mean(per_block, axis=0)
+        np.testing.assert_allclose(float(aux1.data), want1, rtol=1e-12)
+        np.testing.assert_allclose(float(aux2.data), want2, rtol=1e-12)
+        np.testing.assert_allclose(float(objective.data), -want1 + alpha * want2, rtol=1e-12)
 
 
 # -- specialization and balance after training -------------------------------------
@@ -301,8 +307,7 @@ def test_training_specializes_per_interval_and_balances_pool():
         diff = dc.sub(out, Tensor(np.concatenate([z @ targets[d] for z, d in zip(zs, cfg.intervals)])))
         # the sum of the three intervals' mean squared errors
         task = dc.mul_scalar(dc.tensor_sum(dc.mul(diff, diff)), 1.0 / (16 * D))
-        dists = noise_distributions(moe.noise_sums(noise))
-        loss = dc.add(task, combined_aux(aux_loss_1(dists), aux_loss_2(dists), cfg.moe_alpha))
+        loss = dc.add(task, routing_losses([noise], cfg)[0])
         dc.backward(loss)
         opt.step()
 
@@ -356,16 +361,13 @@ def test_collected_noise_reuses_the_routing_noise(monkeypatch):
 
     monkeypatch.setattr(dc, "matmul", counted)
     _, dec, noise = moe.forward(z, at(12, z))
-    sums = moe.noise_sums(noise)
     # the gate, then one matmul for the noise heads of every interval
     M = cfg.moe_num_private
     assert shapes == [(cfg.embed_dim, M), (cfg.embed_dim, len(cfg.intervals) * M)]
     monkeypatch.undo()
-    assert list(sums) == list(cfg.intervals)
     for i, d in enumerate(cfg.intervals):
         head = dc.sigmoid(dc.matmul(z, moe.params()[f"moe.noise.{d}"])).data
         np.testing.assert_allclose(noise.data[:, i * M : (i + 1) * M], head, rtol=0, atol=1e-6)
-        np.testing.assert_array_equal(sums[d].data, noise.data.sum(axis=0)[i * M : (i + 1) * M])
     # routing reads the columns of its own interval from the same matrix
     np.testing.assert_array_equal(dec.b_delta, noise.data[:, M : 2 * M])
 

@@ -131,9 +131,9 @@ def _count_forecast_rows(monkeypatch, model):
     sizes = []
     real = model.forward_tokens
 
-    def counted(x_batch, delta, collect_noise=False):
+    def counted(x_batch, delta):
         sizes.append(len(x_batch))
-        return real(x_batch, delta, collect_noise=collect_noise)
+        return real(x_batch, delta)
 
     monkeypatch.setattr(model, "forward_tokens", counted)
     return sizes
