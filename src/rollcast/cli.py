@@ -150,12 +150,7 @@ def load_dqn_checkpoint(path, model: ForecastModel) -> DQN:
     """
     arrays = load_checkpoint(path)
     dqn_cfg, fingerprint = _read_sidecar(path, "dqn", lambda meta: (
-        _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"), meta.get("forecaster_fingerprint")))
-    if fingerprint is None:
-        raise CheckpointError(
-            f"DQN checkpoint {path} records no forecaster fingerprint: it predates them; "
-            "fine-tune again to write one"
-        )
+        _from_dict(DQNConfig, meta["dqn_config"], "dqn_config"), meta["forecaster_fingerprint"]))
     dqn = DQN(model, dqn_cfg)
     if dqn.q_main.weather.fingerprint() != fingerprint:
         raise CheckpointError(

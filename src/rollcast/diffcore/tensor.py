@@ -13,7 +13,8 @@ Design rules:
     gated_add rows are (K, D): row k applies to the k-th of K consecutive
     row segments of the (n, D) input, whose row counts the caller gives.
     Their adjoints sum each segment's rows.
-  * matmul accepts 2D @ 2D or batched 3D @ 3D (leading batch dim).
+  * matmul accepts (..., m, k) @ (..., k, n) whose leading dims are equal,
+    of any rank; it broadcasts none of them.
   * A recorded graph is confined to one thread; backward visits each node
     exactly once in reverse topological order.
 """
@@ -315,14 +316,8 @@ def gated_add(z: Tensor, gate: Tensor, y: Tensor, counts) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ {a.shape} @ {b.shape}")
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: batched shapes differ {a.shape} @ {b.shape}")
-    else:
-        raise ShapeError(f"matmul: expects 2D@2D or 3D@3D, got {a.shape} @ {b.shape}")
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
+        raise ShapeError(f"matmul: expects (..., m, k) @ (..., k, n), got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
 
     def vjp(g):

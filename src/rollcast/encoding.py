@@ -1,4 +1,7 @@
-"""Tokenization and positional/conditioning embeddings.
+"""Tokenization, positional tables and the scheduler's temporal embedding.
+
+`TemporalEmbedding` is the one learned conditioning embedding here; the
+forecaster's interval embedding is a parameter table of `ForecastModel`.
 
 The ring positional table makes dot-product similarity along the longitude
 axis a function of circular distance only (longitude wraps around the
@@ -88,34 +91,7 @@ def similarity_matrix(table: np.ndarray) -> np.ndarray:
     return table @ table.T
 
 
-# -- learned conditioning embeddings ---------------------------------------------------
-
-
-class IntervalEmbedding:
-    """Table of learned vectors, one row per forecast interval in `intervals`
-    order; the forecaster's blocks read the whole table (`ArchBlock`)."""
-
-    def __init__(self, intervals, embed_dim: int, rng: np.random.Generator):
-        self.intervals = tuple(int(d) for d in intervals)
-        self.embed_dim = embed_dim
-        self.table = Tensor(
-            rng.normal(scale=0.5, size=(len(self.intervals), embed_dim)),
-            requires_grad=True,
-            name="interval_embedding.table",
-        )
-
-    def index_of(self, delta_hours: int) -> int:
-        """The table row of an interval: the forecaster's one map from hours to
-        position. Raises KeyError naming an interval the table lacks."""
-        try:
-            return self.intervals.index(int(delta_hours))
-        except ValueError:
-            raise KeyError(
-                f"unknown interval {delta_hours}h; configured set is {self.intervals}"
-            ) from None
-
-    def params(self) -> dict:
-        return {"interval_embedding.table": self.table}
+# -- learned conditioning embedding ----------------------------------------------------
 
 
 class TemporalEmbedding:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .encoding import IntervalEmbedding, patchify, ring_pe_2d, unpatchify
+from .encoding import patchify, ring_pe_2d, unpatchify
 from .gridio import Dataset, GridField, GridSpec
 from .metrics import lat_weights
 from .moe import SharedPrivateMoE, routing_losses
@@ -47,7 +47,13 @@ def check_at_least(cfg, **least):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The forecaster's one config: every part of the model reads its settings here."""
+    """The forecaster's one config: every part of the model reads its settings here.
+
+    It owns the interval set: `intervals` rise strictly, and `position_of`
+    maps an interval to its place in them. Every per-interval table (embedding
+    rows, change scales, routing-noise columns, Q-head columns) follows that
+    one order.
+    """
 
     embed_dim: int = 64
     num_blocks: int = 2
@@ -67,15 +73,25 @@ class ModelConfig:
         if self.embed_dim % self.num_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
         d = self.intervals
-        if not d or min(d) < 1 or len(set(d)) < len(d):
-            raise ValueError(f"intervals must be distinct positive hours, got {list(d)}")
+        if not d or d[0] < 1 or any(a >= b for a, b in zip(d, d[1:])):
+            raise ValueError(f"intervals must be increasing positive hours, got {list(d)}")
         # every lead is a multiple of the smallest interval, so any interval
         # must leave such a multiple behind for the rollout to finish
-        if any(x % min(d) for x in d):
-            raise ValueError(f"intervals must be multiples of the smallest, {min(d)}h, got {list(d)}")
+        if any(x % d[0] for x in d):
+            raise ValueError(f"intervals must be multiples of the smallest, {d[0]}h, got {list(d)}")
         if not 1 <= self.moe_top_k <= self.moe_num_private:
             raise ValueError(f"moe_top_k {self.moe_top_k} outside [1, moe_num_private={self.moe_num_private}]")
         check_at_least(self, moe_alpha=0)
+
+    def position_of(self, delta_hours: int) -> int:
+        """The place of an interval in `intervals`. Raises KeyError naming an
+        interval the set lacks."""
+        try:
+            return self.intervals.index(int(delta_hours))
+        except ValueError:
+            raise KeyError(
+                f"unknown interval {delta_hours}h; configured set is {self.intervals}"
+            ) from None
 
 
 def check_grid_fit(cfg: ModelConfig, spec: GridSpec, trained_on: GridSpec | None = None):
@@ -132,7 +148,7 @@ def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads
 
     Keys and values cover every token of h. Without `queries` every token
     also queries (self-attention) and the result has h's shape: queries,
-    keys and values move to a (batch*heads, rows, dh) layout, so one batched
+    keys and values move to a (batch, heads, rows, dh) layout, so one batched
     matmul scores every head; keys land transposed in the same permute.
 
     Given (batch*m, D) query rows, m per sequence, only they query and the
@@ -164,15 +180,14 @@ def attention(params, prefix: str, h: Tensor, batch: int, length: int, num_heads
         heads_out = dc.mul(dc.reshape(values, (n, num_heads, D)), head_mask)
         return _linear(params, f"{prefix}.wo", dc.tensor_sum(heads_out, axis=1))
 
-    def heads(x, rows, axes):
-        x = dc.permute(dc.reshape(x, (batch, rows, num_heads, dh)), axes)
-        return dc.reshape(x, (batch * num_heads,) + x.shape[2:])
+    def heads(x, axes):
+        return dc.permute(dc.reshape(x, (batch, length, num_heads, dh)), axes)
 
-    q = heads(_linear(params, f"{prefix}.wq", h), length, (0, 2, 1, 3))  # (B*H, L, dh)
-    kt = heads(dc.matmul(h, params[f"{prefix}.wk.weight"]), length, (0, 2, 3, 1))  # (B*H, dh, L)
-    v = heads(_linear(params, f"{prefix}.wv", h), length, (0, 2, 1, 3))
+    q = heads(_linear(params, f"{prefix}.wq", h), (0, 2, 1, 3))  # (B, H, L, dh)
+    kt = heads(dc.matmul(h, params[f"{prefix}.wk.weight"]), (0, 2, 3, 1))  # (B, H, dh, L)
+    v = heads(_linear(params, f"{prefix}.wv", h), (0, 2, 1, 3))
     scores = dc.mul_scalar(dc.matmul(q, kt), 1.0 / np.sqrt(dh))
-    ctx = dc.reshape(dc.matmul(dc.softmax(scores, axis=-1), v), (batch, num_heads, length, dh))
+    ctx = dc.matmul(dc.softmax(scores, axis=-1), v)  # (B, H, L, dh)
     cat = dc.reshape(dc.permute(ctx, (0, 2, 1, 3)), (batch * length, D))
     return _linear(params, f"{prefix}.wo", cat)
 
@@ -247,8 +262,11 @@ class ForecastModel:
         rng = np.random.default_rng(seed)
         self._params = {}
         self._params.update(_linear_params(rng, self.patch_dim, cfg.embed_dim, "tokenizer"))
-        self.interval_embedding = IntervalEmbedding(cfg.intervals, cfg.embed_dim, rng)
-        self._params.update(self.interval_embedding.params())
+        # one learned row per interval, in `cfg.intervals` order; the blocks read the whole table
+        self._params["interval_embedding.table"] = Tensor(
+            rng.normal(scale=0.5, size=(len(cfg.intervals), cfg.embed_dim)),
+            requires_grad=True, name="interval_embedding.table",
+        )
         self.blocks = [ArchBlock(cfg, rng, f"block{i}") for i in range(cfg.num_blocks)]
         for b in self.blocks:
             self._params.update(b.params())
@@ -321,7 +339,7 @@ class ForecastModel:
         """(B, V, 1, 1) change scale of each of the B changes' intervals."""
         if len(deltas) != len(changes):
             raise ValueError(f"{len(deltas)} intervals for {len(changes)} states")
-        return self.delta_scale[[self.interval_embedding.index_of(d) for d in deltas]][:, :, None, None]
+        return self.delta_scale[[self.cfg.position_of(d) for d in deltas]][:, :, None, None]
 
     def normalize_delta(self, delta_values: np.ndarray, deltas) -> np.ndarray:
         """(B, V, H, W) physical changes, state i's over deltas[i] hours -> model units."""
@@ -333,14 +351,14 @@ class ForecastModel:
 
     def interval_segments(self, deltas):
         """(positions, state counts) of the consecutive runs of one interval in
-        `deltas`, one interval per state: each run's position in the interval
-        embedding and its length.
+        `deltas`, one interval per state: each run's interval position
+        (`ModelConfig.position_of`) and its length.
 
         Raises KeyError for an interval the model lacks and ValueError when
         the states of one interval are not adjacent.
         """
         runs = [(p, len(list(run))) for p, run in
-                itertools.groupby(self.interval_embedding.index_of(d) for d in deltas)]
+                itertools.groupby(self.cfg.position_of(d) for d in deltas)]
         positions = [p for p, _ in runs]
         if len(set(positions)) < len(positions):
             raise ValueError(f"states of one interval must be adjacent, got intervals {list(deltas)}")
@@ -364,7 +382,7 @@ class ForecastModel:
         patches = np.stack([patchify(self.normalize(x), self.cfg.patch_size) for x in x_batch])
         z = _linear(self._params, "tokenizer", Tensor(patches.reshape(B * L, self.patch_dim)))
         z = dc.add(z, Tensor(np.tile(self.positional, (B, 1))))
-        table = self.interval_embedding.table
+        table = self._params["interval_embedding.table"]
         decisions, noises = [], []
         for block in self.blocks:
             z, dec, noise = block.forward(z, table, positions, token_counts, B, L)

@@ -116,10 +116,14 @@ class Trajectory:
 
 
 class ActionSet:
-    """Discrete interval actions masked by the remaining time."""
+    """Discrete interval actions masked by the remaining time.
+
+    The intervals arrive in the model config's increasing order
+    (`ModelConfig.intervals`), which is also the order of the Q-head columns.
+    """
 
     def __init__(self, intervals):
-        self.intervals = tuple(sorted(int(d) for d in intervals))
+        self.intervals = tuple(intervals)
 
     def legal(self, remaining_h: int) -> list:
         return [d for d in self.intervals if d <= remaining_h]

@@ -487,7 +487,8 @@ def test_exit_codes(tmp_path, workdir, capsys):
     ]) == 4
     assert f"checkpoint {dqn_only} is of kind 'dqn'" in capsys.readouterr().err
     # 4: malformed model sidecar, with an unknown config key, truncated JSON,
-    # or a grid with a missing (even a defaulted one), extra or misnamed key
+    # a grid with a missing (even a defaulted one), extra or misnamed key, or
+    # intervals out of order, which would load every per-interval table reordered
     meta_text = (root / "pre" / "model.ckpt.meta.json").read_text()
 
     def edited(edit):
@@ -501,6 +502,7 @@ def test_exit_codes(tmp_path, workdir, capsys):
         ("grid_no_step", edited(lambda m: m["grid"].pop("base_step_hours"))),
         ("grid_extra", edited(lambda m: m["grid"].update(nope=1))),
         ("grid_misnamed", edited(lambda m: m["grid"].update(lat_pointz=m["grid"].pop("lat_points")))),
+        ("unordered_intervals", edited(lambda m: m["model_config"].update(intervals=[12, 6, 24]))),
     ):
         bad = tmp_path / f"{name}.ckpt"
         bad.write_bytes((root / "pre" / "model.ckpt").read_bytes())
@@ -532,7 +534,7 @@ def test_exit_codes(tmp_path, workdir, capsys):
         "compare-rollouts", "--config", str(cfg_path), "--data", str(root / "data.grid"),
         "--checkpoint", str(other), "--dqn", str(good_dqn), "--out", str(tmp_path / "other.csv"),
     ])
-    # 4: DQN sidecar written before fingerprints were recorded
+    # 4: DQN sidecar without its forecaster fingerprint, a required key
     meta = json.loads((tmp_path / "good_dqn.ckpt.meta.json").read_text())
     del meta["forecaster_fingerprint"]
     (tmp_path / "good_dqn.ckpt.meta.json").write_text(json.dumps(meta))

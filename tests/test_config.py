@@ -42,6 +42,7 @@ def test_invalid_values_surface_as_config_errors():
         {"patch_size": 0},
         {"intervals": [0, 6]},
         {"intervals": [6, 6]},
+        {"intervals": [12, 6]},
         {"moe_top_k": 9},
         {"moe_top_k": 0},
         {"moe_alpha": -1},

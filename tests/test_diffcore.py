@@ -52,6 +52,11 @@ def test_shape_mismatch_names_both_shapes():
         dc.add(a, b)
     with pytest.raises(dc.ShapeError):
         dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    # leading dims must be equal: matmul broadcasts none of them
+    with pytest.raises(dc.ShapeError, match=r"\(2, 3, 2, 3\).*\(2, 4, 3, 2\)"):
+        dc.matmul(Tensor(np.zeros((2, 3, 2, 3))), Tensor(np.zeros((2, 4, 3, 2))))
+    with pytest.raises(dc.ShapeError, match=r"\(2, 3\).*\(4, 3, 2\)"):
+        dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3, 2))))
 
 
 @pytest.mark.usefixtures("float64")
@@ -265,6 +270,9 @@ def _primitive_cases(rng):
     row_b = rand_tensor(rng, (1, 4))
     w423 = Tensor(rng.normal(size=(4, 2, 3)))
     w32 = Tensor(rng.normal(size=(3, 2)))
+    qm1 = rand_tensor(rng, (2, 2, 3, 4))
+    qm2 = rand_tensor(rng, (2, 2, 4, 3))
+    w2233 = Tensor(rng.normal(size=(2, 2, 3, 3)))
 
     return {
         "add": ({"a": a, "b": b}, lambda: dc.tensor_sum(dc.mul(dc.add(a, b), w34))),
@@ -277,6 +285,7 @@ def _primitive_cases(rng):
         ),
         "matmul2d": ({"a": a, "m": m}, lambda: dc.tensor_sum(dc.mul(dc.matmul(a, m), w35))),
         "matmul3d": ({"x": bm1, "y": bm2}, lambda: dc.tensor_sum(dc.mul(dc.matmul(bm1, bm2), w233))),
+        "matmul4d": ({"x": qm1, "y": qm2}, lambda: dc.tensor_sum(dc.mul(dc.matmul(qm1, qm2), w2233))),
         "transpose": ({"a": a}, lambda: dc.tensor_sum(dc.mul(dc.transpose_last2(a), dc.transpose_last2(w34)))),
         "reshape": ({"a": a}, lambda: dc.tensor_sum(dc.mul(dc.reshape(a, (4, 3)), dc.reshape(w34, (4, 3))))),
         "broadcast": ({"row": row}, lambda: dc.tensor_sum(dc.mul(dc.broadcast_to(row, (3, 4)), w34))),

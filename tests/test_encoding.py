@@ -6,7 +6,6 @@ import pytest
 from rollcast import diffcore as dc
 from rollcast.diffcore import Tensor
 from rollcast.encoding import (
-    IntervalEmbedding,
     TemporalEmbedding,
     conventional_pe,
     patchify,
@@ -137,12 +136,13 @@ def test_tokenize_matches_per_patch_matrix_products():
 
 
 def test_interval_embedding_lookup_and_unknown_interval():
-    emb = IntervalEmbedding((6, 12, 24), 16, np.random.default_rng(4))
-    assert emb.table.shape == (3, 16)
-    assert [emb.index_of(d) for d in (6, 12, 24)] == [0, 1, 2]
-    assert not np.array_equal(emb.table.data[0], emb.table.data[1])
+    model = ForecastModel(CFG, SPEC, [0.0] * SPEC.num_vars, [1.0] * SPEC.num_vars, seed=4)
+    table = model.params()["interval_embedding.table"]
+    assert table.shape == (3, CFG.embed_dim)
+    assert [CFG.position_of(d) for d in (6, 12, 24)] == [0, 1, 2]
+    assert not np.array_equal(table.data[0], table.data[1])
     with pytest.raises(KeyError, match="18"):
-        emb.index_of(18)
+        CFG.position_of(18)
 
 
 def test_interval_embedding_gradient_hits_exactly_one_row():
@@ -153,7 +153,7 @@ def test_interval_embedding_gradient_hits_exactly_one_row():
     for p in model.trainable_params().values():
         p.data = rng.normal(scale=0.3, size=p.data.shape).astype(p.data.dtype)
     x = rng.normal(size=(2,) + SPEC.shape)
-    table = model.interval_embedding.table
+    table = model.params()["interval_embedding.table"]
     for deltas, moved in (([12, 12], [1]), ([6, 24], [0, 2])):
         table.zero_grad()
         pred, _, _ = model.forward_tokens(x, deltas)

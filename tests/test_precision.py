@@ -98,6 +98,25 @@ def test_forecast_runs_in_float32(desk_dataset, monkeypatch):
     assert model.forecast_batch(x, [6, 6]).dtype == np.float64
 
 
+def test_b1_forecast_and_pretraining_step_create_at_most_134_and_178_op_results(desk_dataset, monkeypatch):
+    """At most 134 op results for a B=1 forecast and 178 for one default
+    pretraining step: self-attention keeps its (B, H, ...) head layout."""
+    model = desk_model(desk_dataset)
+    count = [0]
+    make = Tensor.__dict__["_result"].__func__
+
+    def counted(data, parents, vjp):
+        count[0] += 1
+        return make(data, parents, vjp)
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    model.predict_change(desk_dataset.fields[0].values[None], [6])
+    assert count[0] <= 134
+    count[0] = 0
+    PretrainTrainer(model, desk_dataset, PretrainConfig()).step(0)
+    assert count[0] <= 178
+
+
 def test_td_update_runs_in_float32(desk_dataset, monkeypatch):
     model = desk_model(desk_dataset)
     env = ForecastEnv(model, desk_dataset, omega=-0.1)
