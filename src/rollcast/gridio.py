@@ -83,7 +83,10 @@ class GridSpec:
 class GridField:
     """One weather state: values[v][lat][lon] at a timestamp (hours from epoch).
 
-    Fields compare and hash by identity, so caches can key on them weakly.
+    A float32 or float64 array is kept as given, without a copy: dataset
+    frames are float32 and forecasts float64. Any other input is cast to
+    float64. Fields compare and hash by identity, so caches can key on them
+    weakly.
     """
 
     spec: GridSpec
@@ -91,7 +94,10 @@ class GridField:
     timestamp_hours: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype not in (np.float32, np.float64):
+            values = values.astype(np.float64)
+        self.values = values
         if self.values.shape != self.spec.shape:
             raise ValueError(f"values shape {self.values.shape} != spec shape {self.spec.shape}")
         if not np.isfinite(self.values).all():
@@ -152,7 +158,13 @@ class RegimeConfig:
 
 @dataclass
 class Dataset:
-    """Ordered field series at base-step spacing plus split tags and metadata."""
+    """Ordered field series at base-step spacing plus split tags and metadata.
+
+    The generator and `read_grid_file` make float32 frames, the precision
+    the file stores, each a view of one shared array. Code that computes
+    from frames upcasts them or sums in float64, so a dataset of float64
+    fields, the same values at twice the memory, gives the same bits.
+    """
 
     spec: GridSpec
     fields: list
@@ -311,9 +323,10 @@ def generate_synthetic(
 
     The anomaly core evolves all variables at once, one (V, H, W) array pass
     per step: advection then diffusion, with storm bursts injected at seeded
-    onset times. Every RENDER_CHUNK frames go into one (C, V, H, W) array,
-    which takes the seasonal cycle, scales and means in place, and each field
-    views one frame of it. The output bytes do not depend on the chunk size.
+    onset times. Every RENDER_CHUNK frames go into one float64 (C, V, H, W)
+    array, which takes the seasonal cycle, scales and means in place and is
+    then rounded to float32; each field views one frame of the rounded chunk.
+    The output bytes do not depend on the chunk size.
     """
     if num_steps < 2:
         raise ValueError(f"num_steps must be >= 2, got {num_steps}")
@@ -383,8 +396,8 @@ def generate_synthetic(
         chunk *= scale
         chunk += mean
         # datasets live at float32 precision (the storage format), internals at float64
-        chunk[...] = chunk.astype(np.float32)
-        fields += [GridField(spec, frame, int(h)) for frame, h in zip(chunk, hours[t0:t1])]
+        frames = chunk.astype(np.float32)
+        fields += [GridField(spec, frame, int(h)) for frame, h in zip(frames, hours[t0:t1])]
 
     meta = {
         "seed": int(seed),
@@ -473,15 +486,16 @@ def _read_manifest(path, num_steps: int, num_vars: int) -> dict:
 def read_grid_file(path) -> Dataset:
     """Read a grid file (and its sidecar manifest when present) back to a Dataset.
 
-    Any malformed input, in the file or its manifest, raises GridFileError
-    naming the file."""
+    The file is read into one buffer, and the dataset's float32 frames are
+    views of its payload: no float64 copy is made. Any malformed input, in
+    the file or its manifest, raises GridFileError naming the file."""
 
     def bad(msg: str) -> GridFileError:
         return GridFileError(f"grid file {path}: {msg}")
 
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != GRID_MAGIC:
-        raise bad(f"bad magic {blob[:4]!r} at offset 0")
+    blob = np.fromfile(path, dtype=np.uint8)
+    if blob[:4].tobytes() != GRID_MAGIC:
+        raise bad(f"bad magic {blob[:4].tobytes()!r} at offset 0")
     header_len = 4 + struct.calcsize("<HHHHII")
     if len(blob) < header_len:
         raise bad(f"header truncated at offset {len(blob)}")
@@ -512,11 +526,10 @@ def read_grid_file(path) -> Dataset:
 
     manifest = _read_manifest(path, num_steps, V)
     start_hours = manifest.get("start_hours", 0)
-    values = np.frombuffer(blob, dtype="<f4", count=num_steps * V * H * W, offset=off).astype(np.float64)
-    values = values.reshape(num_steps, V, H, W)
+    values = blob[off:].view("<f4").reshape(num_steps, V, H, W)
     # a float64 sum of float32 values cannot overflow, so it is finite exactly
     # when every value of its frame is
-    finite = np.isfinite(values.sum(axis=(1, 2, 3)))
+    finite = np.isfinite(values.sum(axis=(1, 2, 3), dtype=np.float64))
     if not finite.all():
         t = int(np.argmin(finite))
         raise bad(f"non-finite value in frame {t} at offset {off + t * frame_len}")

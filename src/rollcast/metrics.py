@@ -71,7 +71,7 @@ class Climatology:
                 sums[key] += f.values
                 counts[key] += 1
             else:
-                sums[key] = f.values.copy()
+                sums[key] = f.values.astype(np.float64)  # float64 sums, whatever the frames' dtype
                 counts[key] = 1
         buckets = {k: sums[k] / counts[k] for k in sums}
         return Climatology(buckets, season)

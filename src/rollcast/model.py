@@ -316,23 +316,30 @@ class ForecastModel:
         """Normalization statistics come from the training split.
 
         The change scale of interval d is the per-variable RMS of
-        x[t + d] - x[t] over every pair of train-split states d apart.
+        x[t + d] - x[t] over every pair of train-split states d apart. The
+        train states are stacked in their own dtype and every sum runs in
+        float64, so float32 and float64 frames give the same bits. Each
+        interval's float64 change is squared in place and freed before the
+        next one is formed.
         """
         arr = np.stack([dataset.fields[i].values for i in dataset.window_starts("train", 0)])
-        mean = arr.mean(axis=(0, 2, 3))
-        std = arr.std(axis=(0, 2, 3))
-        std = np.maximum(std, 1e-6)
+        mean = arr.mean(axis=(0, 2, 3), dtype=np.float64)
+        std = np.maximum(arr.std(axis=(0, 2, 3), dtype=np.float64), 1e-6)
         delta_scale = []
         for d in cfg.intervals:
             n = len(dataset.window_starts("train", d))
-            change = arr[len(arr) - n:] - arr[:n]
-            delta_scale.append(np.sqrt(np.mean(change**2, axis=(0, 2, 3))))
+            change = np.subtract(arr[len(arr) - n:], arr[:n], dtype=np.float64)
+            change *= change
+            delta_scale.append(np.sqrt(change.mean(axis=(0, 2, 3))))
+            del change
         delta_scale = np.maximum(np.array(delta_scale), 1e-6)
         return ForecastModel(cfg, dataset.spec, mean, std, seed=seed, delta_scale=delta_scale)
 
     # -- forward paths ---------------------------------------------------------
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
+        """Raw state(s) -> model units, in float64 whatever the state's dtype."""
+        values = np.asarray(values, dtype=np.float64)
         return (values - self.norm_mean[:, None, None]) / self.norm_std[:, None, None]
 
     def _delta_scale_of(self, changes: np.ndarray, deltas) -> np.ndarray:
@@ -425,8 +432,8 @@ class ForecastModel:
 
     def forecast_batch(self, x_batch: np.ndarray, deltas) -> np.ndarray:
         """(B, V, H, W) states -> the (B, V, H, W) states deltas[i] hours later
-        for state i."""
-        return x_batch + self.predict_change(x_batch, deltas)
+        for state i, in float64 whatever the states' dtype."""
+        return np.asarray(x_batch, dtype=np.float64) + self.predict_change(x_batch, deltas)
 
     def predict_rollout(self, x0: GridField, intervals, lead_hours: int | None = None) -> list:
         """Iterate the model along a trajectory, feeding each forecast back in.
@@ -497,7 +504,7 @@ class PretrainTrainer:
             idx = int(rng.integers(starts.start, starts.stop))
             x0 = self.dataset.fields[idx]
             x1 = self.dataset.fields[idx + delta // step_h]
-            out.append((x0.values, x1.values - x0.values, delta))
+            out.append((x0.values, np.subtract(x1.values, x0.values, dtype=np.float64), delta))
         return out
 
     def loss_on_batch(self, batch):
@@ -564,7 +571,7 @@ def evaluate_one_step_loss(model: ForecastModel, dataset: Dataset, split: str, d
     x0 = np.stack([dataset.fields[int(i)].values for i in idxs])
     x1 = np.stack([dataset.fields[int(i) + k].values for i in idxs])
     deltas = [delta] * num_samples
-    target = model.normalize_delta(x1 - x0, deltas)
+    target = model.normalize_delta(np.subtract(x1, x0, dtype=np.float64), deltas)
     pred = model.normalize_delta(model.predict_change(x0, deltas), deltas)
     model_total = pers_total = 0.0
     for p, t in zip(pred, target):

@@ -155,6 +155,7 @@ class QNetwork:
         fitted on train-split states did not carry over to such states.
         """
         w = self.weather
+        values = np.asarray(values, dtype=np.float64)
         xn = (values - values.mean(axis=(1, 2), keepdims=True)) / w.norm_std[:, None, None]
         return patchify(xn, w.patch_size) @ w.tok_weight + w.tok_bias + w.positional
 

@@ -135,7 +135,12 @@ class ActionSet:
             raise ValueError(f"illegal action {action}h with {remaining_h}h remaining; legal: {legal}")
 
     def index_of(self, action: int) -> int:
-        return self.intervals.index(int(action))
+        """The Q-head column of an interval. Raises KeyError naming an
+        interval the set lacks, as `ModelConfig.position_of` does."""
+        try:
+            return self.intervals.index(int(action))
+        except ValueError:
+            raise KeyError(f"unknown action {action}h; actions are {self.intervals}") from None
 
     def mask_illegal(self, q: np.ndarray, remaining_h) -> np.ndarray:
         """(B, A) action values with each row's illegal actions set to NEG_INF."""

@@ -97,7 +97,7 @@ def rollout_finetune_loss(env: ForecastEnv, episodes, choose, t_max: int) -> Rol
     model, (V, H, W) = env.model, env.dataset.spec.shape
     walks = [transitions for _, transitions, _ in run_episodes(env, episodes, choose)]
     steps = [tr for walk in walks for tr in walk]
-    states = np.stack([tr.state.x_hat.values for tr in steps])
+    states = np.stack([tr.state.x_hat.values for tr in steps], dtype=np.float64)
     actions = np.array([tr.action for tr in steps])
     order = np.argsort(actions, kind="stable")
     with dc.no_grad():

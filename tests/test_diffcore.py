@@ -1,5 +1,7 @@
 """Tensor engine: forward values, reverse-mode gradients vs finite differences."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,8 @@ def test_sigmoid_adjoint_flushes_subnormals_to_zero():
 
 
 def test_row_sums_of_distinct_rows_keep_the_bits_of_the_float64_sum():
-    """Distinct rows take the in-place add, repeated ones the float64 bincount:
-    both give zero plus the value, rounded once, with -0.0 summed to +0.0."""
+    """Distinct rows take one in-place add, pairs a second one: both give
+    zero plus the value, rounded once, with -0.0 summed to +0.0."""
     rng = np.random.default_rng(8)
     values = rng.normal(size=(5, 3)).astype(np.float32)
     values[0, 1] = values[3, 2] = -0.0
@@ -164,6 +166,39 @@ def test_row_sums_of_distinct_rows_keep_the_bits_of_the_float64_sum():
             want[r] += values[i]
         assert got.dtype == np.float32
         assert got.tobytes() == want.astype(np.float32).tobytes(), rows
+
+
+def bincount_row_sums(rows, values, num_rows) -> np.ndarray:
+    """Row sums by a float64 bincount in index order, cast to values' dtype."""
+    d = values.shape[1]
+    flat = (np.asarray(rows)[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * d)
+    return sums.astype(values.dtype).reshape(num_rows, d)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_sums_of_pairs_keep_the_bits_of_the_bincount_oracle(dtype):
+    """Rows that repeat at most twice (a top-2 scatter) take two in-place adds,
+    and a row repeated more often the bincount; both match the oracle bit for
+    bit, signed zeros and sums that lose the smaller term included."""
+    rng = np.random.default_rng(9)
+    n = 64
+    rows = np.concatenate([np.arange(n), np.arange(n)])[rng.permutation(2 * n)]
+    values = rng.normal(size=(2 * n + 2, 5)).astype(dtype)
+    first, second = (np.flatnonzero(rows == r) for r in (3, 4))
+    values[first, 0] = (-0.0, -0.0)
+    values[second, 0] = (-0.0, 0.0)
+    values[first, 1] = (1e30, 1e-10)
+    values[second, 1] = (-1e-10, 1e30)
+    values[first, 2] = (1.0 + 2.0**-23, -1.0)
+    values[:, 3] *= 1e-38  # subnormal in float32
+    with dc.float64() if dtype == np.float64 else contextlib.nullcontext():
+        for r in (rows, rows[: n + 7], np.concatenate([rows, [5, 5]])):  # the last: row 5 four times
+            v = values[: len(r)]
+            got = dc.scatter_add_rows(Tensor(v), r, n).data
+            assert got.dtype == dtype
+            assert got.tobytes() == bincount_row_sums(r, v, n).tobytes()
+            assert not np.signbit(got[3, 0])
 
 
 def test_new_ops_enforce_their_shape_contracts():

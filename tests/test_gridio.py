@@ -128,11 +128,12 @@ GOLDEN = {
 def test_generator_and_grid_file_keep_their_pinned_bytes(case, tmp_path):
     spec, steps, seed, cfg, digest = GOLDEN[case]
     ds = generate_synthetic(spec, steps, seed=seed, regime_cfg=cfg)
-    for f in ds.fields:  # frames hold float32 values
-        assert f.values.astype(np.float32).astype(np.float64).tobytes() == f.values.tobytes()
+    assert all(f.values.dtype == np.float32 for f in ds.fields)
     assert _digest(ds) == digest
     write_grid_file(tmp_path / "data.grid", ds)
-    assert _digest(read_grid_file(tmp_path / "data.grid")) == digest
+    back = read_grid_file(tmp_path / "data.grid")
+    assert all(f.values.dtype == np.float32 for f in back.fields)
+    assert _digest(back) == digest
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
@@ -150,8 +151,24 @@ def test_generator_peak_memory_stays_near_its_frames():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    frame_bytes = steps * int(np.prod(DESK_SPEC.shape)) * 8  # float64 frames
+    frame_bytes = steps * int(np.prod(DESK_SPEC.shape)) * 4  # float32 frames
     assert peak <= 1.5 * frame_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_reading_the_desk_file_peaks_near_its_float32_payload(tmp_path):
+    """The frames are views of the one buffer the file is read into."""
+    steps = 2000
+    path = tmp_path / "desk.grid"
+    write_grid_file(path, generate_synthetic(DESK_SPEC, steps, seed=0))
+    tracemalloc.start()
+    try:
+        ds = read_grid_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = steps * int(np.prod(DESK_SPEC.shape)) * 4
+    assert len(ds) == steps
+    assert peak <= 1.25 * payload, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_default_scale_dataset_shape_contract():

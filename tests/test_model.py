@@ -1,5 +1,7 @@
 """Arch-block behavior, residual contracts, micro-model gradients, and rollout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -397,13 +399,14 @@ def test_single_cell_loss_arithmetic():
 
 
 def change_rms_oracle(dataset, intervals) -> np.ndarray:
-    """(interval, variable) RMS of x[t + d] - x[t] over train-split pairs."""
+    """(interval, variable) RMS of x[t + d] - x[t] over train-split pairs, in float64."""
     lo, hi = dataset.splits["train"]
     step_h = dataset.spec.base_step_hours
     out = np.zeros((len(intervals), dataset.spec.num_vars))
+    frames = [f.values.astype(np.float64) for f in dataset.fields]
     for a, d in enumerate(intervals):
         k = d // step_h
-        changes = [dataset.fields[i + k].values - dataset.fields[i].values for i in range(lo, hi - k)]
+        changes = [frames[i + k] - frames[i] for i in range(lo, hi - k)]
         for v in range(dataset.spec.num_vars):
             out[a, v] = np.sqrt(np.mean([np.mean(c[v] ** 2) for c in changes]))
     return out
@@ -418,6 +421,22 @@ def test_from_dataset_stores_per_interval_change_rms(small_dataset):
     np.testing.assert_allclose(model.delta_scale, expected, rtol=1e-12)
     # longer intervals move the state further
     assert np.all(np.diff(expected, axis=0) > 0)
+
+
+def test_from_dataset_peaks_below_two_float64_train_stacks():
+    """The train states are stacked in float32, and one interval's float64
+    change is alive at a time (three float64 stacks once were)."""
+    spec = GridSpec.cell_centered(2, 16, 32)
+    ds = generate_synthetic(spec, 2000, seed=0, splits=default_splits(2000))
+    tracemalloc.start()
+    try:
+        ForecastModel.from_dataset(ModelConfig(), ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lo, hi = ds.splits["train"]
+    stack_bytes = (hi - lo) * int(np.prod(spec.shape)) * 8
+    assert peak <= 2 * stack_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_default_change_scale_is_the_state_std():
@@ -551,7 +570,8 @@ def test_one_step_summary_matches_the_single_window_formula(small_dataset):
         for idx in idxs:
             x0 = small_dataset.fields[int(idx)]
             x1 = small_dataset.fields[int(idx) + k]
-            target = model.normalize_delta((x1.values - x0.values)[None], [delta])[0]
+            change = x1.values.astype(np.float64) - x0.values
+            target = model.normalize_delta(change[None], [delta])[0]
             with dc.no_grad():
                 pred, _, _ = model.forward_tokens(x0.values[None], [delta])
             pred_field = unpatchify(pred.data, spec.shape, cfg.patch_size)

@@ -95,6 +95,9 @@ def test_action_masking(env):
     assert env.actions.legal(18) == [6, 12]
     assert env.actions.legal(24) == [6, 12, 24]
     assert env.actions.legal(0) == []
+    assert [env.actions.index_of(a) for a in (6, 12, 24)] == [0, 1, 2]
+    with pytest.raises(KeyError, match="unknown action 18h"):
+        env.actions.index_of(18)
 
 
 def test_illegal_action_raises_not_clips(env, dataset):
@@ -857,14 +860,15 @@ def one_walk_oracle(env, episode, action_fn, t_max):
         action = int(action_fn(state))
         env.actions.check(action, state.remaining_h)
         truth = env.dataset.at(state.date_time_hours + action)
-        target = model.normalize_delta((truth.values - state.x_hat.values)[None], [action])[0]
+        x = state.x_hat.values.astype(np.float64)  # float64 arithmetic, as the program's
+        target = model.normalize_delta((truth.values - x)[None], [action])[0]
         with dc.no_grad():
             z, _, _ = model.body_tokens(state.x_hat.values[None], [action])
         with dc.no_grad() if len(steps) >= t_max else contextlib.nullcontext():
             pred = model.apply_head(z)
         steps.append((pred, patchify(target, model.cfg.patch_size)))
         change = model.change_from_patches(pred.data, [action])[0]
-        state = state.advance(action, state.x_hat.values + change)
+        state = state.advance(action, x + change)
 
     denom = len(steps) * V * H * W
     grad_loss, per_step = None, []
